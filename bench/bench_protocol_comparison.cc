@@ -11,7 +11,6 @@
 
 #include "bench_common.h"
 #include "core/retia.h"
-#include "nn/checkpoint.h"
 #include "train/trainer.h"
 #include "util/table_printer.h"
 

@@ -57,10 +57,12 @@ struct RunStats {
   double mean_batch = 0;
 };
 
+// One query's ranked candidates; empty when the query failed.
+using Answer = std::vector<serve::ScoredCandidate>;
+
 RunStats RunWorkload(core::RetiaModel* model, graph::GraphCache* cache,
                      const Workload& workload, int64_t num_threads,
-                     bool enable_cache,
-                     std::vector<serve::TopKResult>* answers,
+                     bool enable_cache, std::vector<Answer>* answers,
                      int quantized_decode = 0) {
   serve::ServeConfig config;
   config.num_threads = num_threads;
@@ -78,9 +80,11 @@ RunStats RunWorkload(core::RetiaModel* model, graph::GraphCache* cache,
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (size_t i = c; i < workload.queries.size(); i += kClients) {
-        (*answers)[i] = engine.TopK(workload.queries[i].first,
-                                    workload.queries[i].second, workload.t,
-                                    /*k=*/10);
+        serve::Result<serve::QueryResult> result =
+            engine.Submit(serve::Query::Entity(workload.queries[i].first,
+                                               workload.queries[i].second,
+                                               workload.t, /*k=*/10));
+        if (result.ok()) (*answers)[i] = std::move(result.value().candidates);
       }
     });
   }
@@ -91,11 +95,11 @@ RunStats RunWorkload(core::RetiaModel* model, graph::GraphCache* cache,
           stats.cache_hit_rate, stats.mean_batch_size};
 }
 
-bool BitIdentical(const std::vector<serve::TopKResult>& a,
-                  const std::vector<serve::TopKResult>& b) {
+// Every answer present and bit-identical to the reference.
+bool BitIdentical(const std::vector<Answer>& a, const std::vector<Answer>& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].candidates != b[i].candidates) return false;
+    if (a[i].empty() || a[i] != b[i]) return false;
   }
   return true;
 }
@@ -133,7 +137,7 @@ int main() {
                "max_batch 32, k=10\n\n";
 
   // Single-threaded, uncached reference answers for the identity check.
-  std::vector<serve::TopKResult> reference;
+  std::vector<Answer> reference;
   RunWorkload(&model, &cache, workload, /*num_threads=*/1,
               /*enable_cache=*/false, &reference);
 
@@ -145,7 +149,7 @@ int main() {
   std::map<std::pair<bool, int64_t>, double> qps;
   for (const bool enable_cache : {false, true}) {
     for (const int64_t workers : {1, 2, 4, 8}) {
-      std::vector<serve::TopKResult> answers;
+      std::vector<Answer> answers;
       const RunStats stats = RunWorkload(&model, &cache, workload, workers,
                                          enable_cache, &answers);
       qps[{enable_cache, workers}] = stats.qps;
@@ -176,16 +180,15 @@ int main() {
   // lives in scripts/bench_kernels.sh; this row shows what survives
   // end-to-end once evolution, batching, and ranking overhead are in.
   {
-    std::vector<serve::TopKResult> quant_answers;
+    std::vector<Answer> quant_answers;
     const RunStats quant_stats =
         RunWorkload(&model, &cache, workload, /*num_threads=*/1,
                     /*enable_cache=*/false, &quant_answers,
                     /*quantized_decode=*/1);
     size_t top1 = 0;
     for (size_t i = 0; i < quant_answers.size(); ++i) {
-      if (!quant_answers[i].candidates.empty() &&
-          !reference[i].candidates.empty() &&
-          quant_answers[i].candidates[0].id == reference[i].candidates[0].id) {
+      if (!quant_answers[i].empty() && !reference[i].empty() &&
+          quant_answers[i][0].id == reference[i][0].id) {
         ++top1;
       }
     }

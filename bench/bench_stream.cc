@@ -63,9 +63,14 @@ int64_t Percentile(std::vector<int64_t> values, double p) {
   return values[std::min(idx, values.size() - 1)];
 }
 
-int64_t RankOf(const serve::TopKResult& result, int64_t o) {
-  for (size_t i = 0; i < result.candidates.size(); ++i) {
-    if (result.candidates[i].id == o) return static_cast<int64_t>(i);
+// Rank (0-based) of `o` among the answer's candidates; -1 when absent or
+// when the query failed.
+int64_t RankOf(const serve::Result<serve::QueryResult>& result, int64_t o) {
+  if (!result.ok()) return -1;
+  const std::vector<serve::ScoredCandidate>& candidates =
+      result.value().candidates;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (candidates[i].id == o) return static_cast<int64_t>(i);
   }
   return -1;
 }
@@ -97,7 +102,8 @@ int Run() {
   const int64_t s = 7, r = 3, o = 42;
   const int64_t t_news = t0 + kWindows;
   const int64_t t_query = t_news + 1;
-  const serve::TopKResult before = pipeline.engine().TopK(s, r, t_query, n);
+  const serve::Result<serve::QueryResult> before =
+      pipeline.engine().Submit(serve::Query::Entity(s, r, t_query, n));
   const int64_t rank_before = RankOf(before, o);
 
   util::Rng rng(1234);
@@ -119,7 +125,8 @@ int Run() {
     finetune_publish_ms_total += MsSince(start);
   }
 
-  const serve::TopKResult after = pipeline.engine().TopK(s, r, t_query, n);
+  const serve::Result<serve::QueryResult> after =
+      pipeline.engine().Submit(serve::Query::Entity(s, r, t_query, n));
   const int64_t rank_after = RankOf(after, o);
 
   const std::vector<int64_t>& staleness = pipeline.staleness_us();

@@ -1,5 +1,5 @@
 // Serving demo: train RETIA on a YAGO-like synthetic TKG, freeze it into a
-// snapshot (one crash-safe retia::ckpt artifact), then serve TopK entity
+// snapshot (one crash-safe retia::ckpt artifact), then serve top-k entity
 // and relation queries from 8 concurrent client threads through
 // retia::serve's batched, cached engine.
 //
@@ -7,6 +7,7 @@
 //   cmake -B build && cmake --build build -j
 //   ./build/examples/serve_demo
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -93,6 +94,7 @@ int main() {
   constexpr int kClients = 8;
   constexpr int64_t kQueriesPerClient = 400;
   timer.Reset();
+  std::atomic<int64_t> failed{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
@@ -101,25 +103,34 @@ int main() {
       for (int64_t i = 0; i < kQueriesPerClient; ++i) {
         // Skewed ids: low ids repeat often and hit the cache.
         const int64_t s = (i * (c + 3)) % (i % 4 == 0 ? 8 : n);
-        if (i % 5 == 4) {
-          engine.TopKRelation(s, (s + 7) % n, t, 5);
-        } else {
-          engine.TopK(s, (i * 13) % (2 * m), t, 5);
-        }
+        const serve::Query query =
+            i % 5 == 4 ? serve::Query::Relation(s, (s + 7) % n, t, 5)
+                       : serve::Query::Entity(s, (i * 13) % (2 * m), t, 5);
+        if (!engine.Submit(query).ok()) failed.fetch_add(1);
       }
     });
   }
   for (std::thread& client : clients) client.join();
+  if (failed.load() > 0) {
+    std::cerr << failed.load() << " queries failed\n";
+    return 1;
+  }
   std::cout << kClients << " clients x " << kQueriesPerClient
             << " queries in " << util::FormatDuration(timer.Seconds()) << "\n";
 
   // 4. One sample answer plus the engine's stats as JSON.
-  const serve::TopKResult sample = engine.TopK(0, 0, t, 5);
+  const serve::Result<serve::QueryResult> sample =
+      engine.Submit(serve::Query::Entity(0, 0, t, 5));
+  if (!sample.ok()) {
+    std::cerr << "sample query failed: " << sample.ToString() << "\n";
+    return 1;
+  }
   std::cout << "TopK(s=0, r=0, t=" << t << ") ->";
-  for (const serve::ScoredCandidate& c : sample.candidates) {
+  for (const serve::ScoredCandidate& c : sample.value().candidates) {
     std::cout << " " << c.id << ":" << c.score;
   }
-  std::cout << (sample.cache_hit ? " (cache hit)" : " (decoded)") << "\n";
+  std::cout << (sample.value().cache_hit ? " (cache hit)" : " (decoded)")
+            << "\n";
   std::cout << "stats: " << engine.Stats().ToJson() << std::endl;
   return 0;
 }

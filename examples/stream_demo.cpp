@@ -105,6 +105,23 @@ bool DumpParams(const core::RetiaModel& model, const std::string& path) {
   return std::fclose(f) == 0;
 }
 
+// Prints the ids of the k best objects for (s, r, ?, t); false (with the
+// error on stderr) when the query fails.
+bool PrintTopObjects(serve::ServeEngine& engine, int64_t s, int64_t r,
+                     int64_t t, int64_t k) {
+  const serve::Result<serve::QueryResult> top =
+      engine.Submit(serve::Query::Entity(s, r, t, k));
+  if (!top.ok()) {
+    std::cerr << "query failed: " << top.ToString() << "\n";
+    return false;
+  }
+  for (const serve::ScoredCandidate& c : top.value().candidates) {
+    std::cout << " " << c.id;
+  }
+  std::cout << "\n";
+  return true;
+}
+
 int RunSmoke(const std::string& mode, const std::string& dir) {
   std::unique_ptr<tkg::TkgDataset> live = MakeLiveDataset();
   const int64_t base_entities = live->num_entities();
@@ -187,11 +204,7 @@ int RunDemo() {
   const int64_t k = 5;
   std::cout << "before ingest, top-" << k << " objects for (s=" << s
             << ", r=" << r << "):";
-  for (const serve::ScoredCandidate& c :
-       pipeline.engine().TopK(s, r, t_news + 1, k).candidates) {
-    std::cout << " " << c.id;
-  }
-  std::cout << "\n";
+  if (!PrintTopObjects(pipeline.engine(), s, r, t_news + 1, k)) return 1;
 
   // Stream a few timesteps; the news fact arrives 20 times at t_news.
   for (int64_t step = 1; step <= 3; ++step) {
@@ -209,11 +222,7 @@ int RunDemo() {
   std::cout << "after " << pipeline.Status().publishes
             << " publishes, top-" << k << " objects for (s=" << s
             << ", r=" << r << "):";
-  for (const serve::ScoredCandidate& c :
-       pipeline.engine().TopK(s, r, t_news + 1, k).candidates) {
-    std::cout << " " << c.id;
-  }
-  std::cout << "\n";
+  if (!PrintTopObjects(pipeline.engine(), s, r, t_news + 1, k)) return 1;
 
   const stream::StreamStatus status = pipeline.Status();
   std::cout << "ingest: offered=" << status.ingest.offered

@@ -13,9 +13,10 @@
 //     --patience N        early-stopping patience              [default 5]
 //     --offline           skip online continuous training
 //     --filtered          report time-aware filtered metrics too
-//     --save PATH         write a parameter checkpoint after training
-//     --load PATH         start from a parameter checkpoint (skips
-//                         training if --epochs 0)
+//     --save PATH         write a model artifact (RETIACKPT2) after
+//                         training
+//     --load PATH         start from the parameters of a model artifact
+//                         (skips training if --epochs 0)
 //     --resume PATH       crash-safe training: save the full training
 //                         state (parameters, Adam, RNG, epoch cursor) to
 //                         PATH after every epoch, and continue from it
@@ -30,12 +31,13 @@
 #include <algorithm>
 #include <cstring>
 #include <iostream>
+#include <memory>
 #include <string>
 
 #include "ckpt/result.h"
 #include "core/retia.h"
 #include "graph/graph_cache.h"
-#include "nn/checkpoint.h"
+#include "ckpt/model_io.h"
 #include "tkg/synthetic.h"
 #include "train/trainer.h"
 #include "util/env.h"
@@ -136,7 +138,17 @@ int main(int argc, char** argv) {
   std::cout << "RETIA with " << model.NumParameters() << " parameters (d="
             << config.dim << ", k=" << config.history_len << ")\n";
   if (!load_path.empty()) {
-    nn::LoadCheckpoint(&model, load_path);
+    // The artifact's parameters must match this model's names and shapes.
+    std::unique_ptr<core::RetiaModel> saved;
+    ckpt::Result loaded = ckpt::LoadModelArtifact(load_path, &saved, nullptr);
+    if (loaded.ok()) {
+      loaded = ckpt::DecodeParamsInto(&model, ckpt::EncodeParams(*saved));
+    }
+    if (!loaded.ok()) {
+      std::cerr << "cannot load " << load_path << ": " << loaded.ToString()
+                << "\n";
+      return 1;
+    }
     std::cout << "loaded checkpoint " << load_path << "\n";
   }
 
@@ -164,7 +176,13 @@ int main(int argc, char** argv) {
               << "\n";
   }
   if (!save_path.empty()) {
-    nn::SaveCheckpoint(model, save_path);
+    const ckpt::Result saved =
+        ckpt::SaveModelArtifact(model, save_path, dataset.name());
+    if (!saved.ok()) {
+      std::cerr << "cannot save " << save_path << ": " << saved.ToString()
+                << "\n";
+      return 1;
+    }
     std::cout << "saved checkpoint to " << save_path << "\n";
   }
 

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Concurrency, observability, and crash-safety checks.
 #
-# 1. Docs/metrics lint: every metric or span name used at a RETIA_OBS_*
-#    call site must be catalogued in docs/OBSERVABILITY.md, and every
-#    RETIA_* environment variable read anywhere in the tree must have a
-#    row in the README env table (grep-based, runs before any compile so
-#    it fails fast).
+# 1. Docs/metrics lint, both ways: every metric or span name used at a
+#    RETIA_OBS_* call site must be catalogued in docs/OBSERVABILITY.md and
+#    every catalogue row must be emitted somewhere; every RETIA_*
+#    environment variable read anywhere in the tree must have a row in
+#    the README env table and every row must be read somewhere
+#    (grep-based, runs before any compile so it fails fast).
 # 2. TSan smoke: builds the concurrency-sensitive test binaries (par_test,
 #    par_task_graph_test, serve_test, serve_router_test, serve_batch_test,
 #    stream_test, obs_test, obs_disabled_test, quant_test) in Release with -fsanitize=thread into
@@ -78,43 +79,62 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 # ---------------------------------------------------------------------------
 # Docs/metrics lint. Pull every string literal passed to a RETIA_OBS_*
 # macro in the instrumented trees (comment lines skipped so usage examples
-# in headers don't count) and require each name to appear in the
-# catalogue.
+# in headers don't count) and compare them with the names of the
+# catalogue's metric rows (a backticked name whose kind column is counter,
+# gauge, histogram or trace span): a name missing on either side fails.
 CATALOGUE="${ROOT}/docs/OBSERVABILITY.md"
 [ -f "${CATALOGUE}" ] || { echo "lint: ${CATALOGUE} missing" >&2; exit 1; }
+SOURCES=("${ROOT}/src" "${ROOT}/bench" "${ROOT}/examples")
+SOURCE_GLOBS=(--include='*.cc' --include='*.h' --include='*.cpp')
 
-missing=0
-for name in $(grep -rh --include='*.cc' --include='*.h' \
+emitted="$(grep -rh "${SOURCE_GLOBS[@]}" \
     -E 'RETIA_OBS_(TIMED_SCOPE|TRACE_SPAN|COUNTER_ADD|GAUGE_SET|HIST_RECORD)\("' \
-    "${ROOT}/src" "${ROOT}/bench" "${ROOT}/examples" 2>/dev/null \
+    "${SOURCES[@]}" 2>/dev/null \
     | grep -vE '^[[:space:]]*//' \
-    | grep -oE '"[a-z0-9_.]+"' | tr -d '"' | sort -u); do
-  if ! grep -qF "\`${name}\`" "${CATALOGUE}"; then
-    echo "lint: metric '${name}' is used in the tree but not catalogued" \
-         "in docs/OBSERVABILITY.md" >&2
-    missing=1
-  fi
-done
-[ "${missing}" -eq 0 ] || exit 1
-echo "check.sh: every registered metric name is catalogued in docs/OBSERVABILITY.md"
-
-# Env-var lint: every RETIA_* environment variable the tree reads (string
-# literals in .cc/.h under src/, bench/, examples/ — all env access goes
-# through util::Env on those literals) must have a row in the README env
-# table. RETIA_OBS_* are macro names, not env vars, and are excluded.
-ENV_README="${ROOT}/README.md"
+    | grep -oE '"[a-z0-9_.]+"' | tr -d '"' | sort -u)"
+catalogued="$(grep -oE \
+    '^\| `[a-z0-9_.]+` \| (counter|gauge|histogram|trace span) \|' \
+    "${CATALOGUE}" | cut -d'`' -f2 | sort -u)"
 missing=0
-for var in $(grep -rh --include='*.cc' --include='*.h' -oE '"RETIA_[A-Z_]+"' \
-    "${ROOT}/src" "${ROOT}/bench" "${ROOT}/examples" 2>/dev/null \
-    | tr -d '"' | grep -vE '^RETIA_OBS_' | sort -u); do
-  if ! grep -qE "^\| \`${var}(=[^\`]*)?\` \|" "${ENV_README}"; then
-    echo "lint: env var '${var}' is read in the tree but has no row in the" \
-         "README.md environment table" >&2
-    missing=1
-  fi
+for name in $(comm -23 <(echo "${emitted}") <(echo "${catalogued}")); do
+  echo "lint: metric '${name}' is used in the tree but not catalogued" \
+       "in docs/OBSERVABILITY.md" >&2
+  missing=1
+done
+for name in $(comm -13 <(echo "${emitted}") <(echo "${catalogued}")); do
+  echo "lint: metric '${name}' is catalogued in docs/OBSERVABILITY.md but" \
+       "nothing in the tree emits it" >&2
+  missing=1
 done
 [ "${missing}" -eq 0 ] || exit 1
-echo "check.sh: every RETIA_* env var read by the tree is documented in README.md"
+echo "check.sh: docs/OBSERVABILITY.md catalogues exactly the" \
+     "$(echo "${emitted}" | wc -l) metric names the tree emits"
+
+# Env-var lint: the RETIA_* environment variables the tree reads (string
+# literals in .cc/.h/.cpp under src/, bench/, examples/ — all env access
+# goes through util::Env on those literals) must match the rows of the
+# README env table (first cell `RETIA_X` or `RETIA_X=<value>`) one to one.
+# RETIA_OBS_* are macro names, not env vars, and are excluded.
+ENV_README="${ROOT}/README.md"
+read_vars="$(grep -rh "${SOURCE_GLOBS[@]}" -oE '"RETIA_[A-Z_]+"' \
+    "${SOURCES[@]}" 2>/dev/null \
+    | tr -d '"' | grep -vE '^RETIA_OBS_' | sort -u)"
+documented="$(grep -oE '^\| `RETIA_[A-Z_]+(=[^`]*)?` \|' "${ENV_README}" \
+    | grep -oE 'RETIA_[A-Z_]+' | sort -u)"
+missing=0
+for var in $(comm -23 <(echo "${read_vars}") <(echo "${documented}")); do
+  echo "lint: env var '${var}' is read in the tree but has no row in the" \
+       "README.md environment table" >&2
+  missing=1
+done
+for var in $(comm -13 <(echo "${read_vars}") <(echo "${documented}")); do
+  echo "lint: env var '${var}' has a README.md environment-table row but" \
+       "nothing in the tree reads it" >&2
+  missing=1
+done
+[ "${missing}" -eq 0 ] || exit 1
+echo "check.sh: the README env table documents exactly the" \
+     "$(echo "${read_vars}" | wc -l) RETIA_* env vars the tree reads"
 
 # ---------------------------------------------------------------------------
 # TSan smoke.

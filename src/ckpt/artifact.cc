@@ -28,9 +28,6 @@ constexpr uint32_t kMaxSections = 1u << 20;
 // "the Nth write" inside a single artifact, not just whole files.
 constexpr size_t kWriteChunk = 64 * 1024;
 
-constexpr char kLegacyCheckpointMagic[] = "RETIACKPT1\n";
-constexpr char kLegacySidecarMagic[] = "RETIASIDE1";
-
 Result IoError(const std::string& what, const std::string& path) {
   return Result::Error(ErrorCode::kIoError,
                        what + " " + path + ": " + std::strerror(errno));
@@ -39,16 +36,6 @@ Result IoError(const std::string& what, const std::string& path) {
 bool StartsWith(std::string_view bytes, std::string_view prefix) {
   return bytes.size() >= prefix.size() &&
          std::memcmp(bytes.data(), prefix.data(), prefix.size()) == 0;
-}
-
-// True when `bytes` could be a (possibly truncated) v1 file: callers get
-// kLegacyFormat and dispatch to ckpt/legacy, which reports precise errors.
-bool LooksLegacy(std::string_view bytes) {
-  const std::string_view ckpt(kLegacyCheckpointMagic,
-                              sizeof(kLegacyCheckpointMagic) - 1);
-  const std::string_view side(kLegacySidecarMagic,
-                              sizeof(kLegacySidecarMagic) - 1);
-  return StartsWith(bytes, ckpt) || StartsWith(bytes, side);
 }
 
 }  // namespace
@@ -184,16 +171,12 @@ Result ArtifactReader::Open(const std::string& path, ArtifactReader* out) {
 Result ArtifactReader::Parse(std::string bytes, ArtifactReader* out) {
   const std::string_view view(bytes);
   if (!StartsWith(view, std::string_view(kMagic, kMagicLen))) {
-    if (LooksLegacy(view)) {
-      return Result::Error(ErrorCode::kLegacyFormat,
-                           "v1 RETIACKPT1/RETIASIDE1 file (read it through "
-                           "ckpt/legacy or re-save as v2)");
-    }
     if (view.size() < kMagicLen &&
         std::memcmp(view.data(), kMagic, view.size()) == 0) {
       return Result::Error(ErrorCode::kTruncated,
                            "file ends inside the artifact magic");
     }
+    // Any other prefix, the v1 RETIACKPT1/RETIASIDE1 magics included.
     return Result::Error(ErrorCode::kBadMagic, "not a RETIA v2 artifact");
   }
 

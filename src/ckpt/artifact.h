@@ -54,8 +54,8 @@ class ArtifactWriter {
 class ArtifactReader {
  public:
   // Reads and fully validates `path` (structure, per-section CRCs, file
-  // CRC). On a v1 RETIACKPT1/RETIASIDE1 file returns kLegacyFormat so
-  // callers can dispatch to ckpt/legacy readers.
+  // CRC). Any file without the RETIACKPT2 magic, v1 files included, is
+  // kBadMagic.
   static Result Open(const std::string& path, ArtifactReader* out);
 
   // Same validation over an in-memory artifact (tests, corruption matrix).
@@ -80,8 +80,8 @@ class ArtifactReader {
   std::vector<Entry> entries_;
 };
 
-// The atomic tmp-file + fsync + rename protocol on raw bytes, shared with
-// the legacy v1 writer shim. Consults the retia::fail hooks.
+// The atomic tmp-file + fsync + rename protocol on raw bytes. Consults the
+// retia::fail hooks.
 Result WriteFileDurably(const std::string& path, std::string_view bytes);
 
 // Reads a whole file; kIoError when it cannot be opened or read.

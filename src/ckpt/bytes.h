@@ -82,18 +82,11 @@ class ByteReader {
     return Result::Ok();
   }
 
-  // Unprefixed bounded reads (the legacy v1 format carries its own
-  // lengths in different widths).
+  // Unprefixed bounded read of a block whose length the caller already
+  // decoded (the quantized parameter payloads).
   Result Raw(void* out, size_t len) {
     if (Remaining() < len) return Truncation("raw block");
     std::memcpy(out, data_.data() + pos_, len);
-    pos_ += len;
-    return Result::Ok();
-  }
-
-  Result StrRaw(std::string* out, size_t len) {
-    if (Remaining() < len) return Truncation("string");
-    out->assign(data_.data() + pos_, len);
     pos_ += len;
     return Result::Ok();
   }

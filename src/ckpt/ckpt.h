@@ -9,7 +9,6 @@
 //   artifact.h  RETIACKPT2 sectioned container, atomic durable writes
 //   model_io.h  typed sections (params, Adam, RNG, meta, static types)
 //               and the unified model artifact (the serve snapshot)
-//   legacy.h    v1 RETIACKPT1/RETIASIDE1 readers for migration
 //
 // Crash-safety contract: a save either atomically replaces the target
 // file with a fully valid artifact or leaves the previous file untouched;
@@ -24,7 +23,6 @@
 
 #include "ckpt/artifact.h"   // IWYU pragma: export
 #include "ckpt/bytes.h"      // IWYU pragma: export
-#include "ckpt/legacy.h"     // IWYU pragma: export
 #include "ckpt/model_io.h"   // IWYU pragma: export
 #include "ckpt/result.h"     // IWYU pragma: export
 

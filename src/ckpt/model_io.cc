@@ -30,7 +30,7 @@ std::string FloatString(float v) {
 // Typed meta lookups. Missing keys and malformed values both name the key.
 Result MetaString(const Meta& meta, const std::string& key,
                   std::string* out) {
-  Result r = SidecarLookup(meta, key, out);
+  Result r = MetaLookup(meta, key, out);
   if (!r.ok()) {
     return Result::Error(ErrorCode::kSchemaMismatch,
                          "meta is missing key '" + key + "'");
@@ -360,6 +360,17 @@ Result DecodeMeta(std::string_view payload, Meta* out) {
   RETIA_CKPT_RETURN_IF_ERROR(r.ExpectEnd());
   *out = std::move(meta);
   return Result::Ok();
+}
+
+Result MetaLookup(const Meta& meta, const std::string& key, std::string* out) {
+  for (const auto& [k, v] : meta) {
+    if (k == key) {
+      *out = v;
+      return Result::Ok();
+    }
+  }
+  return Result::Error(ErrorCode::kMissingSection,
+                       "meta has no key '" + key + "'");
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/legacy.h"
 #include "ckpt/result.h"
 #include "core/retia.h"
 #include "nn/module.h"
@@ -33,8 +32,11 @@ inline constexpr char kSectionCursor[] = "train.cursor";
 inline constexpr char kSectionBestParams[] = "train.best_params";
 inline constexpr char kSectionRecords[] = "train.records";
 
-// Ordered key/value metadata (same shape as the v1 sidecar).
-using Meta = Sidecar;
+// Ordered key/value metadata (the "meta" section).
+using Meta = std::vector<std::pair<std::string, std::string>>;
+
+// Value of `key` in `meta`; kMissingSection (naming the key) when absent.
+Result MetaLookup(const Meta& meta, const std::string& key, std::string* out);
 
 // ---- Section payloads ----------------------------------------------------
 
@@ -55,8 +57,7 @@ Result DecodeRngInto(util::Rng* rng, std::string_view payload);
 
 // ---- RetiaConfig <-> meta ------------------------------------------------
 
-// Appends every RetiaConfig field to `meta` (keys identical to the v1
-// snapshot sidecar, so one decoder serves both formats).
+// Appends every RetiaConfig field to `meta`.
 void AppendRetiaConfigMeta(const core::RetiaConfig& config, Meta* meta);
 Result RetiaConfigFromMeta(const Meta& meta, core::RetiaConfig* out);
 
@@ -86,9 +87,8 @@ Result SaveQuantizedModelArtifact(const core::RetiaModel& model,
 // leading row quantizes to int8; everything else stores f16.
 bool QuantizesAsInt8(const std::vector<int64_t>& shape);
 
-// Rebuilds the model from a v2 artifact. Returns kLegacyFormat (without
-// touching `out`) when `path` holds a v1 checkpoint, so callers can
-// dispatch to the legacy pair loader. Accepts both f32 (model.params) and
+// Rebuilds the model from a v2 artifact; on any error (a v1 RETIACKPT1
+// file is kBadMagic) `out` is untouched. Accepts both f32 (model.params) and
 // quantized (model.params.q8 + .f16) artifacts — quantized payloads are
 // dequantized into the in-memory f32 parameters, so every downstream
 // consumer is format-agnostic. The model is returned in train mode;

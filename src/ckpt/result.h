@@ -15,8 +15,7 @@ namespace retia::ckpt {
 enum class ErrorCode {
   kOk = 0,
   kIoError,         // open/write/fsync/rename failed (or injected failure)
-  kBadMagic,        // not a RETIA artifact at all
-  kLegacyFormat,    // v1 RETIACKPT1/RETIASIDE1 file: readable via ckpt/legacy
+  kBadMagic,        // not a RETIACKPT2 artifact (v1 files included)
   kBadVersion,      // v2 magic but an unsupported format version
   kTruncated,       // file or section ends before its declared contents
   kCorrupt,         // CRC mismatch or structurally inconsistent contents
@@ -68,7 +67,6 @@ inline const char* ErrorCodeName(ErrorCode code) {
     case ErrorCode::kOk: return "ok";
     case ErrorCode::kIoError: return "io_error";
     case ErrorCode::kBadMagic: return "bad_magic";
-    case ErrorCode::kLegacyFormat: return "legacy_format";
     case ErrorCode::kBadVersion: return "bad_version";
     case ErrorCode::kTruncated: return "truncated";
     case ErrorCode::kCorrupt: return "corrupt";

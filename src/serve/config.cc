@@ -46,11 +46,6 @@ RouterConfig RouterConfig::FromEnv() {
       "RETIA_SERVE_CONNECTIONS", config.connections_per_replica);
   config.timeout_ms =
       util::Env::PositiveIntOr("RETIA_SERVE_TIMEOUT_MS", config.timeout_ms);
-  // 0 disables the window (the default), so plain IntOr with a floor of 0
-  // instead of PositiveIntOr.
-  config.batch_window_us = std::max<int64_t>(
-      util::Env::IntOr("RETIA_SERVE_BATCH_WINDOW_US", config.batch_window_us),
-      0);
   config.max_wire_batch = std::min<int64_t>(
       util::Env::PositiveIntOr("RETIA_SERVE_MAX_WIRE_BATCH",
                                config.max_wire_batch),

@@ -66,23 +66,6 @@ ServeEngine::FrozenStateStore::EntryFor(int64_t t) {
   return entry;
 }
 
-ServeEngine::ServeEngine(eval::ObjectScoreFn object_fn,
-                         eval::RelationScoreFn relation_fn,
-                         const ServeConfig& config)
-    : config_(config),
-      object_fn_(std::move(object_fn)),
-      relation_fn_(std::move(relation_fn)),
-      stats_(config.max_batch) {
-  RETIA_CHECK(config_.num_threads > 0);
-  RETIA_CHECK(config_.max_batch > 0);
-  RETIA_CHECK(config_.max_k > 0);
-  if (config_.enable_cache) {
-    cache_ = std::make_unique<PredictionCache>(config_.cache_capacity,
-                                               config_.cache_shards);
-  }
-  pool_ = config_.pool != nullptr ? config_.pool : par::DefaultPool();
-}
-
 ServeEngine::ServeEngine(core::RetiaModel* model,
                          graph::GraphCache* graph_cache,
                          const ServeConfig& config)
@@ -103,7 +86,15 @@ ServeEngine::ServeEngine(EngineSnapshot snapshot, const ServeConfig& config)
 
 ServeEngine::ServeEngine(std::shared_ptr<FrozenStateStore> store,
                          const ServeConfig& config)
-    : ServeEngine(eval::ObjectScoreFn(), eval::RelationScoreFn(), config) {
+    : config_(config), stats_(config.max_batch) {
+  RETIA_CHECK(config_.num_threads > 0);
+  RETIA_CHECK(config_.max_batch > 0);
+  RETIA_CHECK(config_.max_k > 0);
+  if (config_.enable_cache) {
+    cache_ = std::make_unique<PredictionCache>(config_.cache_capacity,
+                                               config_.cache_shards);
+  }
+  pool_ = config_.pool != nullptr ? config_.pool : par::DefaultPool();
   store->quantize =
       config_.ResolvesQuantized(store->model->config().num_entities);
   state_store_ = std::move(store);
@@ -129,8 +120,6 @@ std::shared_ptr<ServeEngine::FrozenStateStore> ServeEngine::PinStore() const {
 }
 
 void ServeEngine::SwapSnapshot(EngineSnapshot snapshot) {
-  RETIA_CHECK_MSG(PinStore() != nullptr,
-                  "SwapSnapshot on a generic (score-fn) engine");
   std::shared_ptr<FrozenStateStore> store = MakeStore(std::move(snapshot));
   store->quantize =
       config_.ResolvesQuantized(store->model->config().num_entities);
@@ -166,28 +155,7 @@ ServeEngine::~ServeEngine() {
                    [this] { return inflight_ticks_ == 0 && queue_.empty(); });
 }
 
-TopKResult ServeEngine::TopK(int64_t s, int64_t r, int64_t t, int64_t k) {
-  std::vector<Result<QueryResult>> results =
-      SubmitBatch({Query::Entity(s, r, t, k)});
-  Result<QueryResult>& result = results.front();
-  RETIA_CHECK_MSG(result.ok(), result.ToString());
-  return {std::move(result.value().candidates), result.value().cache_hit};
-}
-
-TopKResult ServeEngine::TopKRelation(int64_t s, int64_t o, int64_t t,
-                                     int64_t k) {
-  std::vector<Result<QueryResult>> results =
-      SubmitBatch({Query::Relation(s, o, t, k)});
-  Result<QueryResult>& result = results.front();
-  RETIA_CHECK_MSG(result.ok(), result.ToString());
-  return {std::move(result.value().candidates), result.value().cache_hit};
-}
-
-void ServeEngine::Warmup(int64_t t) {
-  if (std::shared_ptr<FrozenStateStore> store = PinStore(); store != nullptr) {
-    store->StatesFor(t);
-  }
-}
+void ServeEngine::Warmup(int64_t t) { PinStore()->StatesFor(t); }
 
 ServeStats ServeEngine::Stats() const {
   ServeStats stats = stats_.Snapshot(cache_ != nullptr ? cache_->Counters()
@@ -199,7 +167,7 @@ ServeStats ServeEngine::Stats() const {
 void ServeEngine::ResetStats() { stats_.Reset(); }
 
 StatusCode ServeEngine::Validate(const Query& query,
-                                 const FrozenStateStore* store,
+                                 const FrozenStateStore& store,
                                  std::string* detail) const {
   std::ostringstream out;
   if (query.k <= 0 || query.k > config_.max_k) {
@@ -212,35 +180,30 @@ StatusCode ServeEngine::Validate(const Query& query,
     *detail = out.str();
     return StatusCode::kBadTimestamp;
   }
-  // Id validation needs a vocabulary; generic score-fn engines have none
-  // and pass ids straight through to the caller-supplied scorers.
-  if (store != nullptr) {
-    const core::RetiaConfig& mc = store->model->config();
-    if (query.s < 0 || query.s >= mc.num_entities) {
-      out << "subject " << query.s << " outside [0, " << mc.num_entities
-          << ")";
+  const core::RetiaConfig& mc = store.model->config();
+  if (query.s < 0 || query.s >= mc.num_entities) {
+    out << "subject " << query.s << " outside [0, " << mc.num_entities << ")";
+    *detail = out.str();
+    return StatusCode::kUnknownEntity;
+  }
+  if (query.kind == QueryKind::kEntity) {
+    if (query.r_or_o < 0 || query.r_or_o >= 2 * mc.num_relations) {
+      out << "relation " << query.r_or_o << " outside [0, "
+          << 2 * mc.num_relations << ") (inverse directions included)";
       *detail = out.str();
-      return StatusCode::kUnknownEntity;
+      return StatusCode::kUnknownRelation;
     }
-    if (query.kind == QueryKind::kEntity) {
-      if (query.r_or_o < 0 || query.r_or_o >= 2 * mc.num_relations) {
-        out << "relation " << query.r_or_o << " outside [0, "
-            << 2 * mc.num_relations << ") (inverse directions included)";
-        *detail = out.str();
-        return StatusCode::kUnknownRelation;
-      }
-    } else if (query.r_or_o < 0 || query.r_or_o >= mc.num_entities) {
-      out << "object " << query.r_or_o << " outside [0, " << mc.num_entities
-          << ")";
-      *detail = out.str();
-      return StatusCode::kUnknownEntity;
-    }
+  } else if (query.r_or_o < 0 || query.r_or_o >= mc.num_entities) {
+    out << "object " << query.r_or_o << " outside [0, " << mc.num_entities
+        << ")";
+    *detail = out.str();
+    return StatusCode::kUnknownEntity;
   }
   return StatusCode::kOk;
 }
 
 std::optional<Result<QueryResult>> ServeEngine::AnswerWithoutDecode(
-    const Query& query, const FrozenStateStore* store) {
+    const Query& query, const FrozenStateStore& store) {
   std::string detail;
   if (StatusCode code = Validate(query, store, &detail);
       code != StatusCode::kOk) {
@@ -284,7 +247,7 @@ std::vector<Result<QueryResult>> ServeEngine::SubmitBatch(
   std::vector<Request> misses;
   for (size_t i = 0; i < queries.size(); ++i) {
     if (std::optional<Result<QueryResult>> immediate =
-            AnswerWithoutDecode(queries[i], store.get())) {
+            AnswerWithoutDecode(queries[i], *store)) {
       // Cache hits record an end-to-end sample like Submit always did;
       // validation errors never reached the recorder and still don't.
       if (immediate->ok()) stats_.RecordRequest(timer.Millis());
@@ -401,29 +364,23 @@ void ServeEngine::ProcessBatch(std::vector<Request> batch) {
   const std::shared_ptr<FrozenStateStore> store = PinStore();
   tensor::Tensor scores;
   try {
-    if (store != nullptr) {
-      const std::shared_ptr<const FrozenStateStore::Entry> entry =
-          store->EntryFor(t);
-      if (kind == QueryKind::kEntity) {
-        // Relation decodes stay f32: the M-row relation candidate table is
-        // far below the quantization floor (see ServeConfig).
-        scores =
-            entry->qcands != nullptr
-                ? store->model->ScoreObjectsFrozenQuantized(
-                      *entry->states, *entry->qcands, queries)
-                : store->model->ScoreObjectsFrozen(*entry->states, queries);
-      } else {
-        scores = store->model->ScoreRelationsFrozen(*entry->states, queries);
-      }
+    const std::shared_ptr<const FrozenStateStore::Entry> entry =
+        store->EntryFor(t);
+    if (kind == QueryKind::kEntity) {
+      // Relation decodes stay f32: the M-row relation candidate table is
+      // far below the quantization floor (see ServeConfig).
+      scores = entry->qcands != nullptr
+                   ? store->model->ScoreObjectsFrozenQuantized(
+                         *entry->states, *entry->qcands, queries)
+                   : store->model->ScoreObjectsFrozen(*entry->states, queries);
     } else {
-      scores = kind == QueryKind::kEntity ? object_fn_(t, queries)
-                                          : relation_fn_(t, queries);
+      scores = store->model->ScoreRelationsFrozen(*entry->states, queries);
     }
     RETIA_CHECK_EQ(scores.Dim(0), static_cast<int64_t>(batch.size()));
   } catch (const std::exception& e) {
-    // A throwing decode (a scorer raised, or history evolution failed)
-    // fails this batch's requests with a reported error instead of
-    // unwinding through the pool task and aborting the process.
+    // A throwing decode (scoring or history evolution raised) fails this
+    // batch's requests with a reported error instead of unwinding through
+    // the pool task and aborting the process.
     for (Request& request : batch) {
       request.promise.set_value(Result<QueryResult>::Error(
           StatusCode::kInternal, std::string("decode failed: ") + e.what()));
@@ -441,7 +398,7 @@ void ServeEngine::ProcessBatch(std::vector<Request> batch) {
   RETIA_OBS_HIST_RECORD("serve.batch_size",
                         static_cast<int64_t>(batch.size()));
   stats_.RecordBatch(static_cast<int64_t>(batch.size()));
-  const int64_t epoch = store != nullptr ? store->epoch : 0;
+  const int64_t epoch = store->epoch;
   // Per-worker scratch for the selection indices: the partial top-k
   // kernel replaces the historical full-sort (same unique order — see
   // simd::KernelTable::topk_select_f32), and the arena makes the scratch

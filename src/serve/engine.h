@@ -7,11 +7,11 @@
 //
 // Ownership / threading contract: the engine owns no threads — drain
 // ticks run as tasks on the shared par::DefaultPool() (or config.pool,
-// which must outlive the engine). Submit() (and the deprecated
-// TopK()/TopKRelation() shims) are safe to call from any number of client
-// threads concurrently; a borrowed model and GraphCache must outlive the
-// engine and stay frozen while it runs (an EngineSnapshot-constructed or
-// SwapSnapshot-installed snapshot is owned by the engine instead).
+// which must outlive the engine). Submit() and SubmitBatch() are safe to
+// call from any number of client threads concurrently; a borrowed model
+// and GraphCache must outlive the engine and stay frozen while it runs (an
+// EngineSnapshot-constructed or SwapSnapshot-installed snapshot is owned
+// by the engine instead).
 // SwapSnapshot() replaces the served snapshot with zero downtime:
 // in-flight batches finish on the epoch they pinned, everything later
 // decodes against the new one. The destructor blocks until every
@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "core/retia.h"
-#include "eval/evaluator.h"
 #include "graph/graph_cache.h"
 #include "par/thread_pool.h"
 #include "serve/lru_cache.h"
@@ -101,14 +100,6 @@ struct ServeConfig {
   bool ResolvesQuantized(int64_t num_entities) const;
 };
 
-// Answer to one TopK / TopKRelation shim call: the k best candidates,
-// best first, plus whether the prediction cache supplied them. New code
-// should use Submit(Query) and QueryResult instead.
-struct TopKResult {
-  std::vector<ScoredCandidate> candidates;
-  bool cache_hit = false;
-};
-
 // A self-contained frozen snapshot handed to SwapSnapshot(): the engine
 // takes ownership of all three pieces, so the publisher (retia::stream's
 // pipeline) can keep mutating its live model/dataset while the engine
@@ -131,16 +122,16 @@ using SnapshotLoader =
 
 // Concurrent batched inference engine over a frozen extrapolation model.
 //
-// Architecture: callers block in TopK()/TopKRelation(). A cache-enabled
+// Architecture: callers block in Submit()/SubmitBatch(). A cache-enabled
 // engine first probes the sharded LRU prediction cache on the caller's
 // thread (hits never touch the queue). Misses are enqueued, and each
 // submission schedules a drain tick on the shared par::ThreadPool; at most
 // config.num_threads ticks run at once, and a running tick keeps draining
 // micro-batches — all pending queries sharing the front request's
 // (timestamp, kind), up to max_batch — until the queue is empty. Each
-// batch is answered with ONE [B, num_candidates] decode through the same
-// eval::ObjectScoreFn / eval::RelationScoreFn-shaped path the evaluator
-// uses. Evolved StepStates are memoized per timestamp with once-semantics:
+// batch is answered with ONE [B, num_candidates] decode through the
+// model's ScoreObjectsFrozen / ScoreRelationsFrozen entry points.
+// Evolved StepStates are memoized per timestamp with once-semantics:
 // the first batch for a timestamp evolves it (outside any store-wide lock,
 // so distinct timestamps evolve concurrently), and every later batch for
 // that timestamp shares the published states.
@@ -158,12 +149,6 @@ using SnapshotLoader =
 // this, including with more clients than pool workers).
 class ServeEngine {
  public:
-  // Generic engine over caller-supplied scorers. The score fns must be
-  // thread-safe: workers invoke them concurrently, each under its own
-  // tensor::NoGradGuard (grad mode is thread-local; see tensor.h).
-  ServeEngine(eval::ObjectScoreFn object_fn, eval::RelationScoreFn relation_fn,
-              const ServeConfig& config);
-
   // Engine over a frozen RetiaModel: scorers are bound to the model's
   // const ScoreObjectsFrozen / ScoreRelationsFrozen entry points against
   // states evolved from `graph_cache`'s history (memoized per timestamp).
@@ -188,8 +173,7 @@ class ServeEngine {
   // Malformed queries are REPORTED, never fatal: kInvalidArgument for a k
   // outside (0, config.max_k], kBadTimestamp for t < 0, kUnknownEntity /
   // kUnknownRelation for out-of-vocabulary ids (validated against the
-  // pinned snapshot's model; generic score-fn engines cannot validate ids
-  // and pass them through), kShuttingDown when the engine is draining,
+  // pinned snapshot's model), kShuttingDown when the engine is draining,
   // and kInternal when the decode itself threw. This is the one entry
   // point the wire protocol deserializes onto, so nothing reachable from
   // a socket can CHECK-fail the process.
@@ -204,33 +188,24 @@ class ServeEngine {
   // a single drain tick, so misses sharing a (timestamp, kind) decode as
   // ONE fused [B, num_candidates] GEMM over the shared candidate matrix
   // instead of B independent GEMVs. This is the execution path behind the
-  // wire-protocol QueryBatch frame and Router::RouteBatch. Submit() and
-  // the deprecated shims are thin wrappers over a batch of one.
+  // wire-protocol QueryBatch frame and Router::RouteBatch. Submit() is a
+  // thin wrapper over a batch of one.
   std::vector<Result<QueryResult>> SubmitBatch(
       const std::vector<Query>& queries);
 
-  // Deprecated positional shims over SubmitBatch(). They keep the
-  // pre-typed-API contract: malformed arguments CHECK-fail instead of
-  // returning a code.
-  // New code should call Submit(Query::Entity(...)) / (Query::Relation(...)).
-  TopKResult TopK(int64_t s, int64_t r, int64_t t, int64_t k);
-  TopKResult TopKRelation(int64_t s, int64_t o, int64_t t, int64_t k);
-
   // Pre-evolves (and pins) the states for timestamp t so the first query
-  // does not pay the evolution latency. Only meaningful for model-backed
-  // engines; a no-op for the generic constructor.
+  // does not pay the evolution latency.
   void Warmup(int64_t t);
 
-  // Zero-downtime snapshot replacement for model-backed engines. The new
-  // snapshot is installed atomically: in-flight batches keep decoding
+  // Zero-downtime snapshot replacement. The new snapshot is installed
+  // atomically: in-flight batches keep decoding
   // against the snapshot they pinned at batch start (a shared_ptr epoch —
   // the old model/cache stay alive until the last pinned batch finishes),
   // queued and future requests decode against the new one, and no request
   // is ever dropped or answered from a half-installed snapshot
   // (old-or-new, never torn). The prediction cache is cleared so no stale
   // prediction survives the swap. Safe to call from any thread, including
-  // concurrently with TopK/TopKRelation; CHECK-fails on a generic
-  // (score-fn) engine, which has no snapshot to replace.
+  // concurrently with Submit/SubmitBatch.
   void SwapSnapshot(EngineSnapshot snapshot);
 
   // Number of SwapSnapshot() installations so far (0 until the first swap).
@@ -248,13 +223,13 @@ class ServeEngine {
     std::promise<Result<QueryResult>> promise;
   };
 
-  // Memoized per-timestamp evolution for the model-backed constructors.
-  // One store is one immutable snapshot epoch: batches pin it with a
-  // shared_ptr for the duration of their decode, and SwapSnapshot replaces
-  // the engine's current store wholesale, so a store's model/cache/states
-  // never change after installation. The `owned_*` members keep a
-  // swapped-in snapshot alive exactly as long as its store; they stay null
-  // for the borrowing constructor.
+  // Memoized per-timestamp evolution. One store is one immutable snapshot
+  // epoch: batches pin it with a shared_ptr for the duration of their
+  // decode, and SwapSnapshot replaces the engine's current store
+  // wholesale, so a store's model/cache/states never change after
+  // installation. The `owned_*` members keep a swapped-in snapshot alive
+  // exactly as long as its store; they stay null for the borrowing
+  // constructor.
   //
   // Per-timestamp evolution has once-semantics: the first caller of a
   // timestamp becomes its creator and evolves OUTSIDE the store lock
@@ -309,31 +284,29 @@ class ServeEngine {
 
   static std::shared_ptr<FrozenStateStore> MakeStore(EngineSnapshot snapshot);
 
-  // The current snapshot epoch (null for generic engines). Callers hold
-  // the returned shared_ptr across their whole decode so a concurrent swap
-  // cannot free the model under them.
+  // The current snapshot epoch (never null). Callers hold the returned
+  // shared_ptr across their whole decode so a concurrent swap cannot free
+  // the model under them.
   std::shared_ptr<FrozenStateStore> PinStore() const;
 
   // Validation half of Submit(): returns kOk or the taxonomy code for a
   // malformed query (id validation needs the pinned store's model config).
-  StatusCode Validate(const Query& query, const FrozenStateStore* store,
+  StatusCode Validate(const Query& query, const FrozenStateStore& store,
                       std::string* detail) const;
   // Validation + cache probe shared by Submit and SubmitBatch: returns
   // the answer when the query never needs the decode queue (validation
   // error or cache hit), nullopt when it must be enqueued.
   std::optional<Result<QueryResult>> AnswerWithoutDecode(
-      const Query& query, const FrozenStateStore* store);
+      const Query& query, const FrozenStateStore& store);
   // One scheduled tick: becomes an active drainer if the concurrency cap
   // allows, then drains micro-batches until the queue is empty.
   void DrainTask();
   void ProcessBatch(std::vector<Request> batch);
 
   ServeConfig config_;
-  eval::ObjectScoreFn object_fn_;    // null for model-backed engines
-  eval::RelationScoreFn relation_fn_;
-  // Current snapshot epoch; null for generic engines. Guarded by
-  // store_mu_: readers copy the shared_ptr under the lock (the pin),
-  // SwapSnapshot replaces it under the same lock.
+  // Current snapshot epoch, never null. Guarded by store_mu_: readers copy
+  // the shared_ptr under the lock (the pin), SwapSnapshot replaces it
+  // under the same lock.
   std::shared_ptr<FrozenStateStore> state_store_;
   mutable std::mutex store_mu_;
   std::atomic<int64_t> snapshot_swaps_{0};

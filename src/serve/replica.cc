@@ -1,6 +1,7 @@
 #include "serve/replica.h"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include <sys/socket.h>
@@ -53,17 +54,27 @@ Result<bool> ReplicaServer::Start() {
 void ReplicaServer::AcceptLoop() {
   while (true) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listen socket closed by Stop()
+    const int accept_errno = errno;
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      // Only Stop() ends the loop: its shutdown() of the listen socket is
+      // what fails the accept() above once stopping_ is set.
+      if (stopping_) {
+        if (fd >= 0) ::close(fd);
+        return;
+      }
+      if (fd >= 0) {
+        conns_.emplace(fd, std::thread([this, fd] { HandleConnection(fd); }));
+      }
+      finished.swap(finished_);
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      ::close(fd);
-      return;
+    for (std::thread& thread : finished) thread.join();
+    if (fd < 0 && accept_errno != EINTR && accept_errno != ECONNABORTED) {
+      // Out of fds or memory (EMFILE, ENFILE, ENOBUFS, ENOMEM): back off
+      // until hung-up connections free some, then accept again.
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
   }
 }
 
@@ -84,9 +95,14 @@ void ReplicaServer::HandleConnection(int fd) {
     RETIA_OBS_COUNTER_ADD("serve.replica.frames", 1);
     if (!HandleFrame(fd, frame.value())) break;
   }
-  ::shutdown(fd, SHUT_RDWR);
-  // The fd itself is closed by Stop() (which owns conn_fds_); closing it
-  // here as well would race a concurrent Stop() shutting the same fd.
+  std::lock_guard<std::mutex> lock(mu_);
+  // Once stopping_ is set, Stop() owns this fd and thread and closes the
+  // fd after joining; closing it here too would be a double close.
+  if (stopping_) return;
+  auto it = conns_.find(fd);
+  finished_.push_back(std::move(it->second));
+  conns_.erase(it);
+  ::close(fd);
 }
 
 bool ReplicaServer::HandleFrame(int fd, const wire::Frame& frame) {
@@ -181,16 +197,16 @@ void ReplicaServer::WaitForShutdown() {
 }
 
 void ReplicaServer::Stop() {
-  std::vector<std::thread> threads;
-  std::vector<int> fds;
+  std::map<int, std::thread> conns;
+  std::vector<std::thread> finished;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return;
     stopping_ = true;
     shutdown_requested_ = true;
     shutdown_cv_.notify_all();
-    threads.swap(conn_threads_);
-    fds.swap(conn_fds_);
+    conns.swap(conns_);
+    finished.swap(finished_);
   }
   if (listen_fd_ >= 0) {
     // shutdown() (not close()) is what wakes a thread blocked in accept()
@@ -201,9 +217,10 @@ void ReplicaServer::Stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   listen_fd_ = -1;
-  for (const int fd : fds) ::shutdown(fd, SHUT_RDWR);
-  for (std::thread& thread : threads) thread.join();
-  for (const int fd : fds) ::close(fd);
+  for (auto& [fd, thread] : conns) ::shutdown(fd, SHUT_RDWR);
+  for (auto& [fd, thread] : conns) thread.join();
+  for (auto& [fd, thread] : conns) ::close(fd);
+  for (std::thread& thread : finished) thread.join();
   ::unlink(socket_path_.c_str());
 }
 

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -71,9 +72,12 @@ class ReplicaServer {
 
   int listen_fd_ = -1;
   std::thread accept_thread_;
-  std::mutex mu_;  // guards conn_threads_, conn_fds_, stopping/shutdown flags
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
+  std::mutex mu_;  // guards conns_, finished_, stopping/shutdown flags
+  // Live connections by fd. A handler whose peer hung up closes its own fd
+  // and moves its thread to finished_, which the accept loop joins; once
+  // stopping_ is set, Stop() owns (shuts down, joins, closes) the rest.
+  std::map<int, std::thread> conns_;
+  std::vector<std::thread> finished_;
   std::mutex swap_mu_;  // serializes loader + SwapSnapshot pairs
   bool stopping_ = false;
   bool shutdown_requested_ = false;

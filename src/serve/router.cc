@@ -1,7 +1,6 @@
 #include "serve/router.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <numeric>
 #include <sstream>
@@ -267,10 +266,6 @@ Router::Router(std::vector<std::unique_ptr<ReplicaChannel>> replicas,
                       config_.max_wire_batch <=
                           static_cast<int64_t>(wire::kMaxWireBatch),
                   "max_wire_batch outside (0, wire::kMaxWireBatch]");
-  coalescers_.reserve(replicas_.size());
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    coalescers_.push_back(std::make_unique<Coalescer>());
-  }
 }
 
 Result<QueryResult> Router::Route(const Query& query) {
@@ -282,11 +277,6 @@ Result<QueryResult> Router::Route(const Query& query) {
   // the engine uses keeps the accounting split defined in exactly one
   // place (stats.cc).
   stats_.RecordQueueWait(timer.Millis());
-  if (config_.batch_window_us > 0) {
-    Result<QueryResult> result = CoalescedRoute(query, shard);
-    stats_.RecordRequest(timer.Millis());
-    return result;
-  }
   util::Timer channel_timer;
   Result<QueryResult> result = replicas_[shard]->Submit(query);
   stats_.RecordCompute(channel_timer.Millis());
@@ -361,52 +351,6 @@ std::vector<Result<QueryResult>> Router::RouteBatch(
     results.push_back(std::move(*answer));
   }
   return results;
-}
-
-Result<QueryResult> Router::CoalescedRoute(const Query& query, int64_t shard) {
-  Coalescer& c = *coalescers_[shard];
-  std::future<Result<QueryResult>> future;
-  bool leader = false;
-  {
-    std::unique_lock<std::mutex> lock(c.mu);
-    c.queries.push_back(query);
-    std::promise<Result<QueryResult>> promise;
-    future = promise.get_future();
-    c.promises.push_back(std::move(promise));
-    if (!c.leader_active) {
-      c.leader_active = true;
-      leader = true;
-    } else if (static_cast<int64_t>(c.queries.size()) >=
-               config_.max_wire_batch) {
-      // The window is full; wake the leader early.
-      c.cv.notify_all();
-    }
-  }
-  if (leader) {
-    std::unique_lock<std::mutex> lock(c.mu);
-    c.cv.wait_for(lock, std::chrono::microseconds(config_.batch_window_us),
-                  [this, &c] {
-                    return static_cast<int64_t>(c.queries.size()) >=
-                           config_.max_wire_batch;
-                  });
-    std::vector<Query> batch = std::move(c.queries);
-    std::vector<std::promise<Result<QueryResult>>> promises =
-        std::move(c.promises);
-    c.queries.clear();
-    c.promises.clear();
-    // A caller arriving from here on starts (and leads) the next window;
-    // the swapped-out batch belongs to this leader alone.
-    c.leader_active = false;
-    lock.unlock();
-    std::vector<std::optional<Result<QueryResult>>> answers(batch.size());
-    std::vector<size_t> slots(batch.size());
-    for (size_t i = 0; i < slots.size(); ++i) slots[i] = i;
-    ShipToShard(shard, batch, slots, &answers);
-    for (size_t i = 0; i < promises.size(); ++i) {
-      promises[i].set_value(std::move(*answers[i]));
-    }
-  }
-  return future.get();
 }
 
 Result<int64_t> Router::SwapAll(const std::string& prefix) {

@@ -26,9 +26,7 @@
 // request is dropped while the fleet transitions; during the transition a
 // response comes from whichever epoch its one replica is on.
 
-#include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -56,20 +54,12 @@ struct RouterConfig {
   // SIGKILLed mid-request) resolves to kShardUnavailable instead of
   // hanging the router.
   int64_t timeout_ms = 5000;
-  // Submission-window coalescing for Route(): when > 0, concurrent
-  // same-shard queries arriving within this many microseconds are
-  // coalesced into one QueryBatch wire frame instead of one round-trip
-  // each. 0 (the default) keeps the historical direct per-query path —
-  // existing single-threaded callers see zero added latency. Explicit
-  // RouteBatch() calls always batch, regardless of this knob.
-  int64_t batch_window_us = 0;
-  // Cap on queries per QueryBatch frame (both for the window coalescer
-  // and for RouteBatch chunking). Bounded by wire::kMaxWireBatch.
+  // Cap on queries per QueryBatch frame (RouteBatch chunking). Bounded by
+  // wire::kMaxWireBatch.
   int64_t max_wire_batch = 64;
 
   // Parses RETIA_SERVE_VNODES, RETIA_SERVE_CONNECTIONS,
-  // RETIA_SERVE_TIMEOUT_MS, RETIA_SERVE_BATCH_WINDOW_US,
-  // RETIA_SERVE_MAX_WIRE_BATCH through util::Env.
+  // RETIA_SERVE_TIMEOUT_MS, RETIA_SERVE_MAX_WIRE_BATCH through util::Env.
   static RouterConfig FromEnv();
 };
 
@@ -176,12 +166,7 @@ class Router {
   // Routes the query to ShardFor(query.s) and returns that replica's
   // answer with QueryResult::shard stamped. Validation errors come back
   // from the replica's engine with the usual taxonomy; channel failures
-  // surface as kShardUnavailable. With config.batch_window_us > 0 the
-  // call joins its shard's submission window: the first arrival leads,
-  // waits up to the window (or until max_wire_batch queries pile up) for
-  // concurrent same-shard callers, and flushes everyone in coalesced
-  // QueryBatch frames — per-query answers are bit-identical to the
-  // direct path, only the wire framing changes.
+  // surface as kShardUnavailable.
   Result<QueryResult> Route(const Query& query);
 
   // Routes a caller-assembled batch: queries are grouped by shard, each
@@ -213,32 +198,16 @@ class Router {
   }
 
  private:
-  // Per-shard submission window (active only when batch_window_us > 0).
-  // The first Route() caller to find no leader becomes the leader: it
-  // waits out the window, then swaps the pending queries/promises out
-  // under the lock and flushes them through SubmitBatch, fulfilling every
-  // waiter's promise. Queries only join or leave the window under `mu`,
-  // so a query is always flushed by exactly one leader.
-  struct Coalescer {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<Query> queries;
-    std::vector<std::promise<Result<QueryResult>>> promises;
-    bool leader_active = false;
-  };
-
   // Ships one shard's queries in frames of at most max_wire_batch and
   // stamps the shard on ok results. `out[slots[i]]` receives query i's
   // answer.
   void ShipToShard(int64_t shard, const std::vector<Query>& queries,
                    const std::vector<size_t>& slots,
                    std::vector<std::optional<Result<QueryResult>>>* out);
-  Result<QueryResult> CoalescedRoute(const Query& query, int64_t shard);
 
   RouterConfig config_;
   std::vector<std::unique_ptr<ReplicaChannel>> replicas_;
   ShardMap shard_map_;
-  std::vector<std::unique_ptr<Coalescer>> coalescers_;  // one per shard
   StatsRecorder stats_;  // StatsScope::kRouter
 };
 

@@ -3,47 +3,9 @@
 #include <string>
 #include <utility>
 
-#include "ckpt/legacy.h"
 #include "ckpt/model_io.h"
 
 namespace retia::serve {
-
-namespace {
-
-// Loads the legacy snapshot pair: <prefix>.ckpt in RETIACKPT1 format plus
-// the <prefix>.meta sidecar. The sidecar keys match the meta section of
-// v2 artifacts, so the config decoder is shared.
-ckpt::Result LoadLegacySnapshot(const std::string& prefix,
-                                std::unique_ptr<core::RetiaModel>* model,
-                                std::string* dataset_name) {
-  ckpt::Sidecar sidecar;
-  RETIA_CKPT_RETURN_IF_ERROR(
-      ckpt::ReadLegacySidecar(prefix + ".meta", &sidecar));
-  std::string version;
-  RETIA_CKPT_RETURN_IF_ERROR(
-      ckpt::SidecarLookup(sidecar, "format_version", &version));
-  if (version != "1") {
-    return ckpt::Result::Error(
-        ckpt::ErrorCode::kBadVersion,
-        "unsupported snapshot format_version '" + version + "' in " + prefix +
-            ".meta");
-  }
-  core::RetiaConfig config;
-  RETIA_CKPT_RETURN_IF_ERROR(ckpt::RetiaConfigFromMeta(sidecar, &config));
-
-  auto loaded = std::make_unique<core::RetiaModel>(config);
-  RETIA_CKPT_RETURN_IF_ERROR(
-      ckpt::ReadLegacyCheckpointInto(loaded.get(), prefix + ".ckpt"));
-
-  if (dataset_name != nullptr) {
-    RETIA_CKPT_RETURN_IF_ERROR(
-        ckpt::SidecarLookup(sidecar, "dataset_name", dataset_name));
-  }
-  *model = std::move(loaded);
-  return ckpt::Result::Ok();
-}
-
-}  // namespace
 
 ckpt::Result SaveModelSnapshot(const core::RetiaModel& model,
                                const std::string& prefix,
@@ -62,12 +24,8 @@ ckpt::Result LoadModelSnapshot(const std::string& prefix,
                                std::unique_ptr<core::RetiaModel>* model,
                                std::string* dataset_name) {
   std::unique_ptr<core::RetiaModel> loaded;
-  ckpt::Result r =
-      ckpt::LoadModelArtifact(prefix + ".ckpt", &loaded, dataset_name);
-  if (r.code() == ckpt::ErrorCode::kLegacyFormat) {
-    r = LoadLegacySnapshot(prefix, &loaded, dataset_name);
-  }
-  RETIA_CKPT_RETURN_IF_ERROR(std::move(r));
+  RETIA_CKPT_RETURN_IF_ERROR(
+      ckpt::LoadModelArtifact(prefix + ".ckpt", &loaded, dataset_name));
   loaded->SetTraining(false);
   *model = std::move(loaded);
   return ckpt::Result::Ok();

@@ -37,12 +37,11 @@ ckpt::Result SaveQuantizedModelSnapshot(const core::RetiaModel& model,
                                         const std::string& prefix,
                                         const std::string& dataset_name = "");
 
-// Rebuilds the model from <prefix>.ckpt. Legacy v1 snapshot pairs
-// (<prefix>.ckpt in RETIACKPT1 format + <prefix>.meta sidecar) are
-// detected and loaded transparently. On success `*model` holds the model
-// in eval mode (SetTraining(false)), ready for frozen scoring, and
-// `dataset_name` (when non-null) receives the name stored at save time.
-// On failure `*model` is untouched.
+// Rebuilds the model from <prefix>.ckpt; a v1 RETIACKPT1 file is rejected
+// as kBadMagic. On success `*model` holds the model in eval mode
+// (SetTraining(false)), ready for frozen scoring, and `dataset_name` (when
+// non-null) receives the name stored at save time. On failure `*model` is
+// untouched.
 [[nodiscard]] ckpt::Result LoadModelSnapshot(
     const std::string& prefix, std::unique_ptr<core::RetiaModel>* model,
     std::string* dataset_name = nullptr);

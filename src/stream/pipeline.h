@@ -7,7 +7,8 @@
 //   StreamPipeline pipeline(std::move(model), std::move(live), config);
 //   pipeline.Offer({s, r, o, t});          // events arrive
 //   pipeline.AdvanceTo(now);               // watermark: seal, train, publish
-//   auto top = pipeline.engine().TopK(s, r, t, 10);  // any thread, any time
+//   auto top = pipeline.engine().Submit(               // any thread, any time
+//       serve::Query::Entity(s, r, t, 10));
 //
 // One driver thread owns Offer/AdvanceTo/FlushAndPublish/Resume; queries
 // against engine() are safe from any number of threads concurrently,

@@ -244,7 +244,7 @@ ckpt::Result Trainer::ResumeState(const std::string& path) {
   ckpt::Meta meta;
   RETIA_CKPT_RETURN_IF_ERROR(ckpt::DecodeMeta(meta_bytes, &meta));
   std::string kind;
-  RETIA_CKPT_RETURN_IF_ERROR(ckpt::SidecarLookup(meta, "artifact", &kind));
+  RETIA_CKPT_RETURN_IF_ERROR(ckpt::MetaLookup(meta, "artifact", &kind));
   if (kind != kTrainerArtifactKind) {
     return ckpt::Result::Error(
         ckpt::ErrorCode::kSchemaMismatch,

@@ -1,5 +1,5 @@
 // Tests for retia::ckpt — the RETIACKPT2 artifact container, the typed
-// section codecs, legacy v1 migration, trainer SaveState/ResumeState
+// section codecs, v1 file rejection, trainer SaveState/ResumeState
 // resume-exactness, and the retia::fail fault-injection hooks. Registered
 // under the ctest label `ckpt` so `ctest -L ckpt` runs just these,
 // typically in a -DRETIA_SANITIZE=address build (scripts/check.sh).
@@ -20,7 +20,6 @@
 #include "ckpt/ckpt.h"
 #include "core/retia.h"
 #include "graph/graph_cache.h"
-#include "nn/checkpoint.h"
 #include "nn/linear.h"
 #include "serve/snapshot.h"
 #include "tensor/tensor.h"
@@ -144,12 +143,26 @@ TEST(ArtifactCorruptionTest, TrailingBytesAreCorrupt) {
             ErrorCode::kCorrupt);
 }
 
-TEST(ArtifactCorruptionTest, LegacyMagicsAreLegacyFormat) {
-  ArtifactReader reader;
-  EXPECT_EQ(ArtifactReader::Parse("RETIACKPT1\njunk", &reader).code(),
-            ErrorCode::kLegacyFormat);
-  EXPECT_EQ(ArtifactReader::Parse("RETIASIDE1\nkey\tvalue\n", &reader).code(),
-            ErrorCode::kLegacyFormat);
+TEST(ArtifactCorruptionTest, V1MagicsAreBadMagic) {
+  core::RetiaConfig config;
+  config.num_entities = 8;
+  config.num_relations = 2;
+  config.dim = 4;
+  auto model = std::make_unique<core::RetiaModel>(config);
+  const core::RetiaModel* untouched = model.get();
+  const std::string prefix = TempPath("v1_snapshot");
+  for (const std::string& bytes :
+       {std::string("RETIACKPT1\n\x02\0\0\0\0\0\0\0junk", 23),
+        std::string("RETIASIDE1\nformat_version\t1\n")}) {
+    ArtifactReader reader;
+    EXPECT_EQ(ArtifactReader::Parse(bytes, &reader).code(),
+              ErrorCode::kBadMagic);
+    // The serve loader reports the same code and leaves its output alone.
+    ASSERT_TRUE(ckpt::WriteFileDurably(prefix + ".ckpt", bytes).ok());
+    const Result r = serve::LoadModelSnapshot(prefix, &model);
+    EXPECT_EQ(r.code(), ErrorCode::kBadMagic) << r.ToString();
+    EXPECT_EQ(model.get(), untouched);
+  }
 }
 
 TEST(ArtifactCorruptionTest, AbsentSectionIsMissingSection) {
@@ -166,7 +179,6 @@ TEST(ArtifactCorruptionTest, EveryTruncationPointIsRejected) {
     ArtifactReader reader;
     const Result r = ArtifactReader::Parse(bytes.substr(0, len), &reader);
     EXPECT_FALSE(r.ok()) << "truncation to " << len << " bytes parsed";
-    EXPECT_NE(r.code(), ErrorCode::kLegacyFormat) << "at length " << len;
   }
 }
 
@@ -291,7 +303,7 @@ TEST(SectionCodecTest, AdamStateValidatesShapes) {
 }
 
 // ---------------------------------------------------------------------------
-// Model artifacts and legacy migration.
+// Model artifacts.
 
 tkg::SyntheticConfig SmokeDataConfig() {
   tkg::SyntheticConfig config;
@@ -335,41 +347,6 @@ TEST(ModelArtifactTest, RoundTripRebuildsConfigAndParameters) {
   for (size_t i = 0; i < s.size(); ++i) {
     EXPECT_EQ(s[i].second.impl().data, d[i].second.impl().data)
         << s[i].first;
-  }
-}
-
-TEST(ModelArtifactTest, LegacySnapshotPairStillLoads) {
-  // A pre-redesign snapshot: v1 parameter file + v1 sidecar, as the old
-  // serve::SaveModelSnapshot wrote them.
-  const tkg::TkgDataset dataset = tkg::GenerateSynthetic(SmokeDataConfig());
-  core::RetiaModel model(SmokeModelConfig(dataset));
-  const std::string prefix = TempPath("legacy_snapshot");
-  ASSERT_TRUE(
-      ckpt::WriteLegacyCheckpoint(model, prefix + ".ckpt").ok());
-  ckpt::Sidecar sidecar = {{"format_version", "1"},
-                           {"dataset_name", dataset.name()}};
-  ckpt::AppendRetiaConfigMeta(model.config(), &sidecar);
-  ASSERT_TRUE(ckpt::WriteLegacySidecar(prefix + ".meta", sidecar).ok());
-
-  // The v2 loader reports kLegacyFormat rather than guessing...
-  std::unique_ptr<core::RetiaModel> loaded;
-  EXPECT_EQ(ckpt::LoadModelArtifact(prefix + ".ckpt", &loaded, nullptr)
-                .code(),
-            ErrorCode::kLegacyFormat);
-
-  // ...and the legacy readers migrate the pair exactly.
-  ckpt::Sidecar read_back;
-  ASSERT_TRUE(ckpt::ReadLegacySidecar(prefix + ".meta", &read_back).ok());
-  core::RetiaConfig config;
-  ASSERT_TRUE(ckpt::RetiaConfigFromMeta(read_back, &config).ok());
-  auto migrated = std::make_unique<core::RetiaModel>(config);
-  ASSERT_TRUE(
-      ckpt::ReadLegacyCheckpointInto(migrated.get(), prefix + ".ckpt").ok());
-  auto s = model.NamedParameters();
-  auto d = migrated->NamedParameters();
-  ASSERT_EQ(s.size(), d.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    EXPECT_EQ(s[i].second.impl().data, d[i].second.impl().data);
   }
 }
 
@@ -760,38 +737,6 @@ TEST_F(FailPlanTest, PlanParsesFromEnvironment) {
   EXPECT_EQ(fallback.truncate_on_close, -1);
   EXPECT_EQ(fallback.crash_after_rename_n, 0);
   ::unsetenv("RETIA_FAIL_WRITE_N");
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated nn:: shims stay contract-compatible.
-
-class TwoLayer : public nn::Module {
- public:
-  explicit TwoLayer(util::Rng* rng) : a_(4, 3, rng), b_(3, 2, rng) {
-    RegisterModule("a", &a_);
-    RegisterModule("b", &b_);
-  }
-  nn::Linear a_;
-  nn::Linear b_;
-};
-
-TEST(DeprecatedShimTest, LegacyCheckpointReadersReportInsteadOfAborting) {
-  util::Rng rng(1);
-  TwoLayer src(&rng);
-  const std::string path = TempPath("shim_legacy.ckpt");
-  ASSERT_TRUE(ckpt::WriteLegacyCheckpoint(src, path).ok());
-
-  // Result-based reader on a garbage file: an error, not a CHECK-abort.
-  const std::string garbage = TempPath("shim_garbage.ckpt");
-  ASSERT_TRUE(ckpt::WriteFileDurably(garbage, "definitely not a ckpt").ok());
-  util::Rng rng2(2);
-  TwoLayer dst(&rng2);
-  const Result r = ckpt::ReadLegacyCheckpointInto(&dst, garbage);
-  EXPECT_EQ(r.code(), ErrorCode::kBadMagic);
-
-  // And the real file loads exactly.
-  ASSERT_TRUE(ckpt::ReadLegacyCheckpointInto(&dst, path).ok());
-  EXPECT_EQ(src.a_.weight().impl().data, dst.a_.weight().impl().data);
 }
 
 }  // namespace

@@ -1,10 +1,5 @@
-// Tests for the optional/extension features: parameter checkpointing,
-// time-aware filtered evaluation, the cosine-hinge op and the static-graph
-// constraint.
-
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
+// Tests for the optional/extension features: time-aware filtered
+// evaluation, the cosine-hinge op and the static-graph constraint.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +7,7 @@
 #include "eval/evaluator.h"
 #include "grad_check.h"
 #include "graph/graph_cache.h"
-#include "nn/checkpoint.h"
-#include "nn/linear.h"
+#include "nn/optimizer.h"
 #include "tensor/ops.h"
 #include "tkg/synthetic.h"
 #include "train/trainer.h"
@@ -24,99 +18,6 @@ namespace {
 using tensor::Tensor;
 using ::retia::testing::CheckGradients;
 using ::retia::testing::TestTensor;
-
-// ---------------------------------------------------------------------------
-// Checkpointing.
-
-class TwoLayer : public nn::Module {
- public:
-  explicit TwoLayer(util::Rng* rng) : a_(4, 3, rng), b_(3, 2, rng) {
-    RegisterModule("a", &a_);
-    RegisterModule("b", &b_);
-  }
-  nn::Linear a_;
-  nn::Linear b_;
-};
-
-TEST(CheckpointTest, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/ckpt.bin";
-  util::Rng rng(1);
-  TwoLayer src(&rng);
-  nn::SaveCheckpoint(src, path);
-
-  util::Rng rng2(999);  // different init
-  TwoLayer dst(&rng2);
-  // Destination starts different.
-  EXPECT_NE(src.a_.weight().Data()[0], dst.a_.weight().Data()[0]);
-  nn::LoadCheckpoint(&dst, path);
-  auto s = src.NamedParameters();
-  auto d = dst.NamedParameters();
-  ASSERT_EQ(s.size(), d.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    ASSERT_EQ(s[i].second.NumElements(), d[i].second.NumElements());
-    for (int64_t j = 0; j < s[i].second.NumElements(); ++j) {
-      ASSERT_EQ(s[i].second.Data()[j], d[i].second.Data()[j]);
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointTest, MismatchedModelDies) {
-  const std::string path = ::testing::TempDir() + "/ckpt_mismatch.bin";
-  util::Rng rng(2);
-  TwoLayer src(&rng);
-  nn::SaveCheckpoint(src, path);
-  nn::Linear other(4, 3, &rng);
-  EXPECT_DEATH(nn::LoadCheckpoint(&other, path), "parameters");
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointTest, GarbageFileDies) {
-  const std::string path = ::testing::TempDir() + "/ckpt_garbage.bin";
-  {
-    std::ofstream out(path);
-    out << "not a checkpoint";
-  }
-  util::Rng rng(3);
-  TwoLayer m(&rng);
-  EXPECT_DEATH(nn::LoadCheckpoint(&m, path), "not a RETIA checkpoint");
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointTest, RetiaModelRoundTripsAndScoresIdentically) {
-  tkg::SyntheticConfig cfg;
-  cfg.name = "ckpt";
-  cfg.num_entities = 30;
-  cfg.num_relations = 4;
-  cfg.num_timestamps = 10;
-  cfg.facts_per_timestamp = 10;
-  cfg.num_schemas = 20;
-  tkg::TkgDataset ds = tkg::GenerateSynthetic(cfg);
-  core::RetiaConfig mc;
-  mc.num_entities = ds.num_entities();
-  mc.num_relations = ds.num_relations();
-  mc.dim = 8;
-  mc.conv_kernels = 4;
-  core::RetiaModel a(mc);
-  const std::string path = ::testing::TempDir() + "/retia.ckpt";
-  nn::SaveCheckpoint(a, path);
-  core::RetiaConfig mc2 = mc;
-  mc2.seed = 123;
-  core::RetiaModel b(mc2);
-  nn::LoadCheckpoint(&b, path);
-  graph::GraphCache cache(&ds);
-  tensor::NoGradGuard guard;
-  a.SetTraining(false);
-  b.SetTraining(false);
-  Tensor pa = a.ScoreObjects(a.Evolve(cache, cache.HistoryBefore(5, 3)),
-                             {{0, 1}});
-  Tensor pb = b.ScoreObjects(b.Evolve(cache, cache.HistoryBefore(5, 3)),
-                             {{0, 1}});
-  for (int64_t j = 0; j < pa.NumElements(); ++j) {
-    ASSERT_FLOAT_EQ(pa.Data()[j], pb.Data()[j]);
-  }
-  std::remove(path.c_str());
-}
 
 // ---------------------------------------------------------------------------
 // Time-aware filtered evaluation.

@@ -479,6 +479,18 @@ TEST(QuantizedDecodeTest, FrozenQuantizedCloseToF32AndBitStableAcrossBackends)
   }
 }
 
+// Candidates of an entity query that must succeed; empty (and a test
+// failure) otherwise.
+std::vector<serve::ScoredCandidate> TopObjects(serve::ServeEngine& engine,
+                                               int64_t s, int64_t r,
+                                               int64_t t, int64_t k) {
+  serve::Result<serve::QueryResult> result =
+      engine.Submit(serve::Query::Entity(s, r, t, k));
+  EXPECT_TRUE(result.ok()) << result.ToString();
+  return result.ok() ? result.take().candidates
+                     : std::vector<serve::ScoredCandidate>{};
+}
+
 TEST(QuantizedServeEngineTest, QuantizedTopKCloseToF32TopK) {
   const tkg::TkgDataset dataset = tkg::GenerateSynthetic(QuantDataConfig());
   core::RetiaModel model(QuantModelConfig(dataset));
@@ -492,22 +504,24 @@ TEST(QuantizedServeEngineTest, QuantizedTopKCloseToF32TopK) {
   q_config.quantized_decode = 1;
   q_config.enable_cache = false;
 
-  std::vector<std::pair<serve::TopKResult, serve::TopKResult>> results;
+  using Ranking = std::vector<serve::ScoredCandidate>;
+  std::vector<std::pair<Ranking, Ranking>> results;
   {
     serve::ServeEngine f32_engine(&model, &cache, f32_config);
     serve::ServeEngine q_engine(&model, &cache, q_config);
     for (int64_t s = 0; s < 10; ++s) {
-      results.emplace_back(f32_engine.TopK(s, s % 6, t, 5),
-                           q_engine.TopK(s, s % 6, t, 5));
+      results.emplace_back(TopObjects(f32_engine, s, s % 6, t, 5),
+                           TopObjects(q_engine, s, s % 6, t, 5));
     }
   }
   int top1_agree = 0;
   for (const auto& [f, q] : results) {
-    ASSERT_EQ(f.candidates.size(), q.candidates.size());
-    if (f.candidates[0].id == q.candidates[0].id) ++top1_agree;
+    ASSERT_EQ(f.size(), q.size());
+    ASSERT_FALSE(f.empty());
+    if (f[0].id == q[0].id) ++top1_agree;
     // Scores of the top candidate agree to quantization tolerance even
     // when near-ties reorder the ids.
-    EXPECT_NEAR(f.candidates[0].score, q.candidates[0].score, 0.05);
+    EXPECT_NEAR(f[0].score, q[0].score, 0.05);
   }
   // Near-ties may legitimately flip, but int8 decode must track f32
   // closely on a real ranking workload.
@@ -532,12 +546,14 @@ TEST(QuantizedServeEngineTest, SmallModelsStayF32UnderMinRowsFloor) {
   serve::ServeEngine f32_engine(&model, &cache, f32_config);
   serve::ServeEngine q_engine(&model, &cache, q_config);
   for (int64_t s = 0; s < 6; ++s) {
-    const serve::TopKResult f = f32_engine.TopK(s, s % 6, t, 5);
-    const serve::TopKResult q = q_engine.TopK(s, s % 6, t, 5);
-    ASSERT_EQ(f.candidates.size(), q.candidates.size());
-    for (size_t i = 0; i < f.candidates.size(); ++i) {
-      EXPECT_EQ(f.candidates[i].id, q.candidates[i].id);
-      EXPECT_EQ(f.candidates[i].score, q.candidates[i].score)
+    const std::vector<serve::ScoredCandidate> f =
+        TopObjects(f32_engine, s, s % 6, t, 5);
+    const std::vector<serve::ScoredCandidate> q =
+        TopObjects(q_engine, s, s % 6, t, 5);
+    ASSERT_EQ(f.size(), q.size());
+    for (size_t i = 0; i < f.size(); ++i) {
+      EXPECT_EQ(f[i].id, q[i].id);
+      EXPECT_EQ(f[i].score, q[i].score)
           << "below the floor both engines must take the identical f32 path";
     }
   }

@@ -1,17 +1,14 @@
 // Tests for the batched serve path: engine SubmitBatch bit-identity with
 // the per-query path (f32 and int8, across SIMD backends), per-slot error
 // isolation in mixed-validity batches, Router::RouteBatch scatter/gather
-// over local and socket channels, the submission-window coalescer under
-// concurrent Route() callers, and the decode scratch arena's warm-path
-// no-growth guarantee. Registered under the ctest label `serve` so the
-// TSan matrix in scripts/check.sh covers the coalescer's leader handoff.
+// over local and socket channels, and the decode scratch arena's
+// warm-path no-growth guarantee. Registered under the ctest label `serve`
+// so the TSan matrix in scripts/check.sh covers it.
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -283,63 +280,6 @@ TEST(RouterBatchTest, SocketBatchBitIdenticalToPerQuerySubmit) {
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.code(), StatusCode::kShardUnavailable);
   }
-}
-
-TEST(RouterBatchTest, WindowCoalescerKeepsConcurrentRoutesCorrect) {
-  const tkg::TkgDataset dataset = tkg::GenerateSynthetic(TinyDataConfig());
-  core::RetiaModel model(ModelConfigFor(dataset));
-  ServeEngine engine(SnapshotOf(model, dataset), SmallServeConfig());
-  ServeEngine reference(SnapshotOf(model, dataset), SmallServeConfig());
-
-  std::vector<std::unique_ptr<ReplicaChannel>> replicas;
-  replicas.push_back(std::make_unique<LocalChannel>(&engine));
-  RouterConfig config;
-  config.batch_window_us = 3000;
-  config.max_wire_batch = 64;
-  Router router(std::move(replicas), config);
-
-  obs::Counter* frames =
-      obs::MetricsRegistry::Get().GetCounter("serve.router.batch.frames");
-  obs::Counter* coalesced =
-      obs::MetricsRegistry::Get().GetCounter("serve.router.batch.queries");
-  const int64_t frames_before = frames->Value();
-  const int64_t queries_before = coalesced->Value();
-
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 25;
-  const std::vector<Query> pattern = MixedBatch(dataset, kPerThread);
-  std::vector<Result<QueryResult>> expected;
-  for (const Query& query : pattern) expected.push_back(reference.Submit(query));
-
-  std::atomic<int> ready{0};
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int w = 0; w < kThreads; ++w) {
-    threads.emplace_back([&] {
-      ready.fetch_add(1);
-      while (ready.load() < kThreads) std::this_thread::yield();
-      for (int i = 0; i < kPerThread; ++i) {
-        const Result<QueryResult> got = router.Route(pattern[i]);
-        const Result<QueryResult>& want = expected[i];
-        const bool match =
-            got.ok() == want.ok() &&
-            (!got.ok() ||
-             got.value().candidates == want.value().candidates);
-        if (!match) mismatches.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(mismatches.load(), 0);
-
-  const int64_t total = int64_t{kThreads} * kPerThread;
-  EXPECT_EQ(coalesced->Value() - queries_before, total);
-  // The leader always holds the window open (or fills the batch), and every
-  // concurrent Route() blocked in that window joins its frame — so with 8
-  // threads issuing queries back-to-back, strictly fewer frames than
-  // queries must have shipped.
-  EXPECT_LT(frames->Value() - frames_before, total);
-  EXPECT_GT(frames->Value() - frames_before, 0);
 }
 
 // ---- Scratch arena ----------------------------------------------------------

@@ -2,13 +2,17 @@
 // stability, wire-protocol round-trips and malformed-frame robustness
 // (nothing a socket peer sends may crash a serving process), router
 // bit-identity against a direct engine, shard-failure reporting, the
-// unix-socket replica end-to-end path, and cross-replica snapshot-epoch
-// consistency under concurrent SwapAll. Registered under the ctest label
-// `serve` so the TSan matrix in scripts/check.sh covers the zero-drop
-// swap guarantee on the multi-shard path.
+// unix-socket replica end-to-end path (hung-up connections closed and
+// reaped), and cross-replica snapshot-epoch consistency under concurrent
+// SwapAll. Registered under the ctest label `serve` so the TSan matrix in
+// scripts/check.sh covers the zero-drop swap guarantee on the multi-shard
+// path.
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <random>
@@ -686,6 +690,49 @@ TEST(ReplicaServerTest, MalformedBytesOnSocketAreReportedNotFatal) {
   SocketChannel channel(path, config);
   Result<QueryResult> alive = channel.Submit(Query::Entity(0, 0, t, 3));
   ASSERT_TRUE(alive.ok()) << alive.ToString();
+  server.Stop();
+}
+
+// Open file descriptors of this process (the iterator's own fd included,
+// which cancels out between two calls).
+int64_t OpenFds() {
+  const std::filesystem::directory_iterator fds("/proc/self/fd");
+  return std::distance(std::filesystem::begin(fds), std::filesystem::end(fds));
+}
+
+TEST(ReplicaServerTest, HungUpConnectionsAreClosedAndReaped) {
+  const tkg::TkgDataset dataset = tkg::GenerateSynthetic(TinyDataConfig());
+  core::RetiaModel model(TinyModelConfig(dataset));
+  ServeEngine served(SnapshotOf(model, dataset), SmallServeConfig());
+  const std::string path = testing::TempDir() + "/retia_replica_reap.sock";
+  ReplicaServer server(&served, nullptr, path);
+  ASSERT_TRUE(server.Start().ok());
+
+  RouterConfig config;
+  config.timeout_ms = 10000;
+  // Each cycle dials a fresh connection, pings, and hangs up (the channel
+  // closes its pooled socket on destruction) — what every overflow query
+  // of a busy router does to its replica.
+  const int64_t fds_before = OpenFds();
+  constexpr int kCycles = 300;
+  for (int i = 0; i < kCycles; ++i) {
+    SocketChannel channel(path, config);
+    Result<int64_t> ping = channel.Ping();
+    ASSERT_TRUE(ping.ok()) << "cycle " << i << ": " << ping.ToString();
+  }
+  // The replica closes each connection once its handler sees the hang-up.
+  constexpr int64_t kSlack = 8;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (OpenFds() > fds_before + kSlack &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(OpenFds(), fds_before + kSlack);
+
+  SocketChannel fresh(path, config);
+  Result<int64_t> ping = fresh.Ping();
+  ASSERT_TRUE(ping.ok()) << ping.ToString();
   server.Stop();
 }
 

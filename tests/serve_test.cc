@@ -4,7 +4,6 @@
 // `serve` so `ctest -L serve` runs just these, typically in a
 // -DRETIA_SANITIZE=thread build.
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -21,6 +20,7 @@
 #include "core/retia.h"
 #include "eval/metrics.h"
 #include "graph/graph_cache.h"
+#include "obs/obs.h"
 #include "par/thread_pool.h"
 #include "serve/engine.h"
 #include "serve/lru_cache.h"
@@ -38,7 +38,6 @@ using serve::QueryKind;
 using serve::ScoredCandidate;
 using serve::ServeConfig;
 using serve::ServeEngine;
-using serve::TopKResult;
 
 CacheKey EntityKey(int64_t t, int64_t s, int64_t r) {
   return {t, s, r, QueryKind::kEntity};
@@ -178,6 +177,16 @@ core::RetiaConfig TinyModelConfig(const tkg::TkgDataset& dataset) {
   return config;
 }
 
+// Candidates of a query that must succeed; empty (and a test failure)
+// otherwise.
+std::vector<ScoredCandidate> Candidates(ServeEngine& engine,
+                                        const serve::Query& query) {
+  serve::Result<serve::QueryResult> result = engine.Submit(query);
+  EXPECT_TRUE(result.ok()) << result.ToString();
+  return result.ok() ? result.take().candidates
+                     : std::vector<ScoredCandidate>{};
+}
+
 // Reference decode: single-threaded frozen scoring straight through the
 // model, no engine, no cache.
 std::vector<std::vector<ScoredCandidate>> ReferenceTopK(
@@ -231,8 +240,9 @@ TEST(ServeEngineTest, ConcurrentTopKBitIdenticalToSingleThreaded) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (size_t i = c; i < queries.size(); i += kClients) {
-        answers[i] =
-            engine.TopK(queries[i].first, queries[i].second, t, k).candidates;
+        answers[i] = Candidates(engine, serve::Query::Entity(
+                                            queries[i].first,
+                                            queries[i].second, t, k));
       }
     });
   }
@@ -290,8 +300,9 @@ TEST(ServeEngineTest, OversubscribedPoolStaysBitIdenticalAndDeadlockFree) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (size_t i = c; i < queries.size(); i += kClients) {
-        answers[i] =
-            engine.TopK(queries[i].first, queries[i].second, t, k).candidates;
+        answers[i] = Candidates(engine, serve::Query::Entity(
+                                            queries[i].first,
+                                            queries[i].second, t, k));
       }
     });
   }
@@ -319,18 +330,24 @@ TEST(ServeEngineTest, CacheHitsReturnIdenticalResults) {
   config.max_k = 4;
   ServeEngine engine(&model, &graph_cache, config);
 
-  const TopKResult first = engine.TopK(1, 2, t, 4);
-  EXPECT_FALSE(first.cache_hit);
-  const TopKResult second = engine.TopK(1, 2, t, 4);
-  EXPECT_TRUE(second.cache_hit);
-  EXPECT_EQ(first.candidates, second.candidates);
+  const serve::Result<serve::QueryResult> first =
+      engine.Submit(serve::Query::Entity(1, 2, t, 4));
+  ASSERT_TRUE(first.ok()) << first.ToString();
+  EXPECT_FALSE(first.value().cache_hit);
+  const serve::Result<serve::QueryResult> second =
+      engine.Submit(serve::Query::Entity(1, 2, t, 4));
+  ASSERT_TRUE(second.ok()) << second.ToString();
+  EXPECT_TRUE(second.value().cache_hit);
+  EXPECT_EQ(first.value().candidates, second.value().candidates);
 
   // A smaller k is served from the cached prefix.
-  const TopKResult prefix = engine.TopK(1, 2, t, 2);
-  EXPECT_TRUE(prefix.cache_hit);
-  ASSERT_EQ(prefix.candidates.size(), 2u);
-  EXPECT_EQ(prefix.candidates[0], first.candidates[0]);
-  EXPECT_EQ(prefix.candidates[1], first.candidates[1]);
+  const serve::Result<serve::QueryResult> prefix =
+      engine.Submit(serve::Query::Entity(1, 2, t, 2));
+  ASSERT_TRUE(prefix.ok()) << prefix.ToString();
+  EXPECT_TRUE(prefix.value().cache_hit);
+  ASSERT_EQ(prefix.value().candidates.size(), 2u);
+  EXPECT_EQ(prefix.value().candidates[0], first.value().candidates[0]);
+  EXPECT_EQ(prefix.value().candidates[1], first.value().candidates[1]);
 
   const serve::ServeStats stats = engine.Stats();
   EXPECT_EQ(stats.cache.hits, 2);
@@ -366,81 +383,76 @@ TEST(ServeEngineTest, RelationQueriesMatchFrozenScores) {
   config.num_threads = 2;
   config.max_k = 3;
   ServeEngine engine(&model, &graph_cache, config);
-  EXPECT_EQ(engine.TopKRelation(0, 1, t, 3).candidates, reference[0]);
-  EXPECT_EQ(engine.TopKRelation(3, 7, t, 3).candidates, reference[1]);
+  EXPECT_EQ(Candidates(engine, serve::Query::Relation(0, 1, t, 3)),
+            reference[0]);
+  EXPECT_EQ(Candidates(engine, serve::Query::Relation(3, 7, t, 3)),
+            reference[1]);
 }
 
 TEST(ServeEngineTest, MicroBatchingCoalescesQueuedQueries) {
-  // Generic-scorer engine with one worker. The first decode blocks until
-  // all remaining clients have submitted, so their queries must coalesce
-  // into a single micro-batch afterwards.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release_first_batch = false;
-  std::atomic<int> calls{0};
+  // The engine's only pool worker is held by a gate task, so every
+  // client's miss (and its drain tick) queues before any tick runs; once
+  // the gate opens, the first tick sweeps them into one micro-batch.
+  const tkg::TkgDataset dataset = tkg::GenerateSynthetic(TinyDataConfig());
+  core::RetiaModel model(TinyModelConfig(dataset));
+  graph::GraphCache graph_cache(&dataset);
+  const int64_t t = dataset.test_times().front();
 
-  eval::ObjectScoreFn object_fn =
-      [&](int64_t, const std::vector<std::pair<int64_t, int64_t>>& queries) {
-        if (calls.fetch_add(1) == 0) {
-          std::unique_lock<std::mutex> lock(mu);
-          cv.wait(lock, [&] { return release_first_batch; });
-        }
-        // score(q, candidate) = a * 100 + b - candidate: deterministic.
-        const int64_t n = 8;
-        std::vector<float> data;
-        for (const auto& [a, b] : queries) {
-          for (int64_t id = 0; id < n; ++id) {
-            data.push_back(static_cast<float>(a * 100 + b - id));
-          }
-        }
-        return tensor::Tensor::FromVector(
-            {static_cast<int64_t>(queries.size()), n}, std::move(data));
-      };
-  eval::RelationScoreFn relation_fn =
-      [](int64_t, const std::vector<std::pair<int64_t, int64_t>>&) {
-        return tensor::Tensor::Zeros({1, 1});
-      };
-
+  par::ThreadPool pool(2);  // one worker; declared before the engine
   ServeConfig config;
   config.num_threads = 1;
+  config.pool = &pool;
   config.max_batch = 32;
-  config.max_k = 1;
+  config.max_k = 3;
   config.enable_cache = false;
-  ServeEngine engine(object_fn, relation_fn, config);
+  ServeEngine engine(&model, &graph_cache, config);
+  engine.Warmup(t);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  obs::Counter* submitted =
+      obs::MetricsRegistry::Get().GetCounter("par.submitted");
+  const int64_t submitted_before = submitted->Value();
+  pool.Submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return open; });
+  });
 
   constexpr int kClients = 8;
-  std::atomic<int> submitted{0};
-  std::vector<std::thread> clients;
-  std::vector<TopKResult> results(kClients);
+  std::vector<serve::Query> queries;
   for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      submitted.fetch_add(1);
-      results[c] = engine.TopK(c, 0, /*t=*/5, /*k=*/1);
-    });
+    queries.push_back(serve::Query::Entity(c, c % 12, t, 3));
   }
-  // Wait until every client has at least reached submission, give their
-  // enqueues time to land, then release the blocked first batch.
-  while (submitted.load() < kClients) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::vector<std::vector<ScoredCandidate>> answers(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back(
+        [&, c] { answers[c] = Candidates(engine, queries[c]); });
+  }
+  // A client's miss is queued once its drain tick reaches the pool (the
+  // gate task is the first submission).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (submitted->Value() - submitted_before < 1 + kClients &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   {
     std::lock_guard<std::mutex> lock(mu);
-    release_first_batch = true;
+    open = true;
   }
   cv.notify_all();
   for (std::thread& client : clients) client.join();
 
-  for (int c = 0; c < kClients; ++c) {
-    ASSERT_EQ(results[c].candidates.size(), 1u);
-    EXPECT_EQ(results[c].candidates[0].id, 0);  // candidate 0 always wins
-    EXPECT_EQ(results[c].candidates[0].score, static_cast<float>(c * 100));
-  }
   const serve::ServeStats stats = engine.Stats();
   EXPECT_EQ(stats.completed, kClients);
-  // All clients blocked behind the first batch must have been answered in
-  // far fewer decode ticks than requests (one big batch in the common case).
   EXPECT_LT(stats.batches, kClients);
   EXPECT_GT(stats.mean_batch_size, 1.0);
-  EXPECT_FALSE(stats.ToJson().empty());
+  // Coalesced answers equal the answers to the same queries one at a time.
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(answers[c], Candidates(engine, queries[c])) << "client " << c;
+  }
 }
 
 TEST(ServeSnapshotTest, RoundTripRestoresIdenticalTopK) {
@@ -511,31 +523,6 @@ TEST(ServeSnapshotTest, LoadFailureIsReportedNotFatal) {
 }
 
 // ---- Typed Query/Result API -------------------------------------------------
-
-TEST(TypedApiTest, SubmitMatchesDeprecatedShims) {
-  const tkg::TkgDataset dataset = tkg::GenerateSynthetic(TinyDataConfig());
-  core::RetiaModel model(TinyModelConfig(dataset));
-  graph::GraphCache graph_cache(&dataset);
-  const int64_t t = dataset.test_times().front();
-
-  ServeConfig config;
-  config.num_threads = 2;
-  config.max_k = 4;
-  ServeEngine engine(&model, &graph_cache, config);
-
-  serve::Result<serve::QueryResult> typed =
-      engine.Submit(serve::Query::Entity(1, 2, t, 4));
-  ASSERT_TRUE(typed.ok()) << typed.ToString();
-  EXPECT_EQ(typed.value().epoch, 0);
-  EXPECT_EQ(typed.value().shard, -1);
-  EXPECT_EQ(engine.TopK(1, 2, t, 4).candidates, typed.value().candidates);
-
-  serve::Result<serve::QueryResult> relation =
-      engine.Submit(serve::Query::Relation(3, 7, t, 3));
-  ASSERT_TRUE(relation.ok()) << relation.ToString();
-  EXPECT_EQ(engine.TopKRelation(3, 7, t, 3).candidates,
-            relation.value().candidates);
-}
 
 TEST(TypedApiTest, MalformedQueriesAreReportedNotFatal) {
   const tkg::TkgDataset dataset = tkg::GenerateSynthetic(TinyDataConfig());

@@ -94,10 +94,23 @@ std::vector<Quadruple> RepeatedFact(int64_t s, int64_t r, int64_t o,
                                 Quadruple{s, r, o, t});
 }
 
-// Rank (0-based) of `o` in a full-depth TopK answer; -1 when absent.
-int64_t RankOf(const serve::TopKResult& result, int64_t o) {
-  for (size_t i = 0; i < result.candidates.size(); ++i) {
-    if (result.candidates[i].id == o) return static_cast<int64_t>(i);
+// Candidates of an entity query that must succeed; empty (and a test
+// failure) otherwise.
+std::vector<serve::ScoredCandidate> TopObjects(serve::ServeEngine& engine,
+                                               int64_t s, int64_t r,
+                                               int64_t t, int64_t k) {
+  serve::Result<serve::QueryResult> result =
+      engine.Submit(serve::Query::Entity(s, r, t, k));
+  EXPECT_TRUE(result.ok()) << result.ToString();
+  return result.ok() ? result.take().candidates
+                     : std::vector<serve::ScoredCandidate>{};
+}
+
+// Rank (0-based) of `o` in a full-depth ranking; -1 when absent.
+int64_t RankOf(const std::vector<serve::ScoredCandidate>& candidates,
+               int64_t o) {
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (candidates[i].id == o) return static_cast<int64_t>(i);
   }
   return -1;
 }
@@ -292,21 +305,23 @@ TEST(StreamPipelineTest, IngestedFactChangesTopKAfterOneWindow) {
   config.serve.max_k = n;  // full-depth ranking so we can find o's rank
   StreamPipeline pipeline(std::move(model), std::move(live), config);
 
-  const serve::TopKResult before = pipeline.engine().TopK(s, r, t_query, n);
+  const std::vector<serve::ScoredCandidate> before =
+      TopObjects(pipeline.engine(), s, r, t_query, n);
   const int64_t rank_before = RankOf(before, o);
   ASSERT_GE(rank_before, 0);
 
   pipeline.OfferBatch(RepeatedFact(s, r, o, t_new, 25));
   EXPECT_EQ(pipeline.AdvanceTo(t_query), 1);  // one window published
 
-  const serve::TopKResult after = pipeline.engine().TopK(s, r, t_query, n);
+  const std::vector<serve::ScoredCandidate> after =
+      TopObjects(pipeline.engine(), s, r, t_query, n);
   const int64_t rank_after = RankOf(after, o);
   ASSERT_GE(rank_after, 0);
   EXPECT_LT(rank_after, rank_before)
       << "fine-tuning on the ingested fact must improve its object's rank";
   EXPECT_EQ(rank_after, 0)
       << "25 repetitions x 8 steps should put the object on top";
-  EXPECT_NE(before.candidates, after.candidates);
+  EXPECT_NE(before, after);
 
   const stream::StreamStatus status = pipeline.Status();
   EXPECT_EQ(status.publishes, 1);
@@ -529,18 +544,18 @@ TEST(SnapshotSwapTest, ConcurrentQueriesAcrossSwapsAreNeverDroppedOrTorn) {
   for (int64_t s = 0; s < live->num_entities(); ++s) {
     queries.emplace_back(s, s % (2 * live->num_relations()));
   }
-  std::vector<std::vector<serve::TopKResult>> ref_a(times.size()),
-      ref_b(times.size());
+  using Ranking = std::vector<serve::ScoredCandidate>;
+  std::vector<std::vector<Ranking>> ref_a(times.size()), ref_b(times.size());
   {
     serve::ServeEngine engine_a(SnapshotOf(model_a, *live), serve_config);
     serve::ServeEngine engine_b(SnapshotOf(model_b, *live), serve_config);
     for (size_t ti = 0; ti < times.size(); ++ti) {
       for (const auto& [s, r] : queries) {
-        ref_a[ti].push_back(engine_a.TopK(s, r, times[ti], k));
-        ref_b[ti].push_back(engine_b.TopK(s, r, times[ti], k));
+        ref_a[ti].push_back(TopObjects(engine_a, s, r, times[ti], k));
+        ref_b[ti].push_back(TopObjects(engine_b, s, r, times[ti], k));
       }
     }
-    ASSERT_NE(ref_a[0].front().candidates, ref_b[0].front().candidates);
+    ASSERT_NE(ref_a[0].front(), ref_b[0].front());
   }
 
   serve::ServeEngine engine(SnapshotOf(model_a, *live), serve_config);
@@ -555,10 +570,11 @@ TEST(SnapshotSwapTest, ConcurrentQueriesAcrossSwapsAreNeverDroppedOrTorn) {
         const size_t qi = (static_cast<size_t>(c) * 31 + round) % queries.size();
         const size_t ti = (static_cast<size_t>(c) + round) % times.size();
         const auto& [s, r] = queries[qi];
-        const serve::TopKResult result = engine.TopK(s, r, times[ti], k);
-        if (result.candidates.size() == static_cast<size_t>(k)) ++answered[c];
-        const bool is_a = result.candidates == ref_a[ti][qi].candidates;
-        const bool is_b = result.candidates == ref_b[ti][qi].candidates;
+        const std::vector<serve::ScoredCandidate> result =
+            TopObjects(engine, s, r, times[ti], k);
+        if (result.size() == static_cast<size_t>(k)) ++answered[c];
+        const bool is_a = result == ref_a[ti][qi];
+        const bool is_b = result == ref_b[ti][qi];
         if (!is_a && !is_b) ++torn[c];
       }
     });
@@ -594,7 +610,7 @@ TEST(SnapshotSwapTest, SwapToGrownVocabularyServesNewEntity) {
   serve_config.max_k = 5;
   serve::ServeEngine engine(SnapshotOf(*model, *live), serve_config);
   const int64_t t = live->max_time();
-  ASSERT_EQ(engine.TopK(0, 0, t, 5).candidates.size(), 5u);
+  ASSERT_EQ(TopObjects(engine, 0, 0, t, 5).size(), 5u);
 
   // Grow the world by one entity and publish it.
   live->GrowVocab(n + 1, live->num_relations());
@@ -603,10 +619,8 @@ TEST(SnapshotSwapTest, SwapToGrownVocabularyServesNewEntity) {
       stream::GrowEntityVocab(*model, n + 1);
   engine.SwapSnapshot(SnapshotOf(*grown, *live));
 
-  const serve::TopKResult for_new = engine.TopK(n, 0, t + 2, 5);
-  EXPECT_EQ(for_new.candidates.size(), 5u);
-  const serve::TopKResult for_old = engine.TopK(0, 0, t + 2, 5);
-  EXPECT_EQ(for_old.candidates.size(), 5u);
+  EXPECT_EQ(TopObjects(engine, n, 0, t + 2, 5).size(), 5u);
+  EXPECT_EQ(TopObjects(engine, 0, 0, t + 2, 5).size(), 5u);
 }
 
 }  // namespace
