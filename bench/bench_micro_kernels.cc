@@ -17,7 +17,6 @@
 #include "graph/graph_cache.h"
 #include "nn/optimizer.h"
 #include "quant/quant.h"
-#include "par/task_graph.h"
 #include "par/thread_pool.h"
 #include "simd/simd.h"
 #include "tensor/ops.h"
@@ -348,8 +347,7 @@ std::map<std::string, double>& SerialBaselineNs() {
   return baselines;
 }
 
-// Runs `kernel` under a `threads`-sized default pool (and a matching
-// inter-op budget, for fixtures that schedule a par::TaskGraph): verifies
+// Runs `kernel` under a `threads`-sized default pool: verifies
 // bit-identity against 1 thread, then times it and records the speedup
 // counter.
 void RunThreadSweep(benchmark::State& state, const std::string& name,
@@ -360,12 +358,10 @@ void RunThreadSweep(benchmark::State& state, const std::string& name,
   {
     retia::par::ThreadPool pool(1);
     retia::par::ScopedDefaultPool scoped(&pool);
-    retia::par::ScopedInteropThreads interop(1);
     reference = kernel().impl().data;
   }
   retia::par::ThreadPool pool(threads);
   retia::par::ScopedDefaultPool scoped(&pool);
-  retia::par::ScopedInteropThreads interop(threads);
   const std::vector<float> check = kernel().impl().data;
   RETIA_CHECK_EQ(check.size(), reference.size());
   RETIA_CHECK_MSG(std::memcmp(check.data(), reference.data(),
@@ -421,13 +417,15 @@ void BM_ScatterAddThreadSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_ScatterAddThreadSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// Inter-op fixture: one full eval-mode RETIA Evolve over an 8-step history
-// against a FRESH GraphCache per call, so every iteration pays the
-// per-timestep subgraph/hypergraph construction and twin-interact
-// aggregation that the par::TaskGraph overlaps with the recurrent chain
-// (DESIGN.md §12). This row (plus the privatized scatter-add above) is
-// what the thread-sweep acceptance gate in scripts/bench_kernels.sh reads;
-// the bit-identity cross-check doubles as the determinism contract.
+// A cold-cache Evolve across pool widths: one full eval-mode RETIA Evolve
+// over an 8-step history against a FRESH GraphCache per call, so every
+// iteration pays the per-timestep subgraph/hypergraph builds (fanned out
+// on par::ParallelShards) and the program-order recurrent chain, whose
+// kernels shard on the pool (DESIGN.md §12). The name is kept because
+// BENCH_kernels.json, scripts/bench_kernels.sh and scripts/check.sh key
+// on it. This row (plus the privatized scatter-add above) is what the
+// thread-sweep acceptance gate in scripts/bench_kernels.sh reads; the
+// bit-identity cross-check doubles as the determinism contract.
 void BM_InterOpTimestepSweep(benchmark::State& state) {
   static const retia::tkg::TkgDataset* ds = new retia::tkg::TkgDataset(
       retia::tkg::GenerateSynthetic(retia::tkg::SyntheticConfig::Icews14Like()));
@@ -443,7 +441,7 @@ void BM_InterOpTimestepSweep(benchmark::State& state) {
   }();
   std::vector<int64_t> history;
   for (int64_t t = 0; t < 8; ++t) history.push_back(t);
-  RunThreadSweep(state, "interop_evolve", [&] {
+  RunThreadSweep(state, "cold_cache_evolve", [&] {
     retia::graph::GraphCache cache(ds);
     return model->Evolve(cache, history).back().entities;
   });

@@ -12,8 +12,9 @@
 #    stream_test, obs_test, obs_disabled_test, quant_test) in Release with -fsanitize=thread into
 #    build-tsan/ and runs the par/serve/obs/stream/quant-labelled ctest
 #    suites under halt_on_error. Zero TSan reports is a hard requirement:
-#    the par::ThreadPool sharding, the TaskGraph inter-op scheduler
-#    (randomized DAGs, nested submission, concurrent failures), the
+#    the par::ThreadPool sharding (including concurrent shard failures),
+#    the two coarse fan-outs on it (GraphCache::Prefetch's parallel
+#    snapshot builds and the per-state frozen decodes), the
 #    ServeEngine drain ticks, per-timestamp once-semantics state entries
 #    and snapshot hot-swap epoch pinning, the obs hot paths
 #    (relaxed-atomic metrics, per-thread trace rings), and the GemmNTQuant
@@ -23,10 +24,12 @@
 #    stream_demo examples with -fsanitize=address into build-asan/ and
 #    runs the ckpt-, stream-, par-, and quant-labelled ctest suites. The
 #    artifact parser is fed corrupt and truncated bytes on purpose
-#    (including the quantized q8/f16 sections), the task-graph stress
-#    tests throw through runner teardown, and the quant harness walks
-#    randomized shapes that straddle every vector-strip boundary, so all
-#    of it runs under ASan to prove the bounds checks and lifetimes hold.
+#    (including the quantized q8/f16 sections), the thread-pool and
+#    task-graph tests throw through shards and skipped dependents, the
+#    parallel snapshot builds hand cache entries across threads, and the
+#    quant harness walks randomized shapes that straddle every
+#    vector-strip boundary, so all of it runs under ASan to prove the
+#    bounds checks and lifetimes hold.
 # 3b. Bench-gate cross-check: validates the committed BENCH_kernels.json
 #    thread-sweep and quant blocks against their own host record — a
 #    multi-core pin must have the thread-sweep gate enforced with > 1x

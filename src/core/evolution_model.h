@@ -34,7 +34,9 @@ class EvolutionModel : public nn::Module {
   ~EvolutionModel() override = default;
 
   // Unrolls over `history` (ascending timestamps). An empty history must
-  // yield one state holding the initial embeddings.
+  // yield one state holding the initial embeddings. The unroll is a
+  // recurrence, so implementations evolve in program order; only the
+  // snapshot builds may run ahead in parallel (GraphCache::Prefetch).
   virtual std::vector<StepState> Evolve(
       graph::GraphCache& cache, const std::vector<int64_t>& history) = 0;
 
@@ -54,11 +56,6 @@ class EvolutionModel : public nn::Module {
 
   // Length k of the history window the model was configured for.
   virtual int64_t history_len() const = 0;
-
-  // Whether Evolve consumes twin hyperrelation subgraphs in addition to
-  // the per-timestamp subgraphs. Pipelines use this to prefetch the right
-  // snapshot flavour (GraphCache::Prefetch) ahead of the recurrent chain.
-  virtual bool uses_hypergraphs() const { return false; }
 
   // The RNG stream the model consumes during training (dropout etc.), or
   // nullptr for RNG-free models. train::Trainer persists and restores it

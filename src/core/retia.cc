@@ -1,12 +1,11 @@
 #include "core/retia.h"
 
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "nn/init.h"
 #include "obs/obs.h"
-#include "par/task_graph.h"
+#include "par/parallel_for.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -150,137 +149,91 @@ std::vector<RetiaModel::StepState> RetiaModel::Evolve(
 
   const bool run_ram = config_.use_ram &&
                        config_.relation_mode == RelationMode::kMpLstmAgg;
-  // Which prep products each timestep needs; pure functions of the config.
-  const bool tim_pooling = config_.use_ram &&
-                           config_.relation_mode != RelationMode::kNone &&
-                           config_.use_tim;
-  const bool hyper_pooling =
-      run_ram && config_.use_tim && config_.hyper_mode != HyperMode::kNone;
-
-  // Inter-op pipeline (DESIGN.md §12): per-timestep prep — snapshot (and
-  // hypergraph) construction plus the pooling index plans — touches no
-  // embeddings and no RNG, so prep(t) tasks run concurrently and overlap
-  // the recurrent chain, which stays strictly serialized by dependency
-  // edges (evolve(i) after {prep(i), evolve(i-1)}). The chain executes the
-  // exact serial math in the exact serial order (including the training
-  // RNG stream), so results bit-match the serial path and are invariant
-  // to RETIA_INTEROP_THREADS.
-  struct StepPrep {
-    const graph::Subgraph* g = nullptr;
-    const graph::HyperSubgraph* hg = nullptr;
-    PoolPlan entity_plan;
-    PoolPlan hyper_plan;
-  };
-  std::vector<StepPrep> preps(history.size());
-
-  // Grad mode is thread-local (tensor.h): tasks run on pool workers, so
-  // each task re-installs the caller's mode before touching tensors.
-  const bool record = tensor::GradModeEnabled();
   const int64_t rel_aug = 2 * config_.num_relations;
 
-  par::TaskGraph graph;
-  std::vector<par::TaskGraph::TaskId> prep_ids;
-  prep_ids.reserve(history.size());
-  for (size_t i = 0; i < history.size(); ++i) {
-    prep_ids.push_back(graph.Add([&, i] {
-      StepPrep& prep = preps[i];
-      prep.g = &cache.subgraph(history[i]);
-      if (tim_pooling) prep.entity_plan = EntityPoolPlan(*prep.g, rel_aug);
-      if (run_ram) prep.hg = &cache.hypergraph(history[i]);
-      if (hyper_pooling) prep.hyper_plan = HyperPoolPlan(*prep.hg);
-    }));
+  // The snapshots (and twin hyperrelation subgraphs, Algorithm 1) of the
+  // history depend on the dataset alone, so they build in parallel up
+  // front. The loop below is the recurrence of Eqs. 2-10 (step t needs
+  // E_{t-1}, R_{t-1}, HR_{t-1}) and runs in program order on the caller,
+  // so the training RNG stream and the autograd tape advance exactly as
+  // in a single-threaded run.
+  cache.Prefetch(history, /*hypergraphs=*/run_ram);
+  for (int64_t t : history) {
+    const graph::Subgraph& g = cache.subgraph(t);
+
+    // ---- TIM + RAM: produce R_t ----------------------------------------
+    Tensor r_input;  // relation embeddings fed to the RAM / decoder
+    if (!config_.use_ram) {
+      // Table VI "wo. RAM": relations stay at their initial embeddings.
+      r_input = r0;
+    } else if (config_.relation_mode == RelationMode::kNone) {
+      // Fig. 6/7 "wo. RM": raw initial embeddings, no modeling.
+      r_input = r0;
+    } else if (!config_.use_tim) {
+      // Table IX / Fig. 3-4 "wo. TIM": no communication from the EAM; the
+      // relation pipeline evolves on its own previous output.
+      r_input = r_prev;
+    } else {
+      // Eq. 7: R_Mean^t = [R_0 ; MP(E_{t-1}, E_r^t)].
+      Tensor pooled = ApplyPoolPlan(e_prev, EntityPoolPlan(g, rel_aug));
+      Tensor r_mean = tensor::ConcatCols(r0, pooled);
+      if (config_.relation_mode == RelationMode::kMp) {
+        // Fig. 6/7 "w. MP": no LSTM evolution; a learned projection brings
+        // the 2d-wide pooled features back to width d.
+        r_input = mp_proj_->Forward(r_mean);
+      } else {
+        // Eq. 8, with C_0 = R_Mean^0.
+        if (!lstm_cell.defined()) lstm_cell = r_mean;
+        nn::ProjectedLstmCell::State state =
+            relation_lstm_->Forward(r_mean, {r_prev, lstm_cell});
+        r_input = state.h;
+        lstm_cell = state.c;
+      }
+    }
+
+    Tensor r_t = r_input;
+    if (run_ram) {
+      const graph::HyperSubgraph& hg = cache.hypergraph(t);
+      // Hyperrelation embeddings delivered to the RAM (Fig. 5).
+      Tensor hr_t;
+      if (!config_.use_tim || config_.hyper_mode == HyperMode::kNone) {
+        hr_t = hr0;
+      } else if (config_.hyper_mode == HyperMode::kHmp) {
+        // "w. HMP": hyperrelation representations replaced by the mean of
+        // the immediately adjacent relation embeddings.
+        hr_t = ApplyPoolPlan(r_input, HyperPoolPlan(hg));
+      } else {
+        // Eq. 9/10, with HC_0 = HR_Mean^0.
+        Tensor hr_mean =
+            tensor::ConcatCols(hr0, ApplyPoolPlan(r_input, HyperPoolPlan(hg)));
+        if (!hlstm_cell.defined()) hlstm_cell = hr_mean;
+        nn::ProjectedLstmCell::State state =
+            hyper_lstm_->Forward(hr_mean, {hr_prev, hlstm_cell});
+        hr_t = state.h;
+        hlstm_cell = state.c;
+      }
+      hr_prev = hr_t;
+      // Eq. 2 + Eq. 3: aggregate in the twin hyperrelation subgraph, then
+      // gate against the input through the R-GRU.
+      Tensor r_agg = relation_rgcn_->Forward(r_input, hr_t, hg, &rng_);
+      r_t = relation_gru_->Forward(r_agg, r_input);
+    }
+
+    // ---- EAM: produce E_t ------------------------------------------------
+    Tensor e_t = e_prev;
+    if (config_.use_eam) {
+      // Table IX "wo. TIM" severs the channel from the RAM: the EAM sees
+      // its own private static relation embeddings.
+      const Tensor& eam_rel = config_.use_tim ? r_t : eam_static_relations_;
+      // Eq. 5 + Eq. 6.
+      Tensor e_agg = entity_rgcn_->Forward(e_prev, eam_rel, g, &rng_);
+      e_t = entity_gru_->Forward(e_agg, e_prev);
+    }
+
+    states.push_back({e_t, r_t});
+    e_prev = e_t;
+    r_prev = r_t;
   }
-
-  par::TaskGraph::TaskId prev_step = par::TaskGraph::kInvalid;
-  for (size_t i = 0; i < history.size(); ++i) {
-    std::vector<par::TaskGraph::TaskId> deps = {prep_ids[i]};
-    if (prev_step != par::TaskGraph::kInvalid) deps.push_back(prev_step);
-    prev_step = graph.Add(
-        [&, i] {
-          std::optional<tensor::NoGradGuard> guard;
-          if (!record) guard.emplace();
-          const StepPrep& prep = preps[i];
-          const graph::Subgraph& g = *prep.g;
-
-          // ---- TIM + RAM: produce R_t ----------------------------------
-          Tensor r_input;  // relation embeddings fed to the RAM / decoder
-          if (!config_.use_ram) {
-            // Table VI "wo. RAM": relations stay at their initial
-            // embeddings.
-            r_input = r0;
-          } else if (config_.relation_mode == RelationMode::kNone) {
-            // Fig. 6/7 "wo. RM": raw initial embeddings, no modeling.
-            r_input = r0;
-          } else if (!config_.use_tim) {
-            // Table IX / Fig. 3-4 "wo. TIM": no communication from the
-            // EAM; the relation pipeline evolves on its own previous
-            // output.
-            r_input = r_prev;
-          } else {
-            // Eq. 7: R_Mean^t = [R_0 ; MP(E_{t-1}, E_r^t)].
-            Tensor pooled = ApplyPoolPlan(e_prev, prep.entity_plan);
-            Tensor r_mean = tensor::ConcatCols(r0, pooled);
-            if (config_.relation_mode == RelationMode::kMp) {
-              // Fig. 6/7 "w. MP": no LSTM evolution; a learned projection
-              // brings the 2d-wide pooled features back to width d.
-              r_input = mp_proj_->Forward(r_mean);
-            } else {
-              // Eq. 8, with C_0 = R_Mean^0.
-              if (!lstm_cell.defined()) lstm_cell = r_mean;
-              nn::ProjectedLstmCell::State state =
-                  relation_lstm_->Forward(r_mean, {r_prev, lstm_cell});
-              r_input = state.h;
-              lstm_cell = state.c;
-            }
-          }
-
-          Tensor r_t = r_input;
-          if (run_ram) {
-            const graph::HyperSubgraph& hg = *prep.hg;
-            // Hyperrelation embeddings delivered to the RAM (Fig. 5).
-            Tensor hr_t;
-            if (!config_.use_tim || config_.hyper_mode == HyperMode::kNone) {
-              hr_t = hr0;
-            } else if (config_.hyper_mode == HyperMode::kHmp) {
-              // "w. HMP": hyperrelation representations replaced by the
-              // mean of the immediately adjacent relation embeddings.
-              hr_t = ApplyPoolPlan(r_input, prep.hyper_plan);
-            } else {
-              // Eq. 9/10, with HC_0 = HR_Mean^0.
-              Tensor hr_mean = tensor::ConcatCols(
-                  hr0, ApplyPoolPlan(r_input, prep.hyper_plan));
-              if (!hlstm_cell.defined()) hlstm_cell = hr_mean;
-              nn::ProjectedLstmCell::State state =
-                  hyper_lstm_->Forward(hr_mean, {hr_prev, hlstm_cell});
-              hr_t = state.h;
-              hlstm_cell = state.c;
-            }
-            hr_prev = hr_t;
-            // Eq. 2 + Eq. 3: aggregate in the twin hyperrelation subgraph,
-            // then gate against the input through the R-GRU.
-            Tensor r_agg = relation_rgcn_->Forward(r_input, hr_t, hg, &rng_);
-            r_t = relation_gru_->Forward(r_agg, r_input);
-          }
-
-          // ---- EAM: produce E_t ----------------------------------------
-          Tensor e_t = e_prev;
-          if (config_.use_eam) {
-            // Table IX "wo. TIM" severs the channel from the RAM: the EAM
-            // sees its own private static relation embeddings.
-            const Tensor& eam_rel =
-                config_.use_tim ? r_t : eam_static_relations_;
-            // Eq. 5 + Eq. 6.
-            Tensor e_agg = entity_rgcn_->Forward(e_prev, eam_rel, g, &rng_);
-            e_t = entity_gru_->Forward(e_agg, e_prev);
-          }
-
-          states.push_back({e_t, r_t});
-          e_prev = e_t;
-          r_prev = r_t;
-        },
-        deps);
-  }
-  graph.Run();
   return states;
 }
 
@@ -390,40 +343,14 @@ Tensor RetiaModel::ScoreObjectsFrozenQuantized(
     subj_idx.push_back(s);
     rel_idx.push_back(r);
   }
-  const size_t first =
-      config_.time_variability_decode ? 0 : states.size() - 1;
-  auto decode = [&](size_t i) {
+  return SumStateDecodes(states.size(), [&](size_t i) {
     const StepState& st = states[i];
     Tensor s_emb = tensor::GatherRows(st.entities, subj_idx);
     Tensor r_emb = tensor::GatherRows(st.relations, rel_idx);
     Tensor logits =
         entity_decoder_->ForwardQuantized(s_emb, r_emb, qcands[i], nullptr);
     return tensor::Softmax(logits);
-  };
-  // Same eval-only fan-out (and the same determinism argument) as
-  // ScoreObjectsImpl: frozen callers have no tape and no RNG stream.
-  if (states.size() - first > 1 && !tensor::GradModeEnabled()) {
-    std::vector<Tensor> per_state(states.size() - first);
-    par::TaskGraph graph;
-    for (size_t j = 0; j < per_state.size(); ++j) {
-      graph.Add([&, j] {
-        tensor::NoGradGuard guard;  // grad mode is thread-local
-        per_state[j] = decode(first + j);
-      });
-    }
-    graph.Run();
-    Tensor total = per_state[0];
-    for (size_t j = 1; j < per_state.size(); ++j) {
-      total = tensor::Add(total, per_state[j]);
-    }
-    return total;
-  }
-  Tensor total;
-  for (size_t i = first; i < states.size(); ++i) {
-    Tensor p = decode(i);
-    total = total.defined() ? tensor::Add(total, p) : p;
-  }
-  return total;
+  });
 }
 
 Tensor RetiaModel::ScoreObjectsImpl(
@@ -439,42 +366,13 @@ Tensor RetiaModel::ScoreObjectsImpl(
     subj_idx.push_back(s);
     rel_idx.push_back(r);
   }
-  const size_t first =
-      config_.time_variability_decode ? 0 : states.size() - 1;
-  auto decode = [&](const StepState& st) {
+  return SumStateDecodes(states.size(), [&](size_t i) {
+    const StepState& st = states[i];
     Tensor s_emb = tensor::GatherRows(st.entities, subj_idx);
     Tensor r_emb = tensor::GatherRows(st.relations, rel_idx);
     Tensor logits = entity_decoder_->Forward(s_emb, r_emb, st.entities, rng);
     return tensor::Softmax(logits);
-  };
-  // Time-variability decode fans out per state when nothing serializes it:
-  // no autograd tape to record and no RNG stream to keep ordered (dropout
-  // is a pass-through outside training). The per-state math and the fixed
-  // state-order combine are identical to the serial loop, so the result is
-  // bit-identical to it for every inter-op width. Training-mode and
-  // grad-recording callers take the serial loop below unchanged.
-  if (states.size() - first > 1 && !training() && !tensor::GradModeEnabled()) {
-    std::vector<Tensor> per_state(states.size() - first);
-    par::TaskGraph graph;
-    for (size_t j = 0; j < per_state.size(); ++j) {
-      graph.Add([&, j] {
-        tensor::NoGradGuard guard;  // grad mode is thread-local
-        per_state[j] = decode(states[first + j]);
-      });
-    }
-    graph.Run();
-    Tensor total = per_state[0];
-    for (size_t j = 1; j < per_state.size(); ++j) {
-      total = tensor::Add(total, per_state[j]);
-    }
-    return total;
-  }
-  Tensor total;
-  for (size_t i = first; i < states.size(); ++i) {
-    Tensor p = decode(states[i]);
-    total = total.defined() ? tensor::Add(total, p) : p;
-  }
-  return total;
+  });
 }
 
 Tensor RetiaModel::ScoreRelationsImpl(
@@ -491,9 +389,8 @@ Tensor RetiaModel::ScoreRelationsImpl(
     subj_idx.push_back(s);
     obj_idx.push_back(o);
   }
-  const size_t first =
-      config_.time_variability_decode ? 0 : states.size() - 1;
-  auto decode = [&](const StepState& st) {
+  return SumStateDecodes(states.size(), [&](size_t i) {
+    const StepState& st = states[i];
     Tensor s_emb = tensor::GatherRows(st.entities, subj_idx);
     Tensor o_emb = tensor::GatherRows(st.entities, obj_idx);
     // Candidates are the M forward relations (the paper's p^r is
@@ -501,19 +398,26 @@ Tensor RetiaModel::ScoreRelationsImpl(
     Tensor candidates = tensor::SliceRows(st.relations, 0, m);
     Tensor logits = relation_decoder_->Forward(s_emb, o_emb, candidates, rng);
     return tensor::Softmax(logits);
-  };
-  // Same eval-only fan-out (and the same determinism argument) as
-  // ScoreObjectsImpl above.
-  if (states.size() - first > 1 && !training() && !tensor::GradModeEnabled()) {
-    std::vector<Tensor> per_state(states.size() - first);
-    par::TaskGraph graph;
-    for (size_t j = 0; j < per_state.size(); ++j) {
-      graph.Add([&, j] {
-        tensor::NoGradGuard guard;  // grad mode is thread-local
-        per_state[j] = decode(states[first + j]);
-      });
-    }
-    graph.Run();
+  });
+}
+
+Tensor RetiaModel::SumStateDecodes(
+    size_t num_states, const std::function<Tensor(size_t)>& decode) const {
+  const size_t first =
+      config_.time_variability_decode ? 0 : num_states - 1;
+  const int64_t n = static_cast<int64_t>(num_states - first);
+  // With no autograd tape to record and no RNG stream to keep ordered
+  // (dropout is a pass-through outside training), the per-state decodes
+  // are independent and fan out on the pool. The per-state math and the
+  // state-order sum are those of the serial loop below, so the result is
+  // bit-identical to it for every pool width.
+  if (n > 1 && !training() && !tensor::GradModeEnabled()) {
+    std::vector<Tensor> per_state(static_cast<size_t>(n));
+    par::ParallelShards(n, [&](int64_t j) {
+      tensor::NoGradGuard guard;  // grad mode is thread-local
+      const size_t slot = static_cast<size_t>(j);
+      per_state[slot] = decode(first + slot);
+    });
     Tensor total = per_state[0];
     for (size_t j = 1; j < per_state.size(); ++j) {
       total = tensor::Add(total, per_state[j]);
@@ -521,8 +425,8 @@ Tensor RetiaModel::ScoreRelationsImpl(
     return total;
   }
   Tensor total;
-  for (size_t i = first; i < states.size(); ++i) {
-    Tensor p = decode(states[i]);
+  for (size_t i = first; i < num_states; ++i) {
+    Tensor p = decode(i);
     total = total.defined() ? tensor::Add(total, p) : p;
   }
   return total;

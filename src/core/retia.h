@@ -1,6 +1,7 @@
 #ifndef RETIA_CORE_RETIA_H_
 #define RETIA_CORE_RETIA_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -123,10 +124,6 @@ class RetiaModel : public EvolutionModel {
 
   int64_t history_len() const override { return config_.history_len; }
 
-  bool uses_hypergraphs() const override {
-    return config_.use_ram && config_.relation_mode == RelationMode::kMpLstmAgg;
-  }
-
   // Installs the static typing information consumed by the static-graph
   // constraint: types[e] in [0, num_types) for every entity. Requires
   // config.use_static_constraint.
@@ -154,11 +151,17 @@ class RetiaModel : public EvolutionModel {
       const std::vector<std::pair<int64_t, int64_t>>& queries,
       util::Rng* rng) const;
 
+  // Sums decode(i) (softmax probabilities of state i) over the decoded
+  // states — every state under time_variability_decode, else the last —
+  // in state order. Eval-mode callers without a tape decode the states in
+  // parallel on par::ParallelShards; the others run the serial loop, so
+  // the tape and the RNG stream advance in state order (DESIGN.md §12).
+  tensor::Tensor SumStateDecodes(
+      size_t num_states,
+      const std::function<tensor::Tensor(size_t)>& decode) const;
+
   // Index plan of one mean pooling (gather src rows, scale by 1/degree,
-  // scatter-add into dst rows of a [dst_rows, d] output). A plan depends
-  // on graph structure only — no embeddings, no RNG — so the inter-op
-  // pipeline builds the plans of future timesteps while the recurrent
-  // chain is still evolving earlier ones (DESIGN.md §12).
+  // scatter-add into dst rows of a [dst_rows, d] output).
   struct PoolPlan {
     std::vector<int64_t> src_idx;
     std::vector<int64_t> dst_idx;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "par/parallel_for.h"
 #include "util/check.h"
 
 namespace retia::graph {
@@ -41,29 +42,27 @@ const HyperSubgraph& GraphCache::hypergraph(int64_t t) {
   return *it->second;
 }
 
-void GraphCache::Prefetch(const std::vector<int64_t>& times, bool hypergraphs,
-                          par::ThreadPool* pool) {
-  if (times.empty()) return;
-  if (times.size() == 1) {
-    // One timestamp needs no graph machinery.
-    if (hypergraphs) {
-      hypergraph(times[0]);
-    } else {
-      subgraph(times[0]);
-    }
-    return;
-  }
-  par::TaskGraph graph;
-  for (int64_t t : times) {
-    graph.Add([this, t, hypergraphs] {
-      if (hypergraphs) {
-        hypergraph(t);
-      } else {
-        subgraph(t);
+void GraphCache::Prefetch(const std::vector<int64_t>& times,
+                          bool hypergraphs) {
+  // Only the missing timestamps fan out, so a warm cache costs one lock
+  // and no pool dispatch.
+  std::vector<int64_t> missing;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (int64_t t : times) {
+      if (!(hypergraphs ? hypergraphs_.contains(t) : subgraphs_.contains(t))) {
+        missing.push_back(t);
       }
-    });
+    }
   }
-  graph.Run(pool);
+  par::ParallelShards(static_cast<int64_t>(missing.size()), [&](int64_t i) {
+    const int64_t t = missing[static_cast<size_t>(i)];
+    if (hypergraphs) {
+      hypergraph(t);
+    } else {
+      subgraph(t);
+    }
+  });
 }
 
 std::vector<int64_t> GraphCache::HistoryBefore(int64_t t, int64_t k) const {

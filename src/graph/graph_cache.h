@@ -8,7 +8,6 @@
 
 #include "graph/hypergraph.h"
 #include "graph/subgraph.h"
-#include "par/task_graph.h"
 #include "tkg/dataset.h"
 
 namespace retia::graph {
@@ -18,12 +17,13 @@ namespace retia::graph {
 // epoch, so graph construction (including Algorithm 1) is paid once.
 //
 // Threading: subgraph(), hypergraph(), and Prefetch() are safe to call
-// concurrently from any number of threads (the inter-op pipelines build
-// history snapshots in parallel). Construction is pure and deterministic,
-// so when two threads race on the same timestamp both build identical
-// objects and the first insert wins; returned references stay valid for
-// the cache's lifetime (entries are never evicted). Lookups take one
-// mutex; construction itself runs outside the lock.
+// concurrently from any number of threads (Prefetch builds a history's
+// snapshots in parallel, and serving engines evolve different timestamps
+// against one cache). Construction is pure and deterministic, so when two
+// threads race on the same timestamp both build identical objects and the
+// first insert wins; returned references stay valid for the cache's
+// lifetime (entries are never evicted). Lookups take one mutex;
+// construction itself runs outside the lock.
 //
 // Streaming: the cache reads the dataset's fact-bearing timestamps live
 // (TkgDataset::all_times()), so buckets appended at the frontier become
@@ -46,14 +46,13 @@ class GraphCache {
   // Thread-safe.
   const HyperSubgraph& hypergraph(int64_t t);
 
-  // Builds (and caches) the snapshots of every timestamp in `times`
-  // concurrently — one inter-op task per timestamp on `pool`
-  // (par::DefaultPool() when null). With `hypergraphs` set the twin
-  // hyperrelation subgraphs are built too (they subsume the subgraphs).
-  // Purely a warm-up: subgraph()/hypergraph() return the same objects
-  // whether or not Prefetch ran.
-  void Prefetch(const std::vector<int64_t>& times, bool hypergraphs,
-                par::ThreadPool* pool = nullptr);
+  // Builds (and caches) the snapshots of the timestamps in `times` that
+  // are not cached yet, one par::ParallelShards shard per timestamp on
+  // par::DefaultPool(). With `hypergraphs` set the twin hyperrelation
+  // subgraphs are built too (they subsume the subgraphs). Purely a
+  // warm-up: subgraph()/hypergraph() return the same objects whether or
+  // not Prefetch ran.
+  void Prefetch(const std::vector<int64_t>& times, bool hypergraphs);
 
   // The latest `k` fact-bearing timestamps strictly before `t`, ascending.
   // Fewer than `k` are returned near the start of the dataset.

@@ -1,29 +1,23 @@
 #include "par/task_graph.h"
 
-#include <atomic>
 #include <utility>
 
-#include "obs/obs.h"
 #include "util/check.h"
-#include "util/env.h"
 
 namespace retia::par {
 
 TaskGraph::TaskId TaskGraph::Add(std::function<void()> fn,
                                  const std::vector<TaskId>& deps) {
-  Shared& s = *s_;
-  std::lock_guard<std::mutex> lock(s.mu);
-  RETIA_CHECK_MSG(!s.finished, "TaskGraph::Add after Run() returned");
-  const TaskId id = static_cast<TaskId>(s.nodes.size());
-  s.nodes.emplace_back();
-  Node& node = s.nodes.back();
+  RETIA_CHECK_MSG(!finished_, "TaskGraph::Add after Run() returned");
+  const TaskId id = static_cast<TaskId>(nodes_.size());
+  nodes_.emplace_back();
+  Node& node = nodes_.back();
   node.fn = std::move(fn);
-  ++s.incomplete;
   bool dead_dep = false;
   for (TaskId dep : deps) {
     RETIA_CHECK_LE(0, dep);
     RETIA_CHECK_LT(dep, id);
-    Node& d = s.nodes[static_cast<size_t>(dep)];
+    Node& d = nodes_[static_cast<size_t>(dep)];
     switch (d.state) {
       case NodeState::kDone:
         break;  // already satisfied
@@ -31,175 +25,71 @@ TaskGraph::TaskId TaskGraph::Add(std::function<void()> fn,
       case NodeState::kSkipped:
         dead_dep = true;
         break;
-      default:
+      case NodeState::kPending:  // not finished (possibly running)
         ++node.unmet;
         d.dependents.push_back(id);
         break;
     }
   }
   if (dead_dep) {
-    Skip(s, id);
+    Skip(id);
   } else if (node.unmet == 0) {
-    s.ready.push_back(id);
-  }
-  if (s.running) {
-    MaybeSpawnRunners(s_);
-    s.cv.notify_all();
+    ready_.push_back(id);
   }
   return id;
 }
 
-void TaskGraph::Run(ThreadPool* pool, int max_concurrency) {
-  RETIA_OBS_TIMED_SCOPE("par.interop.run.us");
-  const std::shared_ptr<Shared> s = s_;
-  std::unique_lock<std::mutex> lock(s->mu);
-  RETIA_CHECK_MSG(!s->running && !s->finished, "TaskGraph::Run is single-use");
-  s->running = true;
-  s->pool = pool != nullptr ? pool : DefaultPool();
-  s->cap = max_concurrency > 0 ? max_concurrency : InteropThreads();
-  RETIA_OBS_COUNTER_ADD("par.interop.graphs", 1);
-  MaybeSpawnRunners(s);
-  RunnerLoop(s, lock, /*is_caller=*/true);
-  // RunnerLoop returned, so incomplete == 0: every task finished and every
-  // fn was released. Do NOT wait for runners still sitting in the pool
-  // queue — when every worker is itself blocked in a nested Run() of its
-  // own, nothing could ever drain the queue and the wait would deadlock.
-  // A late runner holds the state via shared_ptr, sees `finished`, and
-  // exits without touching anything.
-  s->running = false;
-  s->finished = true;
-  if (s->first_error) std::rethrow_exception(s->first_error);
-}
-
-int64_t TaskGraph::size() const {
-  std::lock_guard<std::mutex> lock(s_->mu);
-  return static_cast<int64_t>(s_->nodes.size());
-}
-
-int64_t TaskGraph::tasks_succeeded() const {
-  std::lock_guard<std::mutex> lock(s_->mu);
-  return s_->succeeded;
-}
-
-int64_t TaskGraph::tasks_skipped() const {
-  std::lock_guard<std::mutex> lock(s_->mu);
-  return s_->skipped;
-}
-
-void TaskGraph::MaybeSpawnRunners(const std::shared_ptr<Shared>& s) {
-  // A 1-thread pool executes Submit() inline on the caller — under s->mu
-  // here — so the caller simply runs the whole graph itself.
-  if (s->pool == nullptr || s->pool->threads() <= 1) return;
-  while (s->active_runners + 1 < s->cap &&
-         s->active_runners < static_cast<int64_t>(s->ready.size())) {
-    ++s->active_runners;
-    s->pool->Submit([s] {
-      std::unique_lock<std::mutex> lock(s->mu);
-      if (!s->finished) RunnerLoop(s, lock, /*is_caller=*/false);
-      --s->active_runners;
-      s->cv.notify_all();
-    });
-  }
-}
-
-void TaskGraph::RunnerLoop(const std::shared_ptr<Shared>& s,
-                           std::unique_lock<std::mutex>& lk, bool is_caller) {
-  for (;;) {
-    if (!s->ready.empty()) {
-      const TaskId id = s->ready.front();
-      s->ready.pop_front();
-      RunTask(s, lk, id);
-      continue;
-    }
-    if (s->incomplete == 0) return;
-    // Only the caller blocks waiting for new ready work: pool runners give
-    // their worker thread back instead of parking it (Finish respawns
-    // runners whenever completions unlock more ready tasks).
-    if (!is_caller) return;
-    s->cv.wait(lk);
-  }
-}
-
-void TaskGraph::RunTask(const std::shared_ptr<Shared>& s,
-                        std::unique_lock<std::mutex>& lk, TaskId id) {
-  Node& node = s->nodes[static_cast<size_t>(id)];
-  node.state = NodeState::kRunning;
-  lk.unlock();
-  std::exception_ptr error;
-  {
-    RETIA_OBS_TRACE_SPAN("par.interop.task");
+void TaskGraph::Run() {
+  RETIA_CHECK_MSG(!started_, "TaskGraph::Run is single-use");
+  started_ = true;
+  while (!ready_.empty()) {
+    const TaskId id = ready_.front();
+    ready_.pop_front();
+    std::exception_ptr error;
     try {
-      node.fn();
+      nodes_[static_cast<size_t>(id)].fn();
     } catch (...) {
       error = std::current_exception();
     }
+    Finish(id, error);
   }
-  node.fn = nullptr;  // release captures as soon as the task is over
-  lk.lock();
-  Finish(s, id, error);
+  finished_ = true;
+  if (first_error_) std::rethrow_exception(first_error_);
 }
 
-void TaskGraph::Finish(const std::shared_ptr<Shared>& s, TaskId id,
-                       std::exception_ptr error) {
-  Node& node = s->nodes[static_cast<size_t>(id)];
+void TaskGraph::Finish(TaskId id, std::exception_ptr error) {
+  Node& node = nodes_[static_cast<size_t>(id)];
+  node.fn = nullptr;  // release captures as soon as the task is over
   node.state = error ? NodeState::kFailed : NodeState::kDone;
-  if (error == nullptr) ++s->succeeded;
-  --s->incomplete;
-  RETIA_OBS_COUNTER_ADD("par.interop.tasks", 1);
-  if (error != nullptr &&
-      (s->first_error_id == kInvalid || id < s->first_error_id)) {
-    // Lowest failed id wins: with a fixed DAG the set of tasks that run
-    // (and therefore can fail) does not depend on scheduling, so the
-    // rethrown error is deterministic even when several tasks fail.
-    s->first_error_id = id;
-    s->first_error = error;
+  if (error == nullptr) {
+    ++succeeded_;
+  } else if (first_error_id_ == kInvalid || id < first_error_id_) {
+    first_error_id_ = id;
+    first_error_ = error;
   }
   for (TaskId dep : node.dependents) {
-    Node& d = s->nodes[static_cast<size_t>(dep)];
+    Node& d = nodes_[static_cast<size_t>(dep)];
     if (d.state != NodeState::kPending) continue;
     if (error != nullptr) {
-      Skip(*s, dep);
+      Skip(dep);
     } else if (--d.unmet == 0) {
-      s->ready.push_back(dep);
+      ready_.push_back(dep);
     }
   }
   node.dependents.clear();
-  MaybeSpawnRunners(s);
-  s->cv.notify_all();
 }
 
-void TaskGraph::Skip(Shared& s, TaskId id) {
-  Node& node = s.nodes[static_cast<size_t>(id)];
+void TaskGraph::Skip(TaskId id) {
+  Node& node = nodes_[static_cast<size_t>(id)];
   node.state = NodeState::kSkipped;
   node.fn = nullptr;
-  ++s.skipped;
-  --s.incomplete;
+  ++skipped_;
   for (TaskId dep : node.dependents) {
-    if (s.nodes[static_cast<size_t>(dep)].state == NodeState::kPending) {
-      Skip(s, dep);
+    if (nodes_[static_cast<size_t>(dep)].state == NodeState::kPending) {
+      Skip(dep);
     }
   }
   node.dependents.clear();
-}
-
-namespace {
-std::atomic<int> g_interop_override{0};
-}  // namespace
-
-int InteropThreads() {
-  const int override_threads =
-      g_interop_override.load(std::memory_order_relaxed);
-  if (override_threads > 0) return override_threads;
-  static const int threads = ParseThreadCount(
-      util::Env::Raw("RETIA_INTEROP_THREADS"), DefaultThreads());
-  return threads;
-}
-
-ScopedInteropThreads::ScopedInteropThreads(int threads)
-    : previous_(g_interop_override.exchange(threads > 0 ? threads : 0)) {}
-
-ScopedInteropThreads::~ScopedInteropThreads() {
-  g_interop_override.store(previous_);
 }
 
 }  // namespace retia::par

@@ -1,59 +1,34 @@
 #ifndef RETIA_PAR_TASK_GRAPH_H_
 #define RETIA_PAR_TASK_GRAPH_H_
 
-// retia::par::TaskGraph — deterministic inter-op task scheduling on the
-// shared ThreadPool (DESIGN.md §12).
+// retia::par::TaskGraph — a one-shot dependency graph run in program
+// order on the calling thread.
 //
-// Where parallel_for.h splits ONE kernel into fixed shards (intra-op),
-// TaskGraph runs MANY coarse units — history-timestep snapshot builds,
-// pipelined evolution steps, batched decode ticks — as a dependency DAG.
-// Tasks with no unmet dependencies run concurrently; dependency edges
-// serialize everything that must stay in program order, so a recurrent
-// chain (evolve step t after step t-1) executes exactly as the serial
-// loop would while independent prep work overlaps it.
+// Nothing in the library schedules work through it: Evolve's graph builds
+// and the per-state decodes fan out on par::ParallelShards, and the
+// recurrent chain and the trainer are plain loops (DESIGN.md §12). It
+// exists only because the repo benchmark (perfbench/) times empty graphs
+// through it; delete it once a benchmark change drops those spans.
 //
-// Determinism contract: the DAG (task bodies + edges) is built from the
-// problem alone, never from the thread count. Dependency completion is
-// published through the graph mutex, so a task observes everything its
-// dependencies wrote (happens-before), and any cross-task combine happens
-// in a fixed order chosen by the caller. Under that contract results are
-// bit-identical for every RETIA_INTEROP_THREADS value, including 1 (the
-// serial path: the caller alone runs ready tasks in FIFO order).
-//
-// Ownership / threading contract: Run() is synchronous and single-use; the
-// caller participates, so progress never depends on free pool workers (a
-// 1-thread pool runs the whole graph inline on the caller). Extra runners
-// are dispatched to the pool as detached tasks, capped at
-// `max_concurrency` total (InteropThreads() by default). Task bodies may
-// issue nested ParallelRun (intra-op inside inter-op), may Add() new
-// tasks to the SAME graph while it runs (nested submission), and may Run()
-// a DIFFERENT TaskGraph of their own (nested inter-op, e.g. a pipelined
-// trainer step whose body evolves through its own graph): the inner run
-// completes caller-driven even when every pool worker is busy, and Run()
-// never blocks on runner jobs still sitting in the pool queue — the graph
-// state is shared-owned, so a runner scheduled after Run() returned is a
-// harmless no-op instead of a use-after-free (and waiting for it, with all
-// workers parked in nested runs of their own, would deadlock). Exceptions
-// thrown by a task are caught; dependents of a failed task are skipped,
-// independent tasks still run, and once the graph quiesces Run() rethrows
-// the error of the lowest-id failed task (a deterministic choice).
+// Semantics: Run() drains a FIFO ready queue on the caller. Sources run in
+// insertion order, then each task becomes ready when its last dependency
+// finishes, in finishing order. A task body may Add() tasks to the same
+// graph while it runs; they join the same Run(). Exceptions are caught:
+// dependents of a failed task are skipped (transitively), independent
+// tasks still run, and Run() rethrows the error of the lowest-id failed
+// task once the queue is empty.
 //
 // Usage:
 //   par::TaskGraph graph;
 //   auto prep = graph.Add([&] { BuildSnapshot(t); });
-//   prev = graph.Add([&] { EvolveStep(t); }, {prep, prev});
-//   graph.Run();  // blocks; rethrows the first (lowest-id) task error
+//   graph.Add([&] { EvolveStep(t); }, {prep});
+//   graph.Run();  // rethrows the lowest-id task error
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <vector>
-
-#include "par/thread_pool.h"
 
 namespace retia::par {
 
@@ -63,105 +38,52 @@ class TaskGraph {
   static constexpr TaskId kInvalid = -1;
 
   TaskGraph() = default;
-  ~TaskGraph() = default;
-
   TaskGraph(const TaskGraph&) = delete;
   TaskGraph& operator=(const TaskGraph&) = delete;
 
   // Adds a task that runs after every task in `deps` (ids returned by
   // earlier Add calls) has finished. May be called before Run(), or from
-  // inside a running task of this graph — the new task joins the same run.
-  // If any dependency already failed or was skipped, the new task is
-  // skipped too. CHECK-fails on an id that is not an earlier task's, or
-  // when called after Run() returned.
+  // inside a running task of this graph. If any dependency already failed
+  // or was skipped, the new task is skipped too. CHECK-fails on an id that
+  // is not an earlier task's, or when called after Run() returned.
   TaskId Add(std::function<void()> fn, const std::vector<TaskId>& deps = {});
 
-  // Runs the graph to completion on `pool` (DefaultPool() when null) with
-  // at most `max_concurrency` tasks executing at once (InteropThreads()
-  // when <= 0). The caller participates as a runner. Single-use: a second
-  // Run() CHECK-fails. Rethrows the error of the lowest-id failed task
-  // after every runnable task has finished.
-  void Run(ThreadPool* pool = nullptr, int max_concurrency = 0);
+  // Runs every task on the calling thread. Single-use: a second Run()
+  // CHECK-fails. Rethrows the error of the lowest-id failed task.
+  void Run();
 
   // Tasks added so far (any state).
-  int64_t size() const;
+  int64_t size() const { return static_cast<int64_t>(nodes_.size()); }
 
-  // Tasks that ran to completion (excludes failed and skipped). Valid
-  // after Run() returned; used by tests.
-  int64_t tasks_succeeded() const;
+  // Tasks that ran to completion (excludes failed and skipped).
+  int64_t tasks_succeeded() const { return succeeded_; }
 
   // Tasks skipped because a (transitive) dependency failed.
-  int64_t tasks_skipped() const;
+  int64_t tasks_skipped() const { return skipped_; }
 
  private:
-  enum class NodeState { kPending, kRunning, kDone, kFailed, kSkipped };
+  enum class NodeState { kPending, kDone, kFailed, kSkipped };
 
   struct Node {
     std::function<void()> fn;
-    int64_t unmet = 0;                // not-yet-finished dependencies
-    std::vector<TaskId> dependents;   // edges out
+    int64_t unmet = 0;               // not-yet-finished dependencies
+    std::vector<TaskId> dependents;  // edges out
     NodeState state = NodeState::kPending;
   };
 
-  // The mutable graph state, shared-owned by the TaskGraph object and by
-  // every runner job submitted to the pool. A runner the pool schedules
-  // only after Run() already returned (possible whenever the queue backs
-  // up) then still holds valid state, sees `finished`, and exits — Run()
-  // must NOT wait for queued runners, because with every worker blocked
-  // inside a nested Run() nothing would ever drain the queue.
-  struct Shared {
-    std::mutex mu;
-    std::condition_variable cv;
-    // deque: push_back from nested Add must not invalidate the reference a
-    // concurrently executing RunTask holds into an earlier node.
-    std::deque<Node> nodes;
-    std::deque<TaskId> ready;   // FIFO — the deterministic serial order
-    int64_t incomplete = 0;     // nodes not yet done/failed/skipped
-    int64_t succeeded = 0;
-    int64_t skipped = 0;
-    int64_t active_runners = 0;  // runners alive or still queued (caps spawns)
-    std::exception_ptr first_error;
-    TaskId first_error_id = kInvalid;
-    bool running = false;
-    bool finished = false;
-    ThreadPool* pool = nullptr;
-    int cap = 1;
-  };
+  void Finish(TaskId id, std::exception_ptr error);
+  void Skip(TaskId id);
 
-  // All helpers require s->mu held (RunTask releases it around the task
-  // body). They are static and take the shared state explicitly so runner
-  // lambdas never capture `this`.
-  static void MaybeSpawnRunners(const std::shared_ptr<Shared>& s);
-  static void RunnerLoop(const std::shared_ptr<Shared>& s,
-                         std::unique_lock<std::mutex>& lk, bool is_caller);
-  static void RunTask(const std::shared_ptr<Shared>& s,
-                      std::unique_lock<std::mutex>& lk, TaskId id);
-  static void Finish(const std::shared_ptr<Shared>& s, TaskId id,
-                     std::exception_ptr error);
-  static void Skip(Shared& s, TaskId id);
-
-  const std::shared_ptr<Shared> s_ = std::make_shared<Shared>();
-};
-
-// Inter-op width: how many TaskGraph tasks may execute concurrently by
-// default. RETIA_INTEROP_THREADS when set to a positive integer, otherwise
-// DefaultThreads(). Independent from the pool size on purpose: the graph
-// shares DefaultPool() with the intra-op kernels, this knob only caps how
-// many of its tasks are in flight.
-int InteropThreads();
-
-// Test hook: makes InteropThreads() return `threads` for the guard's
-// lifetime (<= 0 restores the real default). Same quiescence caveat as
-// ScopedDefaultPool.
-class ScopedInteropThreads {
- public:
-  explicit ScopedInteropThreads(int threads);
-  ~ScopedInteropThreads();
-  ScopedInteropThreads(const ScopedInteropThreads&) = delete;
-  ScopedInteropThreads& operator=(const ScopedInteropThreads&) = delete;
-
- private:
-  int previous_;
+  // deque: an Add from inside a running task must not move the node whose
+  // body is executing.
+  std::deque<Node> nodes_;
+  std::deque<TaskId> ready_;
+  int64_t succeeded_ = 0;
+  int64_t skipped_ = 0;
+  std::exception_ptr first_error_;
+  TaskId first_error_id_ = kInvalid;
+  bool started_ = false;
+  bool finished_ = false;
 };
 
 }  // namespace retia::par

@@ -36,7 +36,10 @@ struct ThreadPool::Job {
   bool detached = false;
   std::mutex mu;
   std::condition_variable done;
-  std::exception_ptr error;  // guarded by mu
+  // The lowest failing shard's error, so the rethrown error does not
+  // depend on which shard threw first in time (guarded by mu).
+  std::exception_ptr error;
+  int64_t error_shard = 0;
 };
 
 ThreadPool::ThreadPool(int threads) {
@@ -101,7 +104,10 @@ void ThreadPool::RunShards(Job& job, bool on_worker) {
         job.fn(shard);
       } catch (...) {
         std::lock_guard<std::mutex> lock(job.mu);
-        if (!job.error) job.error = std::current_exception();
+        if (!job.error || shard < job.error_shard) {
+          job.error = std::current_exception();
+          job.error_shard = shard;
+        }
       }
     }
     if (job.completed.fetch_add(1) + 1 == job.num_shards) {

@@ -61,9 +61,11 @@ class ThreadPool {
   // Runs fn(shard) for every shard in [0, num_shards) and blocks until all
   // of them finished. The calling thread executes shards alongside the
   // workers, so progress is guaranteed even when every worker is busy.
-  // The first exception thrown by a shard is rethrown on the caller once
-  // the job has fully finished. A ParallelRun issued from INSIDE a shard
-  // (nested parallelism) runs its shards serially on that thread.
+  // When shards throw, the error of the lowest failing shard is rethrown
+  // on the caller once the job has fully finished — the same error the
+  // serial path surfaces, whatever the thread count. A ParallelRun issued
+  // from INSIDE a shard (nested parallelism) runs its shards serially on
+  // that thread.
   void ParallelRun(int64_t num_shards, const std::function<void(int64_t)>& fn);
 
   // Fire-and-forget task (retia::serve drain ticks). With no workers the

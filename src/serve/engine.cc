@@ -25,7 +25,7 @@ ServeEngine::FrozenStateStore::EntryFor(int64_t t) {
   if (creator) {
     // The creator evolves OUTSIDE the store lock: batches for other
     // serving timestamps insert and evolve their own entries concurrently
-    // (GraphCache and the inter-op TaskGraph inside Evolve are
+    // (GraphCache and the parallel snapshot builds inside Evolve are
     // concurrent-safe; the frozen model is read-only in eval mode).
     std::shared_ptr<const std::vector<core::EvolutionModel::StepState>>
         evolved;

@@ -233,7 +233,7 @@ class ServeEngine {
   //
   // Per-timestamp evolution has once-semantics: the first caller of a
   // timestamp becomes its creator and evolves OUTSIDE the store lock
-  // (GraphCache and the inter-op TaskGraph inside Evolve are
+  // (GraphCache and the parallel snapshot builds inside Evolve are
   // concurrent-safe), so batched queries for different serving timestamps
   // run their encoder work in parallel instead of serializing behind one
   // store-wide lock. Later callers of the same timestamp block on the

@@ -7,7 +7,6 @@
 #include "ckpt/bytes.h"
 #include "ckpt/model_io.h"
 #include "obs/obs.h"
-#include "par/task_graph.h"
 #include "util/timer.h"
 
 namespace retia::train {
@@ -113,27 +112,6 @@ bool Trainer::StepOnTimestamp(int64_t t,
   return true;
 }
 
-void Trainer::ForEachTimePipelined(const std::vector<int64_t>& times,
-                                   const std::function<void(int64_t)>& body) {
-  par::TaskGraph graph;
-  par::TaskGraph::TaskId prev = par::TaskGraph::kInvalid;
-  for (int64_t t : times) {
-    // The prefetch tasks only populate the (first-wins, idempotent)
-    // GraphCache, so they carry no ordering constraints and overlap both
-    // each other and earlier gradient steps.
-    const par::TaskGraph::TaskId prefetch = graph.Add([this, t] {
-      cache_->Prefetch(cache_->HistoryBefore(t, model_->history_len()),
-                       model_->uses_hypergraphs());
-    });
-    std::vector<par::TaskGraph::TaskId> deps = {prefetch};
-    if (prev != par::TaskGraph::kInvalid) deps.push_back(prev);
-    // The bodies chain in program order: parameter updates and the model
-    // RNG stream advance exactly as in the plain serial loop.
-    prev = graph.Add([&body, t] { body(t); }, deps);
-  }
-  graph.Run();
-}
-
 double Trainer::ValidationEntityMrr() {
   eval::EvalOptions options;
   options.evaluate_relations = false;
@@ -163,14 +141,14 @@ std::vector<EpochRecord> Trainer::TrainGeneral() {
     util::Timer timer;
     EpochRecord rec;
     int64_t batches = 0;
-    ForEachTimePipelined(cache_->dataset().train_times(), [&](int64_t t) {
+    for (int64_t t : cache_->dataset().train_times()) {
       core::EvolutionModel::LossParts parts;
-      if (!StepOnTimestamp(t, &parts)) return;
+      if (!StepOnTimestamp(t, &parts)) continue;
       rec.joint_loss += parts.joint.Item();
       rec.entity_loss += parts.entity_loss;
       rec.relation_loss += parts.relation_loss;
       ++batches;
-    });
+    }
     if (batches > 0) {
       rec.joint_loss /= batches;
       rec.entity_loss /= batches;
@@ -337,14 +315,14 @@ int64_t Trainer::FineTuneOnTimes(const std::vector<int64_t>& times) {
   const float general_lr = optimizer_.lr();
   optimizer_.set_lr(config_.online_lr);
   int64_t applied = 0;
-  ForEachTimePipelined(times, [&](int64_t t) {
+  for (int64_t t : times) {
     for (int64_t step = 0; step < config_.online_steps; ++step) {
       if (StepOnTimestamp(t, nullptr)) {
         ++applied;
         ++online_updates_;
       }
     }
-  });
+  }
   optimizer_.set_lr(general_lr);
   return applied;
 }

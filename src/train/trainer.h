@@ -7,12 +7,10 @@
 //
 // Ownership / threading contract: a Trainer borrows the model and the
 // graph cache (both must outlive it) and owns only the Adam state. All
-// methods must be called from one thread. Parallelism happens on
-// par::DefaultPool(): intra-op inside the tensor kernels, and inter-op
-// through a per-run par::TaskGraph that builds each timestamp's history
-// snapshots concurrently ahead of the strictly-ordered gradient-step
-// chain (DESIGN.md §12) — the steps themselves execute the exact serial
-// math in the exact serial order, so training results (and checkpoint
+// methods must be called from one thread. Timestamps are trained in
+// program order; parallelism happens on par::DefaultPool() inside each
+// step — the tensor kernels and Evolve's snapshot builds (DESIGN.md §12) —
+// and never reorders the math, so training results (and checkpoint
 // resume) stay bit-identical for every thread count. Per-phase timings
 // (forward, backward, clip, step, epoch) and loss / grad-norm gauges are
 // exported as `train.*` metrics (docs/OBSERVABILITY.md).
@@ -32,7 +30,6 @@
 //       trainer.Evaluate(cache.dataset().test_times(), /*online=*/true);
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -134,13 +131,6 @@ class Trainer {
   // One optimisation step on the facts at `t` (predicting t from its
   // history). Returns the loss parts; no-op when t has no history.
   bool StepOnTimestamp(int64_t t, core::EvolutionModel::LossParts* parts);
-
-  // Runs body(t) for every timestamp of `times` in order, pipelined: the
-  // bodies form a dependency chain (program order, so the RNG stream and
-  // the parameter updates are untouched) while independent prefetch tasks
-  // build each timestamp's history snapshots ahead of the chain.
-  void ForEachTimePipelined(const std::vector<int64_t>& times,
-                            const std::function<void(int64_t)>& body);
 
   double ValidationEntityMrr();
 

@@ -6,8 +6,11 @@
 // either write disjoint outputs or combine in shard order on the caller.
 // These tests enforce the contract end to end: a full RETIA forward +
 // backward over a small ICEWS14-like graph must produce byte-identical
-// parameters and gradients at 1, 2, 8, and hardware_concurrency threads.
+// parameters and gradients at 1, 2, 4, 8, and hardware_concurrency
+// threads, and so must the two places that fan whole units of work out on
+// the pool: GraphCache::Prefetch and the per-state frozen decodes.
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <mutex>
@@ -23,8 +26,8 @@
 #include "graph/graph_cache.h"
 #include "nn/optimizer.h"
 #include "par/parallel_for.h"
-#include "par/task_graph.h"
 #include "par/thread_pool.h"
+#include "quant/quant.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "tkg/synthetic.h"
@@ -125,6 +128,26 @@ TEST(ThreadPoolTest, ExceptionInsideShardPropagatesToCaller) {
     ++ok;
   });
   EXPECT_EQ(ok, 4);
+}
+
+// Several shards throw: the rethrown error is the lowest failing shard's,
+// as on the serial path, not whichever shard threw first in time.
+TEST(ThreadPoolTest, LowestFailingShardErrorIsRethrown) {
+  ThreadPool pool(4);
+  for (int rep = 0; rep < 50; ++rep) {
+    try {
+      pool.ParallelRun(8, [](int64_t shard) {
+        if (shard == 2) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          throw std::runtime_error("2");
+        }
+        if (shard == 6) throw std::runtime_error("6");
+      });
+      FAIL() << "ParallelRun swallowed the shard exceptions";
+    } catch (const std::runtime_error& e) {
+      ASSERT_EQ(std::string(e.what()), "2") << "repetition " << rep;
+    }
+  }
 }
 
 TEST(ThreadPoolTest, NestedParallelForRunsSerially) {
@@ -283,7 +306,7 @@ TEST(ThreadInvarianceTest, RetiaForwardBackwardBitIdentical) {
   const tkg::TkgDataset ds = tkg::GenerateSynthetic(SmallIcews14Config());
   const RunResult reference = RunTrainStep(ds, 1);
   EXPECT_TRUE(std::isfinite(reference.loss));
-  for (int threads : {2, 8, DefaultThreads()}) {
+  for (int threads : {2, 4, 8, DefaultThreads()}) {
     const RunResult run = RunTrainStep(ds, threads);
     EXPECT_EQ(std::memcmp(&run.loss, &reference.loss, sizeof(float)), 0)
         << "loss differs at threads=" << threads;
@@ -326,48 +349,14 @@ TEST(ThreadInvarianceTest, GemmAndSoftmaxKernelsBitIdentical) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Inter-op invariance: Evolve schedules its history encoding as a
-// par::TaskGraph (prep tasks overlapping the recurrent chain; DESIGN.md
-// §12). The full forward + backward must be memcmp-identical for every
-// inter-op width — including width 1, the serial FIFO path that is the
-// semantics of RETIA_INTEROP_THREADS=1 — across pool sizes.
-
-TEST(ThreadInvarianceTest, InterOpPipelineBitIdenticalAcrossWidths) {
-  const tkg::TkgDataset ds = tkg::GenerateSynthetic(SmallIcews14Config());
-  auto run = [&](int pool_threads, int interop) {
-    ScopedInteropThreads interop_guard(interop);
-    return RunTrainStep(ds, pool_threads);
-  };
-  // Fully serial reference: one pool thread AND inter-op width 1.
-  const RunResult reference = run(1, 1);
-  EXPECT_TRUE(std::isfinite(reference.loss));
-  const std::pair<int, int> sweep[] = {
-      {4, 1},  // parallel kernels, serial inter-op (the ..._THREADS=1 path)
-      {2, 2},          {4, 8},
-      {8, DefaultThreads()},
-      {1, 8},  // wide inter-op cap on a workerless pool: still serial
-  };
-  for (const auto& [pool_threads, interop] : sweep) {
-    const RunResult got = run(pool_threads, interop);
-    const std::string what = "pool=" + std::to_string(pool_threads) +
-                             " interop=" + std::to_string(interop);
-    EXPECT_EQ(std::memcmp(&got.loss, &reference.loss, sizeof(float)), 0)
-        << "loss differs at " << what;
-    ExpectBitIdentical(got.grads, reference.grads, "grads at " + what);
-    ExpectBitIdentical(got.params, reference.params, "params at " + what);
-  }
-}
-
-// Training mode consumes the model RNG (dropout) inside the evolve chain;
-// the chain's dependency edges must preserve the exact serial RNG call
-// order, so evolved embeddings stay bit-identical at every inter-op width.
+// Training mode consumes the model RNG (dropout) inside the evolve chain,
+// which runs in program order on the caller whatever the pool width, so
+// the evolved embeddings stay bit-identical at every width.
 TEST(ThreadInvarianceTest, TrainingModeEvolveRngOrderInvariant) {
   const tkg::TkgDataset ds = tkg::GenerateSynthetic(SmallIcews14Config());
-  auto run = [&](int pool_threads, int interop) {
+  auto run = [&](int pool_threads) {
     ThreadPool pool(pool_threads);
     ScopedDefaultPool pool_guard(&pool);
-    ScopedInteropThreads interop_guard(interop);
     core::RetiaConfig config;
     config.num_entities = ds.num_entities();
     config.num_relations = ds.num_relations();
@@ -387,13 +376,136 @@ TEST(ThreadInvarianceTest, TrainingModeEvolveRngOrderInvariant) {
     }
     return out;
   };
-  const std::vector<std::vector<float>> reference = run(1, 1);
-  for (const auto& [pool_threads, interop] :
-       {std::pair<int, int>{4, 1}, {2, 2}, {4, 8}, {8, DefaultThreads()}}) {
-    ExpectBitIdentical(run(pool_threads, interop), reference,
+  const std::vector<std::vector<float>> reference = run(1);
+  for (int pool_threads : {2, 4, 8, DefaultThreads()}) {
+    ExpectBitIdentical(run(pool_threads), reference,
                        "training-mode states at pool=" +
-                           std::to_string(pool_threads) +
-                           " interop=" + std::to_string(interop));
+                           std::to_string(pool_threads));
+  }
+}
+
+// The frozen decodes fan the per-state decodes of the time-variability
+// decode out on the pool. A cold-cache eval Evolve plus the three frozen
+// decodes must be memcmp-identical at every pool width, and the f32
+// decodes must equal the serial loop that grad-recording callers take.
+TEST(ThreadInvarianceTest, FrozenDecodeBitIdenticalAcrossPoolWidths) {
+  const tkg::TkgDataset ds = tkg::GenerateSynthetic(SmallIcews14Config());
+  core::RetiaConfig config;
+  config.num_entities = ds.num_entities();
+  config.num_relations = ds.num_relations();
+  config.dim = 16;
+  config.history_len = 3;
+  config.conv_kernels = 4;
+  config.time_variability_decode = true;
+  core::RetiaModel model(config);
+  model.SetTraining(false);
+  const int64_t m = ds.num_relations();
+  std::vector<std::pair<int64_t, int64_t>> object_queries, relation_queries;
+  for (int64_t i = 0; i < 8; ++i) {
+    object_queries.emplace_back((i * 7) % ds.num_entities(), i % (2 * m));
+    relation_queries.emplace_back((i * 5) % ds.num_entities(),
+                                  (i * 11 + 3) % ds.num_entities());
+  }
+
+  auto run = [&](int pool_threads) {
+    ThreadPool pool(pool_threads);
+    ScopedDefaultPool pool_guard(&pool);
+    tensor::NoGradGuard guard;
+    graph::GraphCache cache(&ds);
+    const auto states =
+        model.Evolve(cache, cache.HistoryBefore(8, config.history_len));
+    EXPECT_EQ(states.size(), 3u);
+    std::vector<quant::QuantizedRows> qcands;
+    for (const auto& st : states) {
+      qcands.push_back(quant::QuantizeTensorRows(st.entities));
+    }
+    std::vector<std::vector<float>> out;
+    for (const auto& st : states) {
+      out.push_back(st.entities.impl().data);
+      out.push_back(st.relations.impl().data);
+    }
+    out.push_back(model.ScoreObjectsFrozen(states, object_queries).impl().data);
+    out.push_back(
+        model.ScoreRelationsFrozen(states, relation_queries).impl().data);
+    out.push_back(
+        model.ScoreObjectsFrozenQuantized(states, qcands, object_queries)
+            .impl()
+            .data);
+    return out;
+  };
+  const std::vector<std::vector<float>> reference = run(1);
+  for (int pool_threads : {2, 4, 8, DefaultThreads()}) {
+    ExpectBitIdentical(run(pool_threads), reference,
+                       "frozen decode at pool=" + std::to_string(pool_threads));
+  }
+
+  // Grad mode on: ScoreObjects / ScoreRelations record a tape, so they
+  // take the serial decode-then-add loop.
+  ASSERT_TRUE(tensor::GradModeEnabled());
+  graph::GraphCache cache(&ds);
+  std::vector<core::EvolutionModel::StepState> states;
+  {
+    tensor::NoGradGuard guard;
+    states = model.Evolve(cache, cache.HistoryBefore(8, config.history_len));
+  }
+  const size_t objects_at = 2 * states.size();
+  const std::vector<std::vector<float>> serial = {
+      model.ScoreObjects(states, object_queries).impl().data,
+      model.ScoreRelations(states, relation_queries).impl().data};
+  const std::vector<std::vector<float>> frozen = {
+      reference[objects_at], reference[objects_at + 1]};
+  ExpectBitIdentical(frozen, serial, "frozen vs grad-recording decode");
+}
+
+// GraphCache::Prefetch builds one timestamp per shard. Afterwards the
+// cache serves the objects Prefetch built, and their edge lists equal
+// those of a cache built serially by plain lookups.
+TEST(ThreadInvarianceTest, GraphCachePrefetchMatchesSerialBuild) {
+  const tkg::TkgDataset ds = tkg::GenerateSynthetic(SmallIcews14Config());
+  std::vector<int64_t> times(ds.all_times().begin(),
+                             ds.all_times().begin() + 8);
+  graph::GraphCache serial(&ds);
+  for (int64_t t : times) serial.hypergraph(t);
+
+  auto expect_same_subgraph = [](const graph::Subgraph& got,
+                                 const graph::Subgraph& want) {
+    EXPECT_EQ(got.src(), want.src());
+    EXPECT_EQ(got.rel(), want.rel());
+    EXPECT_EQ(got.dst(), want.dst());
+    EXPECT_EQ(got.edge_norm(), want.edge_norm());
+  };
+  for (int pool_threads : {1, 4}) {
+    ThreadPool pool(pool_threads);
+    ScopedDefaultPool pool_guard(&pool);
+    for (bool hypergraphs : {false, true}) {
+      SCOPED_TRACE("pool=" + std::to_string(pool_threads) +
+                   " hypergraphs=" + std::to_string(hypergraphs));
+      graph::GraphCache cache(&ds);
+      cache.Prefetch(times, hypergraphs);
+      std::vector<const graph::Subgraph*> subgraphs;
+      std::vector<const graph::HyperSubgraph*> hypers;
+      for (int64_t t : times) {
+        subgraphs.push_back(&cache.subgraph(t));
+        if (hypergraphs) hypers.push_back(&cache.hypergraph(t));
+      }
+      // A second Prefetch finds everything cached and rebuilds nothing.
+      cache.Prefetch(times, hypergraphs);
+      for (size_t i = 0; i < times.size(); ++i) {
+        const int64_t t = times[i];
+        EXPECT_EQ(&cache.subgraph(t), subgraphs[i]);
+        expect_same_subgraph(cache.subgraph(t), serial.subgraph(t));
+        if (!hypergraphs) continue;
+        EXPECT_EQ(&cache.hypergraph(t), hypers[i]);
+        const graph::HyperSubgraph& got = cache.hypergraph(t);
+        const graph::HyperSubgraph& want = serial.hypergraph(t);
+        EXPECT_EQ(got.src(), want.src());
+        EXPECT_EQ(got.hyper_rel(), want.hyper_rel());
+        EXPECT_EQ(got.dst(), want.dst());
+        EXPECT_EQ(got.edge_norm(), want.edge_norm());
+        EXPECT_EQ(got.hyperrelation_relations(),
+                  want.hyperrelation_relations());
+      }
+    }
   }
 }
 

@@ -1,17 +1,30 @@
-// Cross-build bit-reproducibility probe. Runs a deterministic battery over
-// every kernel this PR rewired (GEMMs forward+backward, elementwise,
-// softmax family, gather/scatter, Adam, ClipGradNorm) and prints an
-// FNV-1a hash of the raw result bytes per section. Built against the seed
-// tree and the current tree (RETIA_SIMD=scalar), matching output proves
-// the scalar backend reproduces the historical results bit-exactly.
+// Cross-build bit-reproducibility probe. Runs a deterministic battery and
+// prints an FNV-1a hash of the raw result bytes per section:
+//   - the kernels (GEMMs forward+backward, elementwise, softmax family,
+//     gather/scatter, Adam, ClipGradNorm), at the default pool width;
+//   - the model, at pool widths 1 and 4: a cold-cache eval Evolve, the
+//     three frozen decodes, a training-mode Evolve plus backward, and a
+//     12-timestamp Trainer::FineTuneOnTimes.
+// Build this file against two trees (e.g. a parent checkout and the
+// current one, each also under RETIA_SIMD=scalar) and diff the output:
+// identical hashes prove the change kept every result bit-exact. Within
+// one build, the *_w1 and *_w4 lines must match each other.
 
 #include <cstdint>
 #include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/retia.h"
+#include "graph/graph_cache.h"
 #include "nn/optimizer.h"
+#include "par/thread_pool.h"
+#include "quant/quant.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "tkg/synthetic.h"
+#include "train/trainer.h"
 
 using retia::tensor::Tensor;
 
@@ -49,6 +62,125 @@ Tensor RandTensor(std::vector<int64_t> shape, bool requires_grad) {
   std::vector<float> data(static_cast<size_t>(n));
   for (float& x : data) x = NextFloat();
   return Tensor::FromVector(std::move(shape), std::move(data), requires_grad);
+}
+
+// The model battery's inputs: a small ICEWS14-like graph and a RETIA
+// config with the time-variability decode over a 3-step history.
+retia::tkg::TkgDataset ProbeDataset() {
+  retia::tkg::SyntheticConfig c = retia::tkg::SyntheticConfig::Icews14Like();
+  c.num_entities = 80;
+  c.num_timestamps = 16;
+  c.facts_per_timestamp = 30;
+  c.num_schemas = 120;
+  return retia::tkg::GenerateSynthetic(c);
+}
+
+retia::core::RetiaConfig ProbeModelConfig(const retia::tkg::TkgDataset& ds) {
+  retia::core::RetiaConfig config;
+  config.num_entities = ds.num_entities();
+  config.num_relations = ds.num_relations();
+  config.dim = 16;
+  config.history_len = 3;
+  config.conv_kernels = 4;
+  config.time_variability_decode = true;
+  return config;
+}
+
+void HashStates(
+    const std::vector<retia::core::EvolutionModel::StepState>& states) {
+  for (const auto& st : states) {
+    HashFloats(st.entities.impl().data);
+    HashFloats(st.relations.impl().data);
+  }
+}
+
+// Hashes `body`'s output on its own (starting from the FNV offset basis),
+// prints it as `<name>_w<threads>`, then folds it into the running hash.
+template <typename Body>
+void WidthSection(const char* name, int threads, Body body) {
+  const uint64_t outer = g_hash;
+  g_hash = 1469598103934665603ull;
+  body();
+  const uint64_t local = g_hash;
+  const std::string label = std::string(name) + "_w" + std::to_string(threads);
+  std::printf("%-12s %016llx\n", label.c_str(),
+              static_cast<unsigned long long>(local));
+  g_hash = outer;
+  HashBytes(&local, sizeof(local));
+}
+
+void ModelSections(const retia::tkg::TkgDataset& ds, int threads) {
+  using retia::core::EvolutionModel;
+  using retia::core::RetiaModel;
+  retia::par::ThreadPool pool(threads);
+  retia::par::ScopedDefaultPool scoped(&pool);
+  const int64_t t = 8;
+
+  // Cold-cache eval Evolve, then the three frozen decodes at batch 8.
+  RetiaModel frozen(ProbeModelConfig(ds));
+  frozen.SetTraining(false);
+  std::vector<EvolutionModel::StepState> states;
+  WidthSection("evolve", threads, [&] {
+    retia::tensor::NoGradGuard guard;
+    retia::graph::GraphCache cache(&ds);
+    states = frozen.Evolve(cache, cache.HistoryBefore(t, 3));
+    HashStates(states);
+  });
+  WidthSection("decode", threads, [&] {
+    retia::tensor::NoGradGuard guard;
+    const int64_t m = ds.num_relations();
+    std::vector<std::pair<int64_t, int64_t>> object_queries, relation_queries;
+    for (int64_t i = 0; i < 8; ++i) {
+      object_queries.emplace_back((i * 7) % ds.num_entities(), i % (2 * m));
+      relation_queries.emplace_back((i * 5) % ds.num_entities(),
+                                    (i * 11 + 3) % ds.num_entities());
+    }
+    std::vector<retia::quant::QuantizedRows> qcands;
+    for (const auto& st : states) {
+      qcands.push_back(retia::quant::QuantizeTensorRows(st.entities));
+    }
+    HashFloats(frozen.ScoreObjectsFrozen(states, object_queries).impl().data);
+    HashFloats(
+        frozen.ScoreRelationsFrozen(states, relation_queries).impl().data);
+    HashFloats(frozen.ScoreObjectsFrozenQuantized(states, qcands,
+                                                  object_queries)
+                   .impl()
+                   .data);
+  });
+
+  // Training-mode Evolve (dropout draws from the model RNG) plus backward.
+  WidthSection("train", threads, [&] {
+    RetiaModel model(ProbeModelConfig(ds));
+    model.SetTraining(true);
+    retia::graph::GraphCache cache(&ds);
+    auto train_states = model.Evolve(cache, cache.HistoryBefore(t, 3));
+    HashStates(train_states);
+    auto loss = model.ComputeLoss(train_states, ds.FactsAt(t));
+    loss.joint.Backward();
+    HashFloats(loss.joint.impl().data);
+    for (const retia::tensor::Tensor& p : model.Parameters()) {
+      HashFloats(p.impl().grad);
+    }
+  });
+
+  // Online fine-tuning over 12 timestamps: Evolve, loss, backward, clip
+  // and Adam, in program order.
+  WidthSection("finetune", threads, [&] {
+    RetiaModel model(ProbeModelConfig(ds));
+    model.SetTraining(true);
+    retia::graph::GraphCache cache(&ds);
+    retia::train::TrainConfig config;
+    config.online_steps = 1;
+    config.online_lr = 1e-2f;
+    retia::train::Trainer trainer(&model, &cache, config);
+    std::vector<int64_t> times;
+    for (int64_t i = 3; i < 15; ++i) times.push_back(i);
+    const int64_t applied = trainer.FineTuneOnTimes(times);
+    HashBytes(&applied, sizeof(applied));
+    for (const retia::tensor::Tensor& p : model.Parameters()) {
+      HashFloats(p.impl().data);
+    }
+  });
 }
 
 }  // namespace
@@ -175,6 +307,10 @@ int main() {
     }
   }
   Section("adam");
+
+  const retia::tkg::TkgDataset ds = ProbeDataset();
+  for (int threads : {1, 4}) ModelSections(ds, threads);
+  Section("model");
 
   std::printf("final        %016llx\n", static_cast<unsigned long long>(g_hash));
   return 0;
