@@ -167,6 +167,32 @@ void BM_Adam(benchmark::State& state) {
 }
 BENCHMARK(BM_Adam)->Arg(1 << 14)->Arg(1 << 18);
 
+// One Conv-TransE decoder convolution at the training shape of the stream
+// window: input [120, 2, 32] (the stacked subject/relation embeddings of a
+// 120-query batch at d=32), 16 kernels of 2x3, pad 1; forward plus the
+// backward's input, weight and bias gradients.
+void BM_Conv1dTrainShape(benchmark::State& state) {
+  const int64_t batch = 120, cin = 2, length = 32, cout = 16, ksize = 3;
+  Tensor x = RandomTensor({batch, cin, length}, 44);
+  Tensor w = RandomTensor({cout, cin, ksize}, 45);
+  Tensor b = RandomTensor({cout}, 46);
+  x.SetRequiresGrad(true);
+  w.SetRequiresGrad(true);
+  b.SetRequiresGrad(true);
+  for (auto _ : state) {
+    Tensor y = retia::tensor::Conv1d(x, w, b, /*pad=*/1);
+    retia::tensor::Sum(y).Backward();
+    benchmark::DoNotOptimize(w.Grad().data());
+    x.ZeroGrad();
+    w.ZeroGrad();
+    b.ZeroGrad();
+  }
+  // Multiply-adds of the forward, input grad and weight grad.
+  CountFlops(state, 3.0 * 2.0 * batch * cout * cin * length * ksize);
+  LabelBackend(state);
+}
+BENCHMARK(BM_Conv1dTrainShape);
+
 void BM_HypergraphConstruction(benchmark::State& state) {
   retia::tkg::TkgDataset ds = retia::tkg::GenerateSynthetic(
       retia::tkg::SyntheticConfig::Icews18Like());

@@ -13,18 +13,34 @@ namespace retia::core {
 
 using tensor::Tensor;
 
+namespace {
+
+// Copies `src`'s values into `dst`'s storage; both are undefined, or both
+// have the same shape.
+void CopyValues(const Tensor& src, Tensor& dst) {
+  RETIA_CHECK_EQ(src.defined(), dst.defined());
+  if (!src.defined()) return;
+  RETIA_CHECK(src.Shape() == dst.Shape());
+  dst.impl().data = src.impl().data;
+}
+
+}  // namespace
+
 RetiaModel::RetiaModel(const RetiaConfig& config)
+    : RetiaModel(config, /*draw_init=*/true) {}
+
+RetiaModel::RetiaModel(const RetiaConfig& config, bool draw_init)
     : config_(config), rng_(config.seed) {
   RETIA_CHECK(config.num_entities > 0);
   RETIA_CHECK(config.num_relations > 0);
   const int64_t d = config.dim;
   const int64_t rel_aug = 2 * config.num_relations;
+  util::Rng* const rng = draw_init ? &rng_ : nullptr;
 
-  entity_init_ =
-      std::make_unique<nn::Embedding>(config.num_entities, d, &rng_);
-  relation_init_ = std::make_unique<nn::Embedding>(rel_aug, d, &rng_);
-  hyper_init_ = std::make_unique<nn::Embedding>(
-      graph::kNumHyperRelationsAug, d, &rng_);
+  entity_init_ = std::make_unique<nn::Embedding>(config.num_entities, d, rng);
+  relation_init_ = std::make_unique<nn::Embedding>(rel_aug, d, rng);
+  hyper_init_ =
+      std::make_unique<nn::Embedding>(graph::kNumHyperRelationsAug, d, rng);
   RegisterModule("entity_init", entity_init_.get());
   RegisterModule("relation_init", relation_init_.get());
   RegisterModule("hyper_init", hyper_init_.get());
@@ -32,28 +48,28 @@ RetiaModel::RetiaModel(const RetiaConfig& config)
   // *randomly initialized* embeddings "unchanged", i.e. frozen constants,
   // not trainable parameters.
   if (!config.use_eam) {
-    frozen_entities_ = nn::XavierUniform({config.num_entities, d}, &rng_);
+    frozen_entities_ = nn::XavierUniform({config.num_entities, d}, rng);
   }
   if (!config.use_ram) {
-    frozen_relations_ = nn::XavierUniform({rel_aug, d}, &rng_);
+    frozen_relations_ = nn::XavierUniform({rel_aug, d}, rng);
   }
   if (!config.use_tim) {
     // The EAM's private relation embeddings when the TIM channel is cut:
     // "two different and inconsistent individuals".
-    eam_static_relations_ = nn::XavierUniform({rel_aug, d}, &rng_);
+    eam_static_relations_ = nn::XavierUniform({rel_aug, d}, rng);
   }
 
   entity_rgcn_ = std::make_unique<EntityRgcnStack>(
-      d, rel_aug, config.num_bases, config.rgcn_layers, config.dropout, &rng_);
+      d, rel_aug, config.num_bases, config.rgcn_layers, config.dropout, rng);
   relation_rgcn_ = std::make_unique<RelationRgcnStack>(
-      d, config.rgcn_layers, config.dropout, &rng_);
-  entity_gru_ = std::make_unique<nn::GruCell>(d, d, &rng_);
-  relation_gru_ = std::make_unique<nn::GruCell>(d, d, &rng_);
+      d, config.rgcn_layers, config.dropout, rng);
+  entity_gru_ = std::make_unique<nn::GruCell>(d, d, rng);
+  relation_gru_ = std::make_unique<nn::GruCell>(d, d, rng);
   relation_lstm_ = std::make_unique<nn::ProjectedLstmCell>(
-      /*input_size=*/2 * d, /*hidden_size=*/d, /*cell_size=*/2 * d, &rng_);
+      /*input_size=*/2 * d, /*hidden_size=*/d, /*cell_size=*/2 * d, rng);
   hyper_lstm_ = std::make_unique<nn::ProjectedLstmCell>(
-      /*input_size=*/2 * d, /*hidden_size=*/d, /*cell_size=*/2 * d, &rng_);
-  mp_proj_ = std::make_unique<nn::Linear>(2 * d, d, &rng_);
+      /*input_size=*/2 * d, /*hidden_size=*/d, /*cell_size=*/2 * d, rng);
+  mp_proj_ = std::make_unique<nn::Linear>(2 * d, d, rng);
   RegisterModule("entity_rgcn", entity_rgcn_.get());
   RegisterModule("relation_rgcn", relation_rgcn_.get());
   RegisterModule("entity_gru", entity_gru_.get());
@@ -63,15 +79,20 @@ RetiaModel::RetiaModel(const RetiaConfig& config)
   RegisterModule("mp_proj", mp_proj_.get());
 
   entity_decoder_ = std::make_unique<ConvTransEDecoder>(
-      d, config.conv_kernels, config.conv_kernel_size, config.dropout, &rng_);
+      d, config.conv_kernels, config.conv_kernel_size, config.dropout, rng);
   relation_decoder_ = std::make_unique<ConvTransEDecoder>(
-      d, config.conv_kernels, config.conv_kernel_size, config.dropout, &rng_);
+      d, config.conv_kernels, config.conv_kernel_size, config.dropout, rng);
   RegisterModule("entity_decoder", entity_decoder_.get());
   RegisterModule("relation_decoder", relation_decoder_.get());
 }
 
 void RetiaModel::SetEntityTypes(const std::vector<int64_t>& types,
                                 int64_t num_types) {
+  InstallEntityTypes(types, num_types, &rng_);
+}
+
+void RetiaModel::InstallEntityTypes(const std::vector<int64_t>& types,
+                                    int64_t num_types, util::Rng* init_rng) {
   RETIA_CHECK_MSG(config_.use_static_constraint,
                   "enable config.use_static_constraint first");
   RETIA_CHECK_EQ(static_cast<int64_t>(types.size()), config_.num_entities);
@@ -80,8 +101,32 @@ void RetiaModel::SetEntityTypes(const std::vector<int64_t>& types,
   entity_types_ = types;
   num_static_types_ = num_types;
   static_type_init_ =
-      std::make_unique<nn::Embedding>(num_types, config_.dim, &rng_);
+      std::make_unique<nn::Embedding>(num_types, config_.dim, init_rng);
   RegisterModule("static_type_init", static_type_init_.get());
+}
+
+std::unique_ptr<RetiaModel> RetiaModel::Clone() const {
+  std::unique_ptr<RetiaModel> clone(
+      new RetiaModel(config_, /*draw_init=*/false));
+  if (has_entity_types()) {
+    clone->InstallEntityTypes(entity_types_, num_static_types_,
+                              /*init_rng=*/nullptr);
+  }
+  const auto src = NamedParameters();
+  auto dst = clone->NamedParameters();
+  RETIA_CHECK_EQ(src.size(), dst.size());
+  for (size_t i = 0; i < src.size(); ++i) {
+    RETIA_CHECK_MSG(src[i].first == dst[i].first,
+                    "clone parameter order mismatch at '" << src[i].first
+                                                          << "'");
+    CopyValues(src[i].second, dst[i].second);
+  }
+  // Constants outside the parameter list.
+  CopyValues(frozen_entities_, clone->frozen_entities_);
+  CopyValues(frozen_relations_, clone->frozen_relations_);
+  CopyValues(eam_static_relations_, clone->eam_static_relations_);
+  clone->SetTraining(training());
+  return clone;
 }
 
 RetiaModel::PoolPlan RetiaModel::EntityPoolPlan(const graph::Subgraph& g,

@@ -129,6 +129,12 @@ class RetiaModel : public EvolutionModel {
   // config.use_static_constraint.
   void SetEntityTypes(const std::vector<int64_t>& types, int64_t num_types);
 
+  // Deep copy: the same config and training mode, with the parameters,
+  // the ablation protocol's frozen tables and the static-type table copied
+  // tensor by tensor. The clone draws no initialization, so its RNG is
+  // freshly seeded from config.seed.
+  std::unique_ptr<RetiaModel> Clone() const;
+
   const RetiaConfig& config() const { return config_; }
   util::Rng& rng() { return rng_; }
   util::Rng* MutableRng() override { return &rng_; }
@@ -140,6 +146,15 @@ class RetiaModel : public EvolutionModel {
   int64_t num_static_types() const { return num_static_types_; }
 
  private:
+  // Builds every module, drawing the initialization from rng_, or leaving
+  // it zero-filled when !draw_init (Clone() copies every value in).
+  RetiaModel(const RetiaConfig& config, bool draw_init);
+
+  // SetEntityTypes with the per-type embedding drawn from `init_rng`, or
+  // zero-filled when it is null.
+  void InstallEntityTypes(const std::vector<int64_t>& types,
+                          int64_t num_types, util::Rng* init_rng);
+
   // Shared decode bodies; `rng` is only touched in training mode (dropout),
   // the frozen entry points pass nullptr.
   tensor::Tensor ScoreObjectsImpl(

@@ -44,6 +44,7 @@ tensor::Tensor NormalInit(std::vector<int64_t> shape, float stddev,
 tensor::Tensor UniformInit(std::vector<int64_t> shape, float lo, float hi,
                            util::Rng* rng) {
   tensor::Tensor t = tensor::Tensor::Zeros(std::move(shape));
+  if (rng == nullptr) return t;
   float* p = t.Data();
   const int64_t n = t.NumElements();
   for (int64_t i = 0; i < n; ++i) p[i] = rng->Uniform(lo, hi);

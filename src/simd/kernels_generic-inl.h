@@ -3,10 +3,10 @@
 // kernels_sse2.cc, kernels_neon.cc) so each instantiation is compiled with
 // that backend's ISA flags. Include this inside an anonymous namespace in
 // `namespace retia::simd` (after <algorithm>, <cmath>, <cstdint>,
-// <cstring>, and simd/kernels_quant-inl.h, whose shared reference kernels
-// the table below installs); the traits types live in anonymous namespaces
-// too, so the
-// template instantiations are TU-local and never collide across backends.
+// <cstring>, <vector>, and simd/kernels_quant-inl.h, whose shared reference
+// kernels the table below installs); the traits types live in anonymous
+// namespaces too, so the template instantiations are TU-local and never
+// collide across backends.
 //
 // Traits interface (V):
 //   using Vec;                     // register of kWidth floats
@@ -496,6 +496,169 @@ struct Gen {
     }
   }
 
+  // ---- Conv1d --------------------------------------------------------------
+  //
+  // The scalar loops' products and sums in their order (see the KernelTable
+  // entry): Mul then Add, never Madd, and padding taps are skipped by
+  // range, never multiplied by a zero pad. Vectors run along the positions
+  // whose taps are all in range; the border positions run the scalar loop.
+  // Forward and input grad build each element whole in a register, so the
+  // last strip of a row is shifted back to end where the in-range
+  // positions end: the elements it computes twice get the identical value
+  // twice, which saves a scalar tail.
+
+  static void Conv1dForwardK(const float* x, const float* w, const float* bias,
+                             float* out, int64_t map0, int64_t map1,
+                             int64_t cin, int64_t length, int64_t cout,
+                             int64_t ksize, int64_t pad) {
+    const int64_t lout = length + 2 * pad - ksize + 1;
+    // Every tap of an output position l in [lo, hi) reads inside x.
+    const int64_t lo = std::min(pad, lout);
+    const int64_t hi = std::max(lo, lout - pad);
+    for (int64_t map = map0; map < map1; ++map) {
+      const int64_t b = map / cout;
+      const int64_t co = map % cout;
+      const float* xb = x + b * cin * length;
+      const float* wc = w + co * cin * ksize;
+      const float init = bias != nullptr ? bias[co] : 0.0f;
+      float* orow = out + map * lout;
+      const auto one = [&](int64_t l) {
+        float o = init;
+        for (int64_t ci = 0; ci < cin; ++ci) {
+          const float* xrow = xb + ci * length;
+          const float* wrow = wc + ci * ksize;
+          float acc = 0.0f;
+          for (int64_t kk = 0; kk < ksize; ++kk) {
+            const int64_t src = l + kk - pad;
+            if (src >= 0 && src < length) acc += wrow[kk] * xrow[src];
+          }
+          o += acc;
+        }
+        orow[l] = o;
+      };
+      for (int64_t l = 0; l < lo; ++l) one(l);
+      if (hi - lo >= W) {
+        for (int64_t l = lo;; l += W) {
+          l = std::min(l, hi - W);
+          Vec o = V::Set1(init);
+          for (int64_t ci = 0; ci < cin; ++ci) {
+            const float* xs = xb + ci * length + l - pad;
+            const float* wrow = wc + ci * ksize;
+            Vec acc = V::Zero();
+            for (int64_t kk = 0; kk < ksize; ++kk)
+              acc = V::Add(acc, V::Mul(V::Set1(wrow[kk]), V::Load(xs + kk)));
+            o = V::Add(o, acc);
+          }
+          V::Store(orow + l, o);
+          if (l + W == hi) break;
+        }
+      } else {
+        for (int64_t l = lo; l < hi; ++l) one(l);
+      }
+      for (int64_t l = hi; l < lout; ++l) one(l);
+    }
+  }
+
+  static void Conv1dInputGradK(const float* g, const float* w, float* gx,
+                               int64_t b0, int64_t b1, int64_t cin,
+                               int64_t length, int64_t cout, int64_t ksize,
+                               int64_t pad) {
+    const int64_t lout = length + 2 * pad - ksize + 1;
+    // Input position s takes terms from output positions l = s + pad - kk;
+    // for s in [lo, hi) every tap's l is inside [0, lout). Ascending l is
+    // descending kk.
+    const int64_t lo =
+        std::min(length, std::max<int64_t>(0, ksize - 1 - pad));
+    const int64_t hi = std::max(lo, std::min(length, lout - pad));
+    for (int64_t b = b0; b < b1; ++b) {
+      const float* gb = g + b * cout * lout;
+      for (int64_t ci = 0; ci < cin; ++ci) {
+        float* xrow = gx + (b * cin + ci) * length;
+        const float* wci = w + ci * ksize;
+        const auto one = [&](int64_t s) {
+          float acc = 0.0f;
+          for (int64_t co = 0; co < cout; ++co) {
+            const float* grow = gb + co * lout;
+            const float* wrow = wci + co * cin * ksize;
+            for (int64_t kk = ksize - 1; kk >= 0; --kk) {
+              const int64_t l = s + pad - kk;
+              if (l >= 0 && l < lout) acc += grow[l] * wrow[kk];
+            }
+          }
+          xrow[s] = acc;
+        };
+        for (int64_t s = 0; s < lo; ++s) one(s);
+        if (hi - lo >= W) {
+          for (int64_t s = lo;; s += W) {
+            s = std::min(s, hi - W);
+            Vec acc = V::Zero();
+            for (int64_t co = 0; co < cout; ++co) {
+              const float* gs = gb + co * lout + s + pad;
+              const float* wrow = wci + co * cin * ksize;
+              for (int64_t kk = ksize - 1; kk >= 0; --kk)
+                acc = V::Add(acc,
+                             V::Mul(V::Load(gs - kk), V::Set1(wrow[kk])));
+            }
+            V::Store(xrow + s, acc);
+            if (s + W == hi) break;
+          }
+        } else {
+          for (int64_t s = lo; s < hi; ++s) one(s);
+        }
+        for (int64_t s = hi; s < length; ++s) one(s);
+      }
+    }
+  }
+
+  static void Conv1dWeightGradK(const float* g, const float* x, float* gw,
+                                int64_t ci0, int64_t ci1, int64_t batch,
+                                int64_t cin, int64_t length, int64_t cout,
+                                int64_t ksize, int64_t pad) {
+    const int64_t lout = length + 2 * pad - ksize + 1;
+    const int64_t cfull = cout / W * W;
+    // acc[(ci - ci0) * ksize + kk][co] accumulates gw[co, ci, kk] with the
+    // output channels contiguous, and gt holds one batch item of g
+    // transposed to [l][co], so the sums run W output channels at a time
+    // while each one still adds its (b, l) terms in ascending order.
+    std::vector<float> acc(static_cast<size_t>((ci1 - ci0) * ksize * cout),
+                           0.0f);
+    std::vector<float> gt(static_cast<size_t>(lout * cout));
+    for (int64_t b = 0; b < batch; ++b) {
+      const float* gb = g + b * cout * lout;
+      for (int64_t co = 0; co < cout; ++co)
+        for (int64_t l = 0; l < lout; ++l)
+          gt[l * cout + co] = gb[co * lout + l];
+      for (int64_t ci = ci0; ci < ci1; ++ci) {
+        const float* xrow = x + (b * cin + ci) * length;
+        for (int64_t kk = 0; kk < ksize; ++kk) {
+          // The output positions whose tap kk reads inside x.
+          const int64_t l0 = std::max<int64_t>(0, pad - kk);
+          const int64_t l1 = std::min(lout, length + pad - kk);
+          const int64_t shift = kk - pad;
+          float* a = acc.data() + ((ci - ci0) * ksize + kk) * cout;
+          for (int64_t c = 0; c < cfull; c += W) {
+            Vec v = V::Load(a + c);
+            for (int64_t l = l0; l < l1; ++l)
+              v = V::Add(v, V::Mul(V::Load(gt.data() + l * cout + c),
+                                   V::Set1(xrow[l + shift])));
+            V::Store(a + c, v);
+          }
+          for (int64_t c = cfull; c < cout; ++c) {
+            float s = a[c];
+            for (int64_t l = l0; l < l1; ++l)
+              s += gt[l * cout + c] * xrow[l + shift];
+            a[c] = s;
+          }
+        }
+      }
+    }
+    for (int64_t co = 0; co < cout; ++co)
+      for (int64_t ci = ci0; ci < ci1; ++ci)
+        for (int64_t kk = 0; kk < ksize; ++kk)
+          gw[(co * cin + ci) * ksize + kk] =
+              acc[((ci - ci0) * ksize + kk) * cout + co];
+  }
+
   // ---- Top-k selection -----------------------------------------------------
 
   // Same sorted-insertion selection as the scalar reference, plus a vector
@@ -561,6 +724,9 @@ const KernelTable* MakeGenericTable(const char* name) {
       &Gen<V>::GemmNTK,
       &Gen<V>::GemmTNK,
       &Gen<V>::AdamK,
+      &Gen<V>::Conv1dForwardK,
+      &Gen<V>::Conv1dInputGradK,
+      &Gen<V>::Conv1dWeightGradK,
       // Quantized family: the shared references from kernels_quant-inl.h
       // (bit-exact across backends by construction). Backends with a
       // vectorized int8 GEMM override gemm_nt_i8 after copying this table.

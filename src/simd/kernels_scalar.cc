@@ -164,6 +164,71 @@ void AdamK(float* w, const float* g, float* m, float* v, int64_t n, float lr,
   }
 }
 
+// The historical Conv1d loops of tensor::Conv1d, one shard body each.
+void Conv1dForwardK(const float* x, const float* w, const float* bias,
+                    float* out, int64_t map0, int64_t map1, int64_t cin,
+                    int64_t length, int64_t cout, int64_t ksize, int64_t pad) {
+  const int64_t lout = length + 2 * pad - ksize + 1;
+  for (int64_t map = map0; map < map1; ++map) {
+    const int64_t b = map / cout;
+    const int64_t co = map % cout;
+    float* orow = out + map * lout;
+    if (bias != nullptr) {
+      const float bv = bias[co];
+      for (int64_t l = 0; l < lout; ++l) orow[l] = bv;
+    }
+    for (int64_t ci = 0; ci < cin; ++ci) {
+      const float* xrow = x + (b * cin + ci) * length;
+      const float* wrow = w + (co * cin + ci) * ksize;
+      for (int64_t l = 0; l < lout; ++l) {
+        float acc = 0.0f;
+        for (int64_t kk = 0; kk < ksize; ++kk) {
+          const int64_t src = l + kk - pad;
+          if (src >= 0 && src < length) acc += wrow[kk] * xrow[src];
+        }
+        orow[l] += acc;
+      }
+    }
+  }
+}
+
+void Conv1dInputGradK(const float* g, const float* w, float* gx, int64_t b0,
+                      int64_t b1, int64_t cin, int64_t length, int64_t cout,
+                      int64_t ksize, int64_t pad) {
+  const int64_t lout = length + 2 * pad - ksize + 1;
+  for (int64_t b = b0; b < b1; ++b)
+    for (int64_t co = 0; co < cout; ++co) {
+      const float* grow = g + (b * cout + co) * lout;
+      for (int64_t ci = 0; ci < cin; ++ci) {
+        float* xrow = gx + (b * cin + ci) * length;
+        const float* wrow = w + (co * cin + ci) * ksize;
+        for (int64_t l = 0; l < lout; ++l)
+          for (int64_t kk = 0; kk < ksize; ++kk) {
+            const int64_t src = l + kk - pad;
+            if (src >= 0 && src < length) xrow[src] += grow[l] * wrow[kk];
+          }
+      }
+    }
+}
+
+void Conv1dWeightGradK(const float* g, const float* x, float* gw, int64_t ci0,
+                       int64_t ci1, int64_t batch, int64_t cin, int64_t length,
+                       int64_t cout, int64_t ksize, int64_t pad) {
+  const int64_t lout = length + 2 * pad - ksize + 1;
+  for (int64_t b = 0; b < batch; ++b)
+    for (int64_t co = 0; co < cout; ++co)
+      for (int64_t ci = ci0; ci < ci1; ++ci) {
+        const float* grow = g + (b * cout + co) * lout;
+        const float* xrow = x + (b * cin + ci) * length;
+        float* wrow = gw + (co * cin + ci) * ksize;
+        for (int64_t l = 0; l < lout; ++l)
+          for (int64_t kk = 0; kk < ksize; ++kk) {
+            const int64_t src = l + kk - pad;
+            if (src >= 0 && src < length) wrow[kk] += grow[l] * xrow[src];
+          }
+      }
+}
+
 // Partial top-k selection: sorted insertion buffer plus a strict
 // score-threshold filter. Scanning in increasing index order means an
 // element that only TIES the current k-th best can never belong in the
@@ -214,6 +279,9 @@ const KernelTable kScalarTable = {
     GemmNTK,
     GemmTNK,
     AdamK,
+    Conv1dForwardK,
+    Conv1dInputGradK,
+    Conv1dWeightGradK,
     QuantizeRowsI8K,
     GemmNTI8K,
     F32ToF16K,

@@ -21,9 +21,11 @@ namespace retia::simd {
 //    then the scalar tail in index order), never in arrival order.
 //  * Bit-exact across ALL backends: elementwise add/sub/mul/scale/axpy/
 //    accumulate (one correctly-rounded op per element), reduce_max
-//    (max is order-insensitive for non-NaN data), and the whole quantized
-//    family quantize_rows_i8 / gemm_nt_i8 / f32_to_f16 / f16_to_f32
-//    (int32 accumulation is exact; see the section comment below).
+//    (max is order-insensitive for non-NaN data), the Conv1d family
+//    (unfused products summed in the scalar loops' order, see below), and
+//    the whole quantized family quantize_rows_i8 / gemm_nt_i8 /
+//    f32_to_f16 / f16_to_f32 (int32 accumulation is exact; see the
+//    section comment below).
 //  * Tolerance-bound against the scalar reference (documented in
 //    docs/PERFORMANCE.md, enforced by tests/simd_test.cc and the
 //    tensor_property_test backend sweep): the GEMM kernels (FMA keeps the
@@ -98,6 +100,40 @@ struct KernelTable {
   void (*adam_update)(float* w, const float* g, float* m, float* v, int64_t n,
                       float lr, float beta1, float beta2, float eps,
                       float weight_decay, float bc1, float bc2);
+
+  // ---- Conv1d (the Conv-TransE decoders) ----------------------------------
+  // Input x is [batch, cin, length], weight w is [cout, cin, ksize], the
+  // output (and its gradient g) is [batch, cout, lout] with
+  // lout = length + 2*pad - ksize + 1. Taps that fall on the zero padding
+  // are skipped, never multiplied. Each kernel accumulates into a
+  // ZERO-INITIALIZED output range and is BIT-EXACT across backends: every
+  // output element receives the scalar loops' unfused products, summed in
+  // their order —
+  //   forward      out[b,co,l] = bias[co] (0 when bias is null), then per
+  //                ci the tap sum acc = 0 + w*x + ... (kk ascending) added
+  //                as one term;
+  //   input grad   gx[b,ci,s] = 0 + g*w over co ascending, then l
+  //                ascending;
+  //   weight grad  gw[co,ci,kk] = 0 + g*x over b ascending, then l
+  //                ascending.
+  // The range arguments select disjoint outputs, so any sharding over them
+  // gives the same bits.
+  //
+  // Forward over the output maps map = b*cout + co in [map0, map1).
+  void (*conv1d_forward)(const float* x, const float* w, const float* bias,
+                         float* out, int64_t map0, int64_t map1, int64_t cin,
+                         int64_t length, int64_t cout, int64_t ksize,
+                         int64_t pad);
+  // Input gradient gx[b0..b1) from g and w.
+  void (*conv1d_input_grad)(const float* g, const float* w, float* gx,
+                            int64_t b0, int64_t b1, int64_t cin,
+                            int64_t length, int64_t cout, int64_t ksize,
+                            int64_t pad);
+  // Weight gradient gw[:, ci0..ci1, :] from g and x.
+  void (*conv1d_weight_grad)(const float* g, const float* x, float* gw,
+                             int64_t ci0, int64_t ci1, int64_t batch,
+                             int64_t cin, int64_t length, int64_t cout,
+                             int64_t ksize, int64_t pad);
 
   // ---- Quantized inference (docs/QUANTIZATION.md) -------------------------
   // All four kernels are BIT-EXACT across backends: quantize clamps in f32

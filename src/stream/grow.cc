@@ -6,20 +6,12 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/model_io.h"
 #include "util/check.h"
 
 namespace retia::stream {
 
 std::unique_ptr<core::RetiaModel> CloneModel(const core::RetiaModel& model) {
-  auto clone = std::make_unique<core::RetiaModel>(model.config());
-  if (model.has_entity_types()) {
-    clone->SetEntityTypes(model.entity_types(), model.num_static_types());
-  }
-  const ckpt::Result copied =
-      ckpt::DecodeParamsInto(clone.get(), ckpt::EncodeParams(model));
-  RETIA_CHECK_MSG(copied.ok(),
-                  "CloneModel parameter copy failed: " << copied.ToString());
+  std::unique_ptr<core::RetiaModel> clone = model.Clone();
   clone->SetTraining(false);
   return clone;
 }

@@ -12,12 +12,14 @@
 
 namespace retia::stream {
 
-// Deep copy: a new RetiaModel with the same config and bit-identical
-// parameters (round-tripped through ckpt::EncodeParams, the same encoding
-// checkpoints use), returned in eval mode and ready for the frozen serving
-// entry points. The static-constraint entity-type table is copied too.
-// The clone's RNG is freshly seeded — irrelevant for serving, which is
-// rng-free.
+// Deep copy (core::RetiaModel::Clone), returned in eval mode and ready for
+// the frozen serving entry points. The clone is built without drawing an
+// initialization, and then gets copies, tensor by tensor, of every
+// parameter, the ablation protocol's frozen tables (the entity table when
+// !use_eam, the relation table when !use_ram, the EAM's private relations
+// when !use_tim) and the static-constraint entity-type table with its
+// type count. Nothing goes through the checkpoint encoding. The clone's
+// RNG is freshly seeded — irrelevant for serving, which is rng-free.
 std::unique_ptr<core::RetiaModel> CloneModel(const core::RetiaModel& model);
 
 // Grows the entity vocabulary to `new_num_entities` (>= the current count)

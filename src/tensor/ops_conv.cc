@@ -1,5 +1,6 @@
 #include "obs/obs.h"
 #include "par/parallel_for.h"
+#include "simd/simd.h"
 #include "tensor/ops.h"
 
 namespace retia::tensor {
@@ -9,12 +10,15 @@ namespace retia::tensor {
 // each own disjoint output slices:
 //   forward      — (batch, cout) output maps,
 //   input grad   — batch items,
-//   weight grad  — (cout, cin) filter planes (batch stays the outer loop
-//                  inside a shard, preserving the serial accumulation
-//                  order per filter element),
+//   weight grad  — Conv1d: input channels (every filter's ci slab);
+//                  Conv2d: (cout, cin) filter planes (batch stays the
+//                  outer loop inside a shard, preserving the serial
+//                  accumulation order per filter element),
 //   bias grad    — output channels.
 // Every output element therefore sees the serial arithmetic in the serial
-// order: results are bit-identical for every thread count.
+// order: results are bit-identical for every thread count. Conv1d runs the
+// simd kernel table's conv1d family, which keeps that order on every
+// backend (simd.h).
 
 Tensor Conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
               int64_t pad) {
@@ -35,81 +39,39 @@ Tensor Conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
   }
 
   std::vector<float> out(batch * cout * lout, 0.0f);
-  const float* px = input.Data();
-  const float* pw = weight.Data();
+  const simd::KernelTable& kernels = simd::Kernels();
+  const float* pbias = bias.defined() ? bias.Data() : nullptr;
   par::ParallelFor(
       batch * cout, par::GrainRows(cin * lout * ksize),
       [&](int64_t map0, int64_t map1) {
-        for (int64_t map = map0; map < map1; ++map) {
-          const int64_t b = map / cout;
-          const int64_t co = map % cout;
-          float* orow = out.data() + map * lout;
-          if (bias.defined()) {
-            const float bv = bias.Data()[co];
-            for (int64_t l = 0; l < lout; ++l) orow[l] = bv;
-          }
-          for (int64_t ci = 0; ci < cin; ++ci) {
-            const float* xrow = px + (b * cin + ci) * length;
-            const float* wrow = pw + (co * cin + ci) * ksize;
-            for (int64_t l = 0; l < lout; ++l) {
-              float acc = 0.0f;
-              for (int64_t kk = 0; kk < ksize; ++kk) {
-                const int64_t src = l + kk - pad;
-                if (src >= 0 && src < length) acc += wrow[kk] * xrow[src];
-              }
-              orow[l] += acc;
-            }
-          }
-        }
+        kernels.conv1d_forward(input.Data(), weight.Data(), pbias, out.data(),
+                               map0, map1, cin, length, cout, ksize, pad);
       });
   return MakeOpResult(
       {batch, cout, lout}, std::move(out), {input, weight, bias},
       [input, weight, bias, batch, cin, length, cout, ksize, lout,
        pad](TensorImpl& self) mutable {
+        RETIA_OBS_TIMED_SCOPE("tensor.conv1d_bwd.us");
+        const simd::KernelTable& kernels = simd::Kernels();
         const float* g = self.grad.data();
-        const float* px = input.Data();
-        const float* pw = weight.Data();
         if (input.RequiresGrad()) {
           std::vector<float> gx(batch * cin * length, 0.0f);
           par::ParallelFor(
               batch, par::GrainRows(cout * cin * lout * ksize),
               [&](int64_t b0, int64_t b1) {
-                for (int64_t b = b0; b < b1; ++b)
-                  for (int64_t co = 0; co < cout; ++co) {
-                    const float* grow = g + (b * cout + co) * lout;
-                    for (int64_t ci = 0; ci < cin; ++ci) {
-                      float* xrow = gx.data() + (b * cin + ci) * length;
-                      const float* wrow = pw + (co * cin + ci) * ksize;
-                      for (int64_t l = 0; l < lout; ++l)
-                        for (int64_t kk = 0; kk < ksize; ++kk) {
-                          const int64_t src = l + kk - pad;
-                          if (src >= 0 && src < length)
-                            xrow[src] += grow[l] * wrow[kk];
-                        }
-                    }
-                  }
+                kernels.conv1d_input_grad(g, weight.Data(), gx.data(), b0, b1,
+                                          cin, length, cout, ksize, pad);
               });
           input.impl().AccumulateGrad(gx.data(), batch * cin * length);
         }
         if (weight.RequiresGrad()) {
           std::vector<float> gw(cout * cin * ksize, 0.0f);
           par::ParallelFor(
-              cout * cin, par::GrainRows(batch * lout * ksize),
-              [&](int64_t plane0, int64_t plane1) {
-                for (int64_t b = 0; b < batch; ++b)
-                  for (int64_t plane = plane0; plane < plane1; ++plane) {
-                    const int64_t co = plane / cin;
-                    const int64_t ci = plane % cin;
-                    const float* grow = g + (b * cout + co) * lout;
-                    const float* xrow = px + (b * cin + ci) * length;
-                    float* wrow = gw.data() + plane * ksize;
-                    for (int64_t l = 0; l < lout; ++l)
-                      for (int64_t kk = 0; kk < ksize; ++kk) {
-                        const int64_t src = l + kk - pad;
-                        if (src >= 0 && src < length)
-                          wrow[kk] += grow[l] * xrow[src];
-                      }
-                  }
+              cin, par::GrainRows(batch * cout * lout * ksize),
+              [&](int64_t ci0, int64_t ci1) {
+                kernels.conv1d_weight_grad(g, input.Data(), gw.data(), ci0,
+                                           ci1, batch, cin, length, cout,
+                                           ksize, pad);
               });
           weight.impl().AccumulateGrad(gw.data(), cout * cin * ksize);
         }

@@ -1,5 +1,9 @@
+#include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -191,6 +195,129 @@ TEST(HypergraphTest, MessageIslandsBridged) {
   }
   EXPECT_TRUE(connected.count({0, 1}));  // r0 -> r1
   EXPECT_TRUE(connected.count({1, 0}));  // r1 -> r0
+}
+
+// Algorithm 1 as HyperSubgraph built it through ordered maps and sets, kept
+// as the reference the flat sort-and-unique build must match exactly.
+struct ReferenceHypergraph {
+  std::vector<int64_t> src, hyper_rel, dst;
+  std::vector<float> edge_norm;
+  std::vector<std::vector<int64_t>> hyperrelation_relations;
+};
+
+ReferenceHypergraph BuildReference(const Subgraph& base) {
+  std::map<int64_t, std::set<int64_t>> rels_with_object;   // entity -> {r}
+  std::map<int64_t, std::set<int64_t>> rels_with_subject;  // entity -> {r}
+  for (int64_t e = 0; e < base.num_edges(); ++e) {
+    rels_with_subject[base.src()[e]].insert(base.rel()[e]);
+    rels_with_object[base.dst()[e]].insert(base.rel()[e]);
+  }
+  std::set<std::tuple<int64_t, int64_t, int64_t>> hyper_facts;
+  auto add = [&](int64_t rs, int64_t hr, int64_t ro) {
+    hyper_facts.insert({rs, hr, ro});
+    hyper_facts.insert({ro, InverseHyperRelation(hr), rs});
+  };
+  for (const auto& [entity, objs] : rels_with_object) {
+    auto it = rels_with_subject.find(entity);
+    if (it == rels_with_subject.end()) continue;
+    for (int64_t rs : objs)
+      for (int64_t ro : it->second) add(rs, kObjectSubject, ro);
+  }
+  for (const auto& [entity, subs] : rels_with_subject) {
+    auto it = rels_with_object.find(entity);
+    if (it == rels_with_object.end()) continue;
+    for (int64_t rs : subs)
+      for (int64_t ro : it->second) add(rs, kSubjectObject, ro);
+  }
+  for (const auto& [entity, objs] : rels_with_object) {
+    for (int64_t rs : objs)
+      for (int64_t ro : objs)
+        if (rs != ro) add(rs, kObjectObject, ro);
+  }
+  for (const auto& [entity, subs] : rels_with_subject) {
+    for (int64_t rs : subs)
+      for (int64_t ro : subs)
+        if (rs != ro) add(rs, kSubjectSubject, ro);
+  }
+  ReferenceHypergraph ref;
+  for (const auto& [rs, hr, ro] : hyper_facts) {
+    ref.src.push_back(rs);
+    ref.hyper_rel.push_back(hr);
+    ref.dst.push_back(ro);
+  }
+  std::map<std::pair<int64_t, int64_t>, int64_t> counts;
+  for (size_t e = 0; e < ref.src.size(); ++e) {
+    ++counts[{ref.dst[e], ref.hyper_rel[e]}];
+  }
+  for (size_t e = 0; e < ref.src.size(); ++e) {
+    ref.edge_norm.push_back(
+        1.0f / static_cast<float>(counts[{ref.dst[e], ref.hyper_rel[e]}]));
+  }
+  ref.hyperrelation_relations.assign(kNumHyperRelationsAug, {});
+  for (size_t e = 0; e < ref.src.size(); ++e) {
+    ref.hyperrelation_relations[ref.hyper_rel[e]].push_back(ref.src[e]);
+    ref.hyperrelation_relations[ref.hyper_rel[e]].push_back(ref.dst[e]);
+  }
+  for (auto& rels : ref.hyperrelation_relations) {
+    std::sort(rels.begin(), rels.end());
+    rels.erase(std::unique(rels.begin(), rels.end()), rels.end());
+  }
+  return ref;
+}
+
+void ExpectMatchesReference(const std::vector<Quadruple>& facts,
+                            int64_t num_entities, int64_t num_relations) {
+  const Subgraph g(facts, num_entities, num_relations);
+  const HyperSubgraph hg(g);
+  const ReferenceHypergraph ref = BuildReference(g);
+  EXPECT_EQ(hg.src(), ref.src);
+  EXPECT_EQ(hg.hyper_rel(), ref.hyper_rel);
+  EXPECT_EQ(hg.dst(), ref.dst);
+  ASSERT_EQ(hg.edge_norm().size(), ref.edge_norm.size());
+  EXPECT_EQ(std::memcmp(hg.edge_norm().data(), ref.edge_norm.data(),
+                        ref.edge_norm.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(hg.hyperrelation_relations(), ref.hyperrelation_relations);
+}
+
+// The flat build reproduces the map/set build's hyperedges, in the same
+// order, with the same norms and R_hr sets, over random subgraphs and the
+// corner cases.
+TEST(HypergraphTest, FlatBuildMatchesSetReference) {
+  {
+    SCOPED_TRACE("empty graph");
+    ExpectMatchesReference({}, 4, 3);
+  }
+  {
+    SCOPED_TRACE("single fact");
+    ExpectMatchesReference({{2, 1, 0, 0}}, 3, 2);
+  }
+  {
+    // Relation 0 has entity 1 as an object and as a subject.
+    SCOPED_TRACE("relation on both sides");
+    ExpectMatchesReference({{0, 0, 1, 0}, {1, 0, 2, 0}, {2, 1, 0, 0}}, 3, 2);
+  }
+  {
+    SCOPED_TRACE("every fact on one entity");
+    ExpectMatchesReference({{0, 0, 1, 0}, {2, 1, 0, 0}, {0, 2, 3, 0},
+                            {0, 3, 0, 0}, {4, 0, 0, 0}},
+                           5, 4);
+  }
+  uint64_t state = 2024;
+  const auto pick = [&state](int64_t n) {  // uniform in [0, n)
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<int64_t>((state >> 33) % static_cast<uint64_t>(n));
+  };
+  for (int round = 0; round < 60; ++round) {
+    SCOPED_TRACE(::testing::Message() << "random subgraph " << round);
+    const int64_t num_entities = 1 + pick(30);
+    const int64_t num_relations = 1 + pick(8);
+    std::vector<Quadruple> facts(static_cast<size_t>(pick(80)));
+    for (Quadruple& q : facts) {
+      q = {pick(num_entities), pick(num_relations), pick(num_entities), 0};
+    }
+    ExpectMatchesReference(facts, num_entities, num_relations);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "par/thread_pool.h"
+#include "tensor/ops.h"
+#include "tensor/tensor.h"
 
 namespace retia::simd {
 namespace {
@@ -549,6 +552,221 @@ TEST(TopKSelectTest, BackendsBitIdenticalToScalar) {
                   0)
             << "topk not bit-identical on backend " << BackendName(backend)
             << " n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
+// ---- Conv1d ----------------------------------------------------------------
+
+struct Conv1dShape {
+  int64_t batch, cin, length, cout, ksize, pad;
+  int64_t lout() const { return length + 2 * pad - ksize + 1; }
+};
+
+struct Conv1dOutputs {
+  std::vector<float> out, gx, gw;
+};
+
+// tensor::Conv1d's loops before the kernel table took them over, kept as
+// the reference every backend must reproduce bit for bit.
+Conv1dOutputs ReferenceConv1d(const Conv1dShape& sh, const float* x,
+                              const float* w, const float* bias,
+                              const float* g) {
+  const int64_t batch = sh.batch, cin = sh.cin, length = sh.length;
+  const int64_t cout = sh.cout, ksize = sh.ksize, pad = sh.pad;
+  const int64_t lout = sh.lout();
+  Conv1dOutputs r;
+  r.out.assign(batch * cout * lout, 0.0f);
+  for (int64_t map = 0; map < batch * cout; ++map) {
+    const int64_t b = map / cout;
+    const int64_t co = map % cout;
+    float* orow = r.out.data() + map * lout;
+    if (bias != nullptr) {
+      for (int64_t l = 0; l < lout; ++l) orow[l] = bias[co];
+    }
+    for (int64_t ci = 0; ci < cin; ++ci) {
+      const float* xrow = x + (b * cin + ci) * length;
+      const float* wrow = w + (co * cin + ci) * ksize;
+      for (int64_t l = 0; l < lout; ++l) {
+        float acc = 0.0f;
+        for (int64_t kk = 0; kk < ksize; ++kk) {
+          const int64_t src = l + kk - pad;
+          if (src >= 0 && src < length) acc += wrow[kk] * xrow[src];
+        }
+        orow[l] += acc;
+      }
+    }
+  }
+  r.gx.assign(batch * cin * length, 0.0f);
+  for (int64_t b = 0; b < batch; ++b)
+    for (int64_t co = 0; co < cout; ++co) {
+      const float* grow = g + (b * cout + co) * lout;
+      for (int64_t ci = 0; ci < cin; ++ci) {
+        float* xrow = r.gx.data() + (b * cin + ci) * length;
+        const float* wrow = w + (co * cin + ci) * ksize;
+        for (int64_t l = 0; l < lout; ++l)
+          for (int64_t kk = 0; kk < ksize; ++kk) {
+            const int64_t src = l + kk - pad;
+            if (src >= 0 && src < length) xrow[src] += grow[l] * wrow[kk];
+          }
+      }
+    }
+  r.gw.assign(cout * cin * ksize, 0.0f);
+  for (int64_t b = 0; b < batch; ++b)
+    for (int64_t plane = 0; plane < cout * cin; ++plane) {
+      const int64_t co = plane / cin;
+      const int64_t ci = plane % cin;
+      const float* grow = g + (b * cout + co) * lout;
+      const float* xrow = x + (b * cin + ci) * length;
+      float* wrow = r.gw.data() + plane * ksize;
+      for (int64_t l = 0; l < lout; ++l)
+        for (int64_t kk = 0; kk < ksize; ++kk) {
+          const int64_t src = l + kk - pad;
+          if (src >= 0 && src < length) wrow[kk] += grow[l] * xrow[src];
+        }
+    }
+  return r;
+}
+
+// The three kernels of one table, each over its whole range split in two
+// at `split` (a fraction in [0, 1]): the halves write disjoint outputs, so
+// every split must give the same bits.
+Conv1dOutputs TableConv1d(const KernelTable& t, const Conv1dShape& sh,
+                          const float* x, const float* w, const float* bias,
+                          const float* g, double split) {
+  const int64_t maps = sh.batch * sh.cout;
+  const int64_t m = static_cast<int64_t>(split * maps);
+  const int64_t b = static_cast<int64_t>(split * sh.batch);
+  const int64_t c = static_cast<int64_t>(split * sh.cin);
+  Conv1dOutputs r;
+  r.out.assign(maps * sh.lout(), 0.0f);
+  t.conv1d_forward(x, w, bias, r.out.data(), 0, m, sh.cin, sh.length,
+                   sh.cout, sh.ksize, sh.pad);
+  t.conv1d_forward(x, w, bias, r.out.data(), m, maps, sh.cin, sh.length,
+                   sh.cout, sh.ksize, sh.pad);
+  r.gx.assign(sh.batch * sh.cin * sh.length, 0.0f);
+  t.conv1d_input_grad(g, w, r.gx.data(), 0, b, sh.cin, sh.length, sh.cout,
+                      sh.ksize, sh.pad);
+  t.conv1d_input_grad(g, w, r.gx.data(), b, sh.batch, sh.cin, sh.length,
+                      sh.cout, sh.ksize, sh.pad);
+  r.gw.assign(sh.cout * sh.cin * sh.ksize, 0.0f);
+  t.conv1d_weight_grad(g, x, r.gw.data(), 0, c, sh.batch, sh.cin, sh.length,
+                       sh.cout, sh.ksize, sh.pad);
+  t.conv1d_weight_grad(g, x, r.gw.data(), c, sh.cin, sh.batch, sh.cin,
+                       sh.length, sh.cout, sh.ksize, sh.pad);
+  return r;
+}
+
+void ExpectConv1dBitEqual(const Conv1dOutputs& got, const Conv1dOutputs& want,
+                          const char* what, Backend backend,
+                          const Conv1dShape& sh) {
+  SCOPED_TRACE(::testing::Message()
+               << what << ": batch " << sh.batch << " cin " << sh.cin
+               << " length " << sh.length << " cout " << sh.cout << " ksize "
+               << sh.ksize << " pad " << sh.pad);
+  ExpectBitEqual(got.out, want.out, "conv1d forward", backend);
+  ExpectBitEqual(got.gx, want.gx, "conv1d input grad", backend);
+  ExpectBitEqual(got.gw, want.gw, "conv1d weight grad", backend);
+}
+
+TEST(BitExactTest, Conv1dMatchesScalarBitForBit) {
+  const KernelTable* ref = TableFor(Backend::kScalar);
+  uint64_t state = 12345;
+  const auto pick = [&state](int64_t lo, int64_t hi) {  // uniform in [lo, hi]
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return lo + static_cast<int64_t>((state >> 33) %
+                                     static_cast<uint64_t>(hi - lo + 1));
+  };
+  int64_t cases = 0;
+  for (int64_t length : {1, 3, 4, 7, 8, 9, 31, 32, 33}) {
+    for (int64_t ksize : {1, 3, 5}) {
+      for (int64_t pad = 0; pad < ksize; ++pad) {
+        for (int64_t cout : {1, 7, 16, 17}) {
+          const Conv1dShape sh{pick(1, 5), pick(1, 3), length, cout, ksize,
+                               pad};
+          if (sh.lout() <= 0) continue;
+          const uint64_t seed = static_cast<uint64_t>(++cases);
+          const std::vector<float> x =
+              RandVec(sh.batch * sh.cin * sh.length, 4 * seed);
+          const std::vector<float> w =
+              RandVec(sh.cout * sh.cin * sh.ksize, 4 * seed + 1);
+          const std::vector<float> bias = RandVec(sh.cout, 4 * seed + 2);
+          const std::vector<float> g =
+              RandVec(sh.batch * sh.cout * sh.lout(), 4 * seed + 3);
+          // Every third case runs without a bias.
+          const float* pb = cases % 3 == 0 ? nullptr : bias.data();
+          const Conv1dOutputs want =
+              ReferenceConv1d(sh, x.data(), w.data(), pb, g.data());
+          ExpectConv1dBitEqual(TableConv1d(*ref, sh, x.data(), w.data(), pb,
+                                           g.data(), 1.0),
+                               want, "scalar table vs reference",
+                               Backend::kScalar, sh);
+          for (Backend backend : SupportedBackends()) {
+            ScopedBackend guard(backend);
+            for (double split : {0.0, 0.5, 1.0}) {
+              ExpectConv1dBitEqual(TableConv1d(Kernels(), sh, x.data(),
+                                               w.data(), pb, g.data(), split),
+                                   want, "table vs reference", backend, sh);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 300);
+
+  // An Inf at the first input position (which the first output positions
+  // read next to a padding tap) and a NaN at the last upstream-gradient
+  // position must propagate exactly as the scalar loops propagate them.
+  const Conv1dShape sh{2, 2, 33, 17, 3, 1};
+  std::vector<float> x = RandVec(sh.batch * sh.cin * sh.length, 91);
+  const std::vector<float> w = RandVec(sh.cout * sh.cin * sh.ksize, 92);
+  const std::vector<float> bias = RandVec(sh.cout, 93);
+  std::vector<float> g = RandVec(sh.batch * sh.cout * sh.lout(), 94);
+  x[(1 * sh.cin + 0) * sh.length + 0] = std::numeric_limits<float>::infinity();
+  g[(1 * sh.cout + 3) * sh.lout() + sh.lout() - 1] =
+      std::numeric_limits<float>::quiet_NaN();
+  const Conv1dOutputs want =
+      ReferenceConv1d(sh, x.data(), w.data(), bias.data(), g.data());
+  EXPECT_TRUE(std::isinf(want.out[(1 * sh.cout + 0) * sh.lout() + 1]));
+  EXPECT_TRUE(std::isnan(want.gw[(3 * sh.cin + 0) * sh.ksize + 0]));
+  for (Backend backend : SupportedBackends()) {
+    ExpectConv1dBitEqual(TableConv1d(*TableFor(backend), sh, x.data(),
+                                     w.data(), bias.data(), g.data(), 0.5),
+                         want, "Inf/NaN inputs", backend, sh);
+  }
+}
+
+// tensor::Conv1d forward plus backward, at the decoder's training shape,
+// gives the same bits at every pool width on every backend.
+TEST(DeterminismTest, Conv1dThreadCountInvariant) {
+  const int64_t batch = 120, cin = 2, length = 32, cout = 16, ksize = 3;
+  const std::vector<float> xv = RandVec(batch * cin * length, 61);
+  const std::vector<float> wv = RandVec(cout * cin * ksize, 62);
+  const std::vector<float> bv = RandVec(cout, 63);
+  for (Backend backend : SupportedBackends()) {
+    ScopedBackend guard(backend);
+    auto run = [&](int threads) {
+      par::ThreadPool pool(threads);
+      par::ScopedDefaultPool pool_guard(&pool);
+      tensor::Tensor x = tensor::Tensor::FromVector({batch, cin, length}, xv,
+                                                    /*requires_grad=*/true);
+      tensor::Tensor w = tensor::Tensor::FromVector({cout, cin, ksize}, wv,
+                                                    /*requires_grad=*/true);
+      tensor::Tensor b = tensor::Tensor::FromVector({cout}, bv,
+                                                    /*requires_grad=*/true);
+      tensor::Tensor y = tensor::Conv1d(x, w, b, /*pad=*/1);
+      tensor::Sum(tensor::Mul(y, y)).Backward();
+      return std::vector<std::vector<float>>{y.impl().data, x.Grad(),
+                                             w.Grad(), b.Grad()};
+    };
+    const auto reference = run(1);
+    for (int threads : {2, 4, 8}) {
+      const auto got = run(threads);
+      for (size_t i = 0; i < got.size(); ++i) {
+        ExpectBitEqual(got[i], reference[i], "Conv1d across thread counts",
+                       backend);
       }
     }
   }

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "stream/ingest.h"
 #include "stream/online_trainer.h"
 #include "stream/pipeline.h"
+#include "tensor/tensor.h"
 #include "tkg/dataset.h"
 #include "tkg/synthetic.h"
 #include "util/fail.h"
@@ -229,6 +231,80 @@ TEST(StreamGrowTest, CloneIsBitExact) {
   std::unique_ptr<core::RetiaModel> clone = stream::CloneModel(*model);
   EXPECT_EQ(Params(*model), Params(*clone));
   EXPECT_FALSE(clone->training());
+}
+
+void ExpectSameBits(const tensor::Tensor& got, const tensor::Tensor& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.Shape(), want.Shape()) << what;
+  EXPECT_EQ(std::memcmp(got.Data(), want.Data(),
+                        static_cast<size_t>(want.NumElements()) *
+                            sizeof(float)),
+            0)
+      << what << " differs between the clone and its source";
+}
+
+// The clone draws no initialization, so the state outside the parameter
+// list must be copied too: an ablated model's frozen embeddings, and the
+// static-constraint type table.
+TEST(StreamGrowTest, CloneOfAblatedModelMatchesSource) {
+  std::unique_ptr<tkg::TkgDataset> live = MakeLiveDataset();
+  graph::GraphCache cache(live.get());
+  const std::vector<int64_t> history =
+      cache.HistoryBefore(live->max_time(), 2);
+  ASSERT_FALSE(history.empty());
+  const std::vector<std::pair<int64_t, int64_t>> entity_queries = {
+      {0, 1}, {3, 7}, {11, 4}};
+  const std::vector<std::pair<int64_t, int64_t>> relation_queries = {
+      {0, 5}, {3, 9}, {11, 2}};
+  const char* const kAblations[] = {"use_eam=false", "use_ram=false",
+                                    "use_tim=false"};
+  for (int ablation = 0; ablation < 3; ++ablation) {
+    SCOPED_TRACE(kAblations[ablation]);
+    core::RetiaConfig config = TinyModelConfig(*live);
+    config.use_eam = ablation != 0;
+    config.use_ram = ablation != 1;
+    config.use_tim = ablation != 2;
+    core::RetiaModel source(config);
+    // Move the parameters off their initialization, so only a copy (not a
+    // re-draw) reproduces them.
+    for (auto& [name, param] : source.NamedParameters()) {
+      std::vector<float>& data = param.impl().data;
+      for (size_t i = 0; i < data.size(); ++i) data[i] += 0.01f * (i % 7);
+    }
+    source.SetTraining(false);
+    std::unique_ptr<core::RetiaModel> clone = stream::CloneModel(source);
+    EXPECT_EQ(Params(*clone), Params(source));
+
+    tensor::NoGradGuard no_grad;
+    const std::vector<core::EvolutionModel::StepState> want =
+        source.Evolve(cache, history);
+    const std::vector<core::EvolutionModel::StepState> got =
+        clone->Evolve(cache, history);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ExpectSameBits(got[i].entities, want[i].entities, "evolved entities");
+      ExpectSameBits(got[i].relations, want[i].relations,
+                     "evolved relations");
+    }
+    ExpectSameBits(clone->ScoreObjectsFrozen(got, entity_queries),
+                   source.ScoreObjectsFrozen(want, entity_queries),
+                   "ScoreObjectsFrozen");
+    ExpectSameBits(clone->ScoreRelationsFrozen(got, relation_queries),
+                   source.ScoreRelationsFrozen(want, relation_queries),
+                   "ScoreRelationsFrozen");
+  }
+
+  core::RetiaConfig config = TinyModelConfig(*live);
+  config.use_static_constraint = true;
+  core::RetiaModel source(config);
+  std::vector<int64_t> types(static_cast<size_t>(config.num_entities));
+  for (size_t e = 0; e < types.size(); ++e) types[e] = (e * 5) % 3;
+  source.SetEntityTypes(types, 3);
+  std::unique_ptr<core::RetiaModel> clone = stream::CloneModel(source);
+  EXPECT_TRUE(clone->has_entity_types());
+  EXPECT_EQ(clone->entity_types(), source.entity_types());
+  EXPECT_EQ(clone->num_static_types(), source.num_static_types());
+  EXPECT_EQ(Params(*clone), Params(source));
 }
 
 TEST(StreamGrowTest, GrowCopiesOldRowsBitExactAndKeepsFreshTail) {

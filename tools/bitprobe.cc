@@ -1,7 +1,8 @@
 // Cross-build bit-reproducibility probe. Runs a deterministic battery and
 // prints an FNV-1a hash of the raw result bytes per section:
 //   - the kernels (GEMMs forward+backward, elementwise, softmax family,
-//     gather/scatter, Adam, ClipGradNorm), at the default pool width;
+//     gather/scatter, Adam, ClipGradNorm, Conv1d forward+backward), at the
+//     default pool width;
 //   - the model, at pool widths 1 and 4: a cold-cache eval Evolve, the
 //     three frozen decodes, a training-mode Evolve plus backward, and a
 //     12-timestamp Trainer::FineTuneOnTimes.
@@ -307,6 +308,27 @@ int main() {
     }
   }
   Section("adam");
+
+  // Conv1d forward plus its input, weight and bias gradients. Lengths and
+  // output channel counts straddle the 4- and 8-lane strips; pads 0-2.
+  for (int64_t length : {3, 4, 7, 8, 9, 16, 17, 32, 33}) {
+    for (int64_t ksize : {1, 3, 5}) {
+      for (int64_t pad = 0; pad <= 2; ++pad) {
+        if (length + 2 * pad - ksize + 1 <= 0) continue;
+        const int64_t cout = length % 2 == 0 ? 16 : 17;
+        Tensor x = RandTensor({3, 2, length}, true);
+        Tensor w = RandTensor({cout, 2, ksize}, true);
+        Tensor bias = RandTensor({cout}, true);
+        Tensor y = retia::tensor::Conv1d(x, w, bias, pad);
+        retia::tensor::Sum(retia::tensor::Mul(y, y)).Backward();
+        HashFloats(y.impl().data);
+        HashFloats(x.Grad());
+        HashFloats(w.Grad());
+        HashFloats(bias.Grad());
+      }
+    }
+  }
+  Section("conv1d");
 
   const retia::tkg::TkgDataset ds = ProbeDataset();
   for (int threads : {1, 4}) ModelSections(ds, threads);
