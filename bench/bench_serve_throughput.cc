@@ -66,7 +66,6 @@ RunStats RunWorkload(core::RetiaModel* model, graph::GraphCache* cache,
                      int quantized_decode = 0) {
   serve::ServeConfig config;
   config.num_threads = num_threads;
-  config.max_batch = 32;
   config.max_k = 10;
   config.enable_cache = enable_cache;
   config.quantized_decode = quantized_decode;

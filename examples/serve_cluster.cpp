@@ -132,8 +132,7 @@ int Replica(const std::string& dir, const std::string& socket_path) {
     std::cerr << "replica: " << initial.ToString() << "\n";
     return 1;
   }
-  serve::ServeConfig config = serve::ServeConfig::FromEnv();
-  serve::ServeEngine engine(initial.take(), config);
+  serve::ServeEngine engine(initial.take(), serve::ServeConfig{});
   serve::ReplicaServer server(&engine, loader, socket_path);
   serve::Result<bool> started = server.Start();
   if (!started.ok()) {
@@ -183,7 +182,7 @@ int Load(const std::string& dir, const std::string& sockets_csv,
     std::cerr << "load: no replica sockets given\n";
     return 2;
   }
-  serve::RouterConfig router_config = serve::RouterConfig::FromEnv();
+  serve::RouterConfig router_config;
   router_config.timeout_ms = flags.timeout_ms;
 
   std::vector<std::unique_ptr<serve::ReplicaChannel>> channels;

@@ -82,7 +82,6 @@ int main() {
   graph::GraphCache serve_cache(&dataset);
   serve::ServeConfig serve_config;
   serve_config.num_threads = 4;
-  serve_config.max_batch = 32;
   serve_config.max_k = 10;
   serve::ServeEngine engine(frozen.get(), &serve_cache, serve_config);
   const int64_t t = dataset.test_times().front();

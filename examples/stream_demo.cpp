@@ -3,12 +3,9 @@
 // Demo mode (no arguments): streams a few timesteps of synthetic events
 // into a StreamPipeline — ingest, fine-tune, zero-downtime publish — and
 // shows a query whose answer changes once its fact has flowed through one
-// fine-tune window. Knobs (all via util::Env, see README):
-//
-//   RETIA_STREAM_WINDOW   sealed timesteps per fine-tune window   (1)
-//   RETIA_STREAM_STEPS    gradient steps per timestep             (8)
-//   RETIA_STREAM_LR       online learning rate                    (0.1)
-//   RETIA_STREAM_POLICY   unseen entities: reject|grow            (grow)
+// fine-tune window: one sealed timestep per window, 8 gradient steps per
+// timestep at learning rate 0.1, and unseen entities grown into the
+// vocabulary (UnseenPolicy::kGrowEntities).
 //
 // Smoke modes, used by scripts/check.sh to prove bit-exact resume of the
 // streaming pipeline against a real SIGKILL (same protocol as ckpt_smoke):
@@ -40,7 +37,6 @@
 #include "stream/ingest.h"
 #include "stream/pipeline.h"
 #include "tkg/synthetic.h"
-#include "util/env.h"
 #include "util/rng.h"
 
 namespace {
@@ -71,11 +67,11 @@ std::unique_ptr<core::RetiaModel> MakeModel(const tkg::TkgDataset& d) {
 }
 
 // Deterministic event bucket for stream timestep `t`: mostly in-vocabulary
-// facts, plus (under the grow policy) one fact introducing entity id
-// `base_entities + step` so vocabulary growth is exercised.
+// facts, plus one fact introducing entity id `base_entities + step` so
+// vocabulary growth is exercised.
 std::vector<tkg::Quadruple> EventsAt(int64_t t, int64_t step,
                                      int64_t base_entities,
-                                     int64_t num_relations, bool grow) {
+                                     int64_t num_relations) {
   util::Rng rng(static_cast<uint64_t>(900 + step));
   std::vector<tkg::Quadruple> events;
   for (int64_t i = 0; i < 8; ++i) {
@@ -83,10 +79,8 @@ std::vector<tkg::Quadruple> EventsAt(int64_t t, int64_t step,
                       rng.UniformInt(0, num_relations - 1),
                       rng.UniformInt(0, base_entities - 1), t});
   }
-  if (grow) {
-    events.push_back({base_entities + step, rng.UniformInt(0, num_relations - 1),
-                      rng.UniformInt(0, base_entities - 1), t});
-  }
+  events.push_back({base_entities + step, rng.UniformInt(0, num_relations - 1),
+                    rng.UniformInt(0, base_entities - 1), t});
   return events;
 }
 
@@ -155,8 +149,7 @@ int RunSmoke(const std::string& mode, const std::string& dir) {
   constexpr int64_t kWindows = 4;
   for (int64_t step = 1; step <= kWindows; ++step) {
     const int64_t t = t0 + step;
-    pipeline.OfferBatch(
-        EventsAt(t, step, base_entities, num_relations, /*grow=*/true));
+    pipeline.OfferBatch(EventsAt(t, step, base_entities, num_relations));
     pipeline.AdvanceTo(t + 1);
     std::cout << "window " << step << ": frontier=" << pipeline.Status().frontier
               << " updates=" << pipeline.Status().updates
@@ -175,12 +168,6 @@ int RunSmoke(const std::string& mode, const std::string& dir) {
 }
 
 int RunDemo() {
-  const int64_t window = util::Env::PositiveIntOr("RETIA_STREAM_WINDOW", 1);
-  const int64_t steps = util::Env::PositiveIntOr("RETIA_STREAM_STEPS", 8);
-  const double lr = util::Env::FloatOr("RETIA_STREAM_LR", 0.1);
-  const std::string policy =
-      util::Env::StringOr("RETIA_STREAM_POLICY", "grow");
-
   std::unique_ptr<tkg::TkgDataset> live = MakeLiveDataset();
   const int64_t base_entities = live->num_entities();
   const int64_t num_relations = live->num_relations();
@@ -188,12 +175,10 @@ int RunDemo() {
   std::unique_ptr<core::RetiaModel> model = MakeModel(*live);
 
   stream::StreamPipelineConfig config;
-  config.window = window;
-  config.ingest.unseen_policy = policy == "reject"
-                                    ? stream::UnseenPolicy::kReject
-                                    : stream::UnseenPolicy::kGrowEntities;
-  config.trainer.steps_per_time = steps;
-  config.trainer.lr = static_cast<float>(lr);
+  config.window = 1;
+  config.ingest.unseen_policy = stream::UnseenPolicy::kGrowEntities;
+  config.trainer.steps_per_time = 8;
+  config.trainer.lr = 0.1f;
   stream::StreamPipeline pipeline(std::move(model), std::move(live), config);
 
   // A fresh fact the base model has never seen, repeated within its
@@ -213,8 +198,7 @@ int RunDemo() {
       pipeline.OfferBatch(std::vector<tkg::Quadruple>(
           20, tkg::Quadruple{s, r, o, t_news}));
     }
-    pipeline.OfferBatch(EventsAt(t, step, base_entities, num_relations,
-                                 policy != "reject"));
+    pipeline.OfferBatch(EventsAt(t, step, base_entities, num_relations));
     pipeline.AdvanceTo(t + 1);
   }
   pipeline.FlushAndPublish();

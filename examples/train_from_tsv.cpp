@@ -21,9 +21,7 @@
 //                         state (parameters, Adam, RNG, epoch cursor) to
 //                         PATH after every epoch, and continue from it
 //                         when PATH already exists. A killed run resumed
-//                         this way reaches bit-identical parameters. The
-//                         RETIA_RESUME environment variable is an
-//                         equivalent spelling (the flag wins).
+//                         this way reaches bit-identical parameters.
 //
 // With no argument, a demonstration dataset is generated, saved to
 // /tmp/retia_demo.tsv and used, so the binary is runnable standalone.
@@ -40,7 +38,6 @@
 #include "ckpt/model_io.h"
 #include "tkg/synthetic.h"
 #include "train/trainer.h"
-#include "util/env.h"
 #include "util/timer.h"
 
 int main(int argc, char** argv) {
@@ -59,7 +56,7 @@ int main(int argc, char** argv) {
   bool filtered = false;
   std::string save_path;
   std::string load_path;
-  std::string resume_path = util::Env::StringOr("RETIA_RESUME", "");
+  std::string resume_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

@@ -63,15 +63,16 @@
 #    must drop zero requests; a SIGKILLed replica must degrade only its
 #    consistent-hash arc to shard_unavailable without hanging the router
 #    (docs/SERVING_TOPOLOGY.md).
-# 6. UBSan smoke over the vector kernels: builds simd_test and
-#    tensor_property_test with -fsanitize=undefined (no-recover) into
+# 6. UBSan smoke over the vector kernels and the outside-input suites:
+#    builds simd_test, tensor_property_test, stream_test and
+#    serve_router_test with -fsanitize=undefined (no-recover) into
 #    build-ubsan/ and runs them. The exp bit tricks (int add on the
 #    exponent field, shift-by-23, bitcasts) and the unaligned vector
-#    loads are exactly the code UBSan exists for.
+#    loads are exactly the code UBSan exists for; stream_test and
+#    serve_router_test feed the program ingested ids and wire bytes, where
+#    signed overflow on a hostile value is the bug class to catch.
 #
 # Usage: scripts/check.sh [build-dir]        (default: <repo>/build-tsan)
-# Also registered as the ctest test `tsan_smoke` when the tree is
-# configured with -DRETIA_SMOKE_TSAN=ON.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -143,8 +144,7 @@ echo "check.sh: the README env table documents exactly the" \
 # TSan smoke.
 cmake -B "${BUILD}" -S "${ROOT}" \
   -DCMAKE_BUILD_TYPE=Release \
-  -DRETIA_SANITIZE=thread \
-  -DRETIA_SMOKE_TSAN=OFF
+  -DRETIA_SANITIZE=thread
 
 # Only the concurrency suites: building the whole tree under TSan is slow
 # and the other suites exercise no cross-thread behaviour.
@@ -164,8 +164,7 @@ echo "check.sh: par|serve|obs|stream|quant suites clean under ThreadSanitizer"
 # turns any missed bounds check into a hard failure instead of a lucky read.
 cmake -B "${BUILD_ASAN}" -S "${ROOT}" \
   -DCMAKE_BUILD_TYPE=Release \
-  -DRETIA_SANITIZE=address \
-  -DRETIA_SMOKE_TSAN=OFF
+  -DRETIA_SANITIZE=address
 
 cmake --build "${BUILD_ASAN}" -j "${JOBS}" \
   --target ckpt_test stream_test par_test par_task_graph_test quant_test \
@@ -369,8 +368,7 @@ echo "check.sh: resumed stream parameters byte-identical to the uninterrupted ru
 # dispatch decision is runtime (RETIA_SIMD), not compile-time.
 BUILD_SIMD="${ROOT}/build-simd"
 cmake -B "${BUILD_SIMD}" -S "${ROOT}" \
-  -DCMAKE_BUILD_TYPE=Release \
-  -DRETIA_SMOKE_TSAN=OFF
+  -DCMAKE_BUILD_TYPE=Release
 
 cmake --build "${BUILD_SIMD}" -j "${JOBS}"
 
@@ -435,21 +433,24 @@ echo "check.sh: SIGKILLed replica degraded to shard_unavailable without" \
      "hanging the router; surviving shard kept serving"
 
 # ---------------------------------------------------------------------------
-# UBSan smoke over the vector kernels. -fno-sanitize-recover=all (set by
-# the RETIA_SANITIZE=undefined branch in CMakeLists.txt) makes the first
-# report fatal, so a green run means zero findings.
+# UBSan smoke over the vector kernels and the two suites that feed outside
+# input (ingested ids, wire bytes) into the program. -fno-sanitize-recover=all
+# (set by the RETIA_SANITIZE=undefined branch in CMakeLists.txt) makes the
+# first report fatal, so a green run means zero findings.
 BUILD_UBSAN="${ROOT}/build-ubsan"
 cmake -B "${BUILD_UBSAN}" -S "${ROOT}" \
   -DCMAKE_BUILD_TYPE=Release \
-  -DRETIA_SANITIZE=undefined \
-  -DRETIA_SMOKE_TSAN=OFF
+  -DRETIA_SANITIZE=undefined
 
 cmake --build "${BUILD_UBSAN}" -j "${JOBS}" \
-  --target simd_test tensor_property_test
+  --target simd_test tensor_property_test stream_test serve_router_test
 
 UBSAN_OPTIONS="print_stacktrace=1${UBSAN_OPTIONS:+:${UBSAN_OPTIONS}}" \
   ctest --test-dir "${BUILD_UBSAN}" -L simd --output-on-failure
-UBSAN_OPTIONS="print_stacktrace=1${UBSAN_OPTIONS:+:${UBSAN_OPTIONS}}" \
-  "${BUILD_UBSAN}/tests/tensor_property_test"
+for suite in tensor_property_test stream_test serve_router_test; do
+  UBSAN_OPTIONS="print_stacktrace=1${UBSAN_OPTIONS:+:${UBSAN_OPTIONS}}" \
+    "${BUILD_UBSAN}/tests/${suite}"
+done
 
-echo "check.sh: simd kernels clean under UndefinedBehaviorSanitizer"
+echo "check.sh: simd kernels, stream ingest and serve wire suites clean" \
+     "under UndefinedBehaviorSanitizer"

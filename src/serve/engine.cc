@@ -4,12 +4,27 @@
 #include <utility>
 
 #include "obs/obs.h"
-#include "serve/arena.h"
+#include "quant/quant.h"
 #include "simd/simd.h"
 #include "tensor/tensor.h"
 #include "util/check.h"
 
 namespace retia::serve {
+
+namespace {
+
+// Micro-batch cap: one decode tick coalesces at most this many queued
+// queries sharing a (timestamp, kind). Also the largest batch size the
+// engine's StatsRecorder histogram tracks.
+constexpr int64_t kMaxBatch = 32;
+
+}  // namespace
+
+bool ServeConfig::ResolvesQuantized(int64_t num_entities) const {
+  const bool want =
+      quantized_decode >= 0 ? quantized_decode != 0 : quant::QuantEnabled();
+  return want && num_entities >= quant::QuantMinRows();
+}
 
 std::shared_ptr<const ServeEngine::FrozenStateStore::Entry>
 ServeEngine::FrozenStateStore::EntryFor(int64_t t) {
@@ -86,15 +101,13 @@ ServeEngine::ServeEngine(EngineSnapshot snapshot, const ServeConfig& config)
 
 ServeEngine::ServeEngine(std::shared_ptr<FrozenStateStore> store,
                          const ServeConfig& config)
-    : config_(config), stats_(config.max_batch) {
+    : config_(config), stats_(kMaxBatch), pool_(par::DefaultPool()) {
   RETIA_CHECK(config_.num_threads > 0);
-  RETIA_CHECK(config_.max_batch > 0);
   RETIA_CHECK(config_.max_k > 0);
   if (config_.enable_cache) {
     cache_ = std::make_unique<PredictionCache>(config_.cache_capacity,
                                                config_.cache_shards);
   }
-  pool_ = config_.pool != nullptr ? config_.pool : par::DefaultPool();
   store->quantize =
       config_.ResolvesQuantized(store->model->config().num_entities);
   state_store_ = std::move(store);
@@ -315,13 +328,13 @@ void ServeEngine::DrainTask() {
     ++active_ticks_;
     while (!queue_.empty()) {
       // Micro-batch: everything queued for the front request's
-      // (timestamp, kind), up to max_batch. Queries for other timestamps
+      // (timestamp, kind), up to kMaxBatch. Queries for other timestamps
       // or kinds stay queued for a later sweep / another tick.
       std::vector<Request> batch;
       const CacheKey front = queue_.front().key;
       for (auto it = queue_.begin();
            it != queue_.end() &&
-           static_cast<int64_t>(batch.size()) < config_.max_batch;) {
+           static_cast<int64_t>(batch.size()) < kMaxBatch;) {
         if (it->key.t == front.t && it->key.kind == front.kind) {
           batch.push_back(std::move(*it));
           it = queue_.erase(it);
@@ -401,15 +414,15 @@ void ServeEngine::ProcessBatch(std::vector<Request> batch) {
   const int64_t epoch = store->epoch;
   // Per-worker scratch for the selection indices: the partial top-k
   // kernel replaces the historical full-sort (same unique order — see
-  // simd::KernelTable::topk_select_f32), and the arena makes the scratch
-  // allocation-free once a warm-up batch has sized it (the caller-visible
+  // simd::KernelTable::topk_select_f32), and the thread_local vector stops
+  // allocating once a first batch has sized it (the caller-visible
   // candidate vectors are the only remaining allocations).
-  static thread_local ScratchArena arena;
-  arena.Reset();
-  int64_t* topk_idx = arena.Alloc<int64_t>(config_.max_k);
+  static thread_local std::vector<int64_t> topk_idx;
+  topk_idx.resize(static_cast<size_t>(config_.max_k));
   for (size_t i = 0; i < batch.size(); ++i) {
     const float* row = scores.Data() + static_cast<int64_t>(i) * n;
-    const int64_t took = simd::TopKSelectF32(row, n, config_.max_k, topk_idx);
+    const int64_t took =
+        simd::TopKSelectF32(row, n, config_.max_k, topk_idx.data());
     std::vector<ScoredCandidate> ranked;
     ranked.reserve(took);
     for (int64_t j = 0; j < took; ++j) {

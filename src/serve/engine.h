@@ -6,8 +6,8 @@
 // cache, per-timestamp state memoization).
 //
 // Ownership / threading contract: the engine owns no threads — drain
-// ticks run as tasks on the shared par::DefaultPool() (or config.pool,
-// which must outlive the engine). Submit() and SubmitBatch() are safe to
+// ticks run as tasks on the par::DefaultPool() current at construction,
+// which must outlive the engine. Submit() and SubmitBatch() are safe to
 // call from any number of client threads concurrently; a borrowed model
 // and GraphCache must outlive the engine and stay frozen while it runs (an
 // EngineSnapshot-constructed or SwapSnapshot-installed snapshot is owned
@@ -21,7 +21,7 @@
 // into Stats().ToJson().
 //
 // Usage:
-//   serve::ServeConfig config = serve::ServeConfig::FromEnv();
+//   serve::ServeConfig config;
 //   serve::ServeEngine engine(&model, &graph_cache, config);
 //   engine.Warmup(t);
 //   serve::Result<serve::QueryResult> top =
@@ -52,23 +52,13 @@
 
 namespace retia::serve {
 
-// Engine knobs. Construct directly for explicit control, or through
-// FromEnv() which parses every knob from its RETIA_SERVE_* environment
-// variable exactly once through util::Env (the knob table in
-// docs/SERVING_TOPOLOGY.md and the README is generated from FromEnv's
-// defaults — config.cc is the single place they live).
+// Engine knobs; the defaults here are the single source of truth.
 struct ServeConfig {
   // Maximum number of drain ticks (batched decodes) running concurrently
   // on the shared pool. The engine owns no threads of its own: decode work
-  // runs as tasks on `pool` (par::DefaultPool() when null), so one process
-  // hosts many engines without stacking worker fleets.
+  // runs as tasks on par::DefaultPool(), so one process hosts many engines
+  // without stacking worker fleets.
   int64_t num_threads = 4;
-  // Pool the decode ticks run on; null means par::DefaultPool(). Must
-  // outlive the engine.
-  par::ThreadPool* pool = nullptr;
-  // Micro-batch cap: one decode tick coalesces at most this many queued
-  // queries sharing a (timestamp, kind).
-  int64_t max_batch = 32;
   // Ranking depth stored per cache entry; requests may ask for any
   // k <= max_k and are served from the cached prefix.
   int64_t max_k = 10;
@@ -85,18 +75,10 @@ struct ServeConfig {
   // and thread counts like the rest of the engine.
   int quantized_decode = -1;
 
-  // Parses every knob above from the environment (RETIA_SERVE_THREADS,
-  // RETIA_SERVE_MAX_BATCH, RETIA_SERVE_MAX_K, RETIA_SERVE_CACHE,
-  // RETIA_SERVE_CACHE_CAPACITY, RETIA_SERVE_CACHE_SHARDS) through
-  // util::Env, falling back to the defaults declared here. `pool` stays
-  // null (the shared default pool) and `quantized_decode` stays -1 (the
-  // RETIA_QUANT knob, resolved per store by ResolvesQuantized).
-  static ServeConfig FromEnv();
-
   // Whether a store over `num_entities` candidates decodes through the
   // int8 path: the explicit quantized_decode override first, RETIA_QUANT
   // otherwise, and never below the RETIA_QUANT_MIN_ROWS floor. The single
-  // quantization-policy site for the serving tier (config.cc).
+  // quantization-policy site for the serving tier (engine.cc).
   bool ResolvesQuantized(int64_t num_entities) const;
 };
 
@@ -128,7 +110,7 @@ using SnapshotLoader =
 // submission schedules a drain tick on the shared par::ThreadPool; at most
 // config.num_threads ticks run at once, and a running tick keeps draining
 // micro-batches — all pending queries sharing the front request's
-// (timestamp, kind), up to max_batch — until the queue is empty. Each
+// (timestamp, kind), up to 32 — until the queue is empty. Each
 // batch is answered with ONE [B, num_candidates] decode through the
 // model's ScoreObjectsFrozen / ScoreRelationsFrozen entry points.
 // Evolved StepStates are memoized per timestamp with once-semantics:
@@ -137,7 +119,7 @@ using SnapshotLoader =
 // that timestamp shares the published states.
 //
 // The engine spawns no threads of its own: decode ticks share
-// par::DefaultPool() (or config.pool) with the intra-op tensor kernels.
+// par::DefaultPool() with the intra-op tensor kernels.
 // On a pool with no workers (RETIA_NUM_THREADS=1) ticks run inline on the
 // submitting caller, which keeps the engine deadlock-free even when every
 // pool worker is busy.

@@ -111,30 +111,17 @@ int SocketChannel::Checkout(std::string* error) {
     if (!idle_.empty()) {
       const int fd = idle_.back();
       idle_.pop_back();
-      ++outstanding_;
       return fd;
     }
-    if (outstanding_ >= config_.connections_per_replica) {
-      // Pool exhausted: dial an overflow connection rather than block — a
-      // slow replica already shows up as latency, and the overflow socket
-      // is simply closed on return instead of pooled.
-      const int fd = DialUnix(socket_path_, config_.timeout_ms, error);
-      if (fd >= 0) ++outstanding_;
-      return fd;
-    }
-    ++outstanding_;
   }
-  const int fd = DialUnix(socket_path_, config_.timeout_ms, error);
-  if (fd < 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    --outstanding_;
-  }
-  return fd;
+  // Pool empty: dial rather than wait for a busy connection — a slow
+  // replica already shows up as latency. Return() keeps at most
+  // connections_per_replica sockets and closes the rest.
+  return DialUnix(socket_path_, config_.timeout_ms, error);
 }
 
 void SocketChannel::Return(int fd, bool healthy) {
   std::lock_guard<std::mutex> lock(mu_);
-  --outstanding_;
   if (healthy &&
       static_cast<int64_t>(idle_.size()) < config_.connections_per_replica) {
     SetRecvTimeout(fd, config_.timeout_ms);  // restore after untimed swaps
@@ -246,6 +233,10 @@ void SocketChannel::Shutdown() {
 
 namespace {
 
+// Queries per QueryBatch frame when RouteBatch ships a shard's group.
+constexpr size_t kRouteBatchChunk = 64;
+static_assert(kRouteBatchChunk <= wire::kMaxWireBatch);
+
 std::vector<int64_t> ShardIds(size_t n) {
   std::vector<int64_t> ids(n);
   std::iota(ids.begin(), ids.end(), 0);
@@ -255,17 +246,11 @@ std::vector<int64_t> ShardIds(size_t n) {
 }  // namespace
 
 Router::Router(std::vector<std::unique_ptr<ReplicaChannel>> replicas,
-               const RouterConfig& config)
-    : config_(config),
-      replicas_(std::move(replicas)),
-      shard_map_(ShardIds(replicas_.size()), config.virtual_nodes),
-      stats_(/*max_batch=*/std::max<int64_t>(config.max_wire_batch, 1),
-             StatsScope::kRouter) {
+               const RouterConfig& /*config*/)
+    : replicas_(std::move(replicas)),
+      shard_map_(ShardIds(replicas_.size())),
+      stats_(/*max_batch=*/kRouteBatchChunk, StatsScope::kRouter) {
   RETIA_CHECK_MSG(!replicas_.empty(), "router needs at least one replica");
-  RETIA_CHECK_MSG(config_.max_wire_batch > 0 &&
-                      config_.max_wire_batch <=
-                          static_cast<int64_t>(wire::kMaxWireBatch),
-                  "max_wire_batch outside (0, wire::kMaxWireBatch]");
 }
 
 Result<QueryResult> Router::Route(const Query& query) {
@@ -295,10 +280,8 @@ Result<QueryResult> Router::Route(const Query& query) {
 void Router::ShipToShard(int64_t shard, const std::vector<Query>& queries,
                          const std::vector<size_t>& slots,
                          std::vector<std::optional<Result<QueryResult>>>* out) {
-  for (size_t begin = 0; begin < queries.size();
-       begin += static_cast<size_t>(config_.max_wire_batch)) {
-    const size_t end = std::min(
-        queries.size(), begin + static_cast<size_t>(config_.max_wire_batch));
+  for (size_t begin = 0; begin < queries.size(); begin += kRouteBatchChunk) {
+    const size_t end = std::min(queries.size(), begin + kRouteBatchChunk);
     const std::vector<Query> chunk(queries.begin() + begin,
                                    queries.begin() + end);
     RETIA_OBS_COUNTER_ADD("serve.router.batch.frames", 1);

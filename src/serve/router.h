@@ -41,26 +41,17 @@
 
 namespace retia::serve {
 
-// Router knobs, parsed once from the environment by FromEnv (config.cc);
-// the defaults here are the single source of truth.
+// Knobs of the SocketChannels behind a Router; the defaults here are the
+// single source of truth.
 struct RouterConfig {
-  // Ring points per replica on the consistent-hash ring. More vnodes
-  // smooth the key distribution at the cost of a larger (still tiny) ring.
-  int64_t virtual_nodes = 64;
-  // Pooled sockets per SocketChannel replica; concurrent queries beyond
-  // this block for a free connection.
+  // Pooled sockets per SocketChannel replica. A query that finds the pool
+  // empty dials a fresh connection instead of waiting; on return, sockets
+  // beyond this count are closed instead of pooled.
   int64_t connections_per_replica = 4;
   // SO_RCVTIMEO per reply read: a replica that takes longer (or was
   // SIGKILLed mid-request) resolves to kShardUnavailable instead of
   // hanging the router.
   int64_t timeout_ms = 5000;
-  // Cap on queries per QueryBatch frame (RouteBatch chunking). Bounded by
-  // wire::kMaxWireBatch.
-  int64_t max_wire_batch = 64;
-
-  // Parses RETIA_SERVE_VNODES, RETIA_SERVE_CONNECTIONS,
-  // RETIA_SERVE_TIMEOUT_MS, RETIA_SERVE_MAX_WIRE_BATCH through util::Env.
-  static RouterConfig FromEnv();
 };
 
 // One replica as the router sees it. Implementations must be safe to call
@@ -145,21 +136,23 @@ class SocketChannel : public ReplicaChannel {
                                 const std::vector<uint8_t>& body,
                                 wire::MsgType expect, bool timed = true);
 
-  int Checkout(std::string* error);  // -1 on failure
+  // Pops a pooled connection, or dials a new one when the pool is empty
+  // (-1 on failure). Dialing happens outside the lock.
+  int Checkout(std::string* error);
   void Return(int fd, bool healthy);
 
   std::string socket_path_;
   RouterConfig config_;
   std::mutex mu_;
-  std::vector<int> idle_;    // pooled healthy connections
-  int64_t outstanding_ = 0;  // checked-out connections
+  std::vector<int> idle_;  // pooled healthy connections
 };
 
 // The shard router. Thread-safe: Route/SwapAll/StatsJson/PingAll may be
 // called concurrently from any threads.
 class Router {
  public:
-  // `replicas[i]` serves shard id i on the ring.
+  // `replicas[i]` serves shard id i on the ring. Both RouterConfig knobs
+  // act inside the SocketChannels, so the router itself keeps no copy.
   Router(std::vector<std::unique_ptr<ReplicaChannel>> replicas,
          const RouterConfig& config);
 
@@ -170,8 +163,8 @@ class Router {
   Result<QueryResult> Route(const Query& query);
 
   // Routes a caller-assembled batch: queries are grouped by shard, each
-  // group ships in QueryBatch frames of at most config.max_wire_batch,
-  // and the answers come back aligned with `queries` by index (shard
+  // group ships in QueryBatch frames of at most 64 queries, and the
+  // answers come back aligned with `queries` by index (shard
   // stamped, same per-query semantics as Route). One frame per
   // same-shard group instead of one round-trip per query is the serving
   // tier's high-throughput path (see docs/SERVING_TOPOLOGY.md).
@@ -198,14 +191,12 @@ class Router {
   }
 
  private:
-  // Ships one shard's queries in frames of at most max_wire_batch and
-  // stamps the shard on ok results. `out[slots[i]]` receives query i's
-  // answer.
+  // Ships one shard's queries in frames of at most 64 queries and stamps
+  // the shard on ok results. `out[slots[i]]` receives query i's answer.
   void ShipToShard(int64_t shard, const std::vector<Query>& queries,
                    const std::vector<size_t>& slots,
                    std::vector<std::optional<Result<QueryResult>>>* out);
 
-  RouterConfig config_;
   std::vector<std::unique_ptr<ReplicaChannel>> replicas_;
   ShardMap shard_map_;
   StatsRecorder stats_;  // StatsScope::kRouter

@@ -6,6 +6,14 @@
 
 namespace retia::serve {
 
+namespace {
+
+// Ring points per replica. More points smooth the key distribution at the
+// cost of a larger (still tiny) ring.
+constexpr int64_t kVirtualNodes = 64;
+
+}  // namespace
+
 uint64_t ShardMap::Mix(uint64_t x) {
   // splitmix64 finalizer: cheap, deterministic across platforms, and
   // avalanches enough that sequential entity ids spread over the ring.
@@ -15,14 +23,12 @@ uint64_t ShardMap::Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-ShardMap::ShardMap(const std::vector<int64_t>& shard_ids,
-                   int64_t virtual_nodes)
+ShardMap::ShardMap(const std::vector<int64_t>& shard_ids)
     : num_shards_(static_cast<int64_t>(shard_ids.size())) {
   RETIA_CHECK_MSG(!shard_ids.empty(), "shard map needs at least one replica");
-  RETIA_CHECK(virtual_nodes > 0);
-  ring_.reserve(shard_ids.size() * static_cast<size_t>(virtual_nodes));
+  ring_.reserve(shard_ids.size() * static_cast<size_t>(kVirtualNodes));
   for (const int64_t shard : shard_ids) {
-    for (int64_t vnode = 0; vnode < virtual_nodes; ++vnode) {
+    for (int64_t vnode = 0; vnode < kVirtualNodes; ++vnode) {
       // Mix the pair (shard, vnode) into one ring position. The nested mix
       // decorrelates the two coordinates so vnodes of one shard don't
       // cluster.

@@ -2,8 +2,8 @@
 #define RETIA_SERVE_SHARD_MAP_H_
 
 // Consistent-hash ring mapping subject entities to replica shards
-// (docs/SERVING_TOPOLOGY.md §Shard map). Each replica contributes
-// `virtual_nodes` points on a 64-bit ring, placed by a deterministic
+// (docs/SERVING_TOPOLOGY.md §Shard map). Each replica contributes 64
+// virtual points on a 64-bit ring, placed by a deterministic
 // splitmix64 mix of (shard id, vnode index) — NOT std::hash, whose value
 // is implementation-defined and would silently reshuffle the fleet across
 // compilers. A subject routes to the owner of the first ring point at or
@@ -23,9 +23,8 @@ namespace retia::serve {
 
 class ShardMap {
  public:
-  // `shard_ids` are the replica ids on the ring (need not be contiguous);
-  // `virtual_nodes` is the number of ring points per replica.
-  ShardMap(const std::vector<int64_t>& shard_ids, int64_t virtual_nodes);
+  // `shard_ids` are the replica ids on the ring (need not be contiguous).
+  explicit ShardMap(const std::vector<int64_t>& shard_ids);
 
   // Shard owning `subject`. Dies (CHECK) only on an empty ring, which is a
   // construction bug, not a runtime condition.

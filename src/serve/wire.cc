@@ -260,7 +260,7 @@ Result<QueryResult> DecodeQueryReply(const std::vector<uint8_t>& body) {
 
 std::vector<uint8_t> EncodeQueryBatch(const std::vector<Query>& queries) {
   // Encoders cannot fail; the size bounds are caller invariants (the
-  // router chunks at RouterConfig::max_wire_batch <= kMaxWireBatch).
+  // router chunks RouteBatch into frames of 64 <= kMaxWireBatch).
   RETIA_CHECK(!queries.empty());
   RETIA_CHECK(queries.size() <= kMaxWireBatch);
   std::vector<uint8_t> body;

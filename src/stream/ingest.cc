@@ -24,12 +24,15 @@ IngestStatus StreamIngest::Validate(const tkg::Quadruple& q) {
   if (q.relation >= live_->num_relations()) {
     return IngestStatus::kRejectedUnseenRelation;
   }
-  const int64_t needed = std::max(q.subject, q.object) + 1;
-  if (needed > live_->num_entities()) {
+  // Compare ids, not id + 1: an id of INT64_MAX must be rejected, not
+  // overflow into an accepted fact that the next seal cannot append.
+  const int64_t largest = std::max(q.subject, q.object);
+  if (largest >= live_->num_entities()) {
     if (config_.unseen_policy != UnseenPolicy::kGrowEntities ||
-        needed > config_.max_entities) {
+        largest >= config_.max_entities) {
       return IngestStatus::kRejectedUnseenEntity;
     }
+    const int64_t needed = largest + 1;  // <= max_entities, cannot overflow
     counters_.grown_entities += needed - live_->num_entities();
     RETIA_OBS_COUNTER_ADD("stream.ingest.grown_entities",
                           needed - live_->num_entities());

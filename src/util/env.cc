@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace retia::util {
 
@@ -12,15 +11,6 @@ void WarnBadValue(const char* name, const char* value, const char* expected) {
   std::fprintf(stderr,
                "[env] ignoring %s='%s' (expected %s); using the default\n",
                name, value, expected);
-}
-
-bool EqualsIgnoreCase(const char* a, const char* b) {
-  for (; *a != '\0' && *b != '\0'; ++a, ++b) {
-    const char ca = (*a >= 'A' && *a <= 'Z') ? *a - 'A' + 'a' : *a;
-    const char cb = (*b >= 'A' && *b <= 'Z') ? *b - 'A' + 'a' : *b;
-    if (ca != cb) return false;
-  }
-  return *a == '\0' && *b == '\0';
 }
 
 }  // namespace
@@ -59,28 +49,6 @@ int64_t Env::PositiveIntOr(const char* name, int64_t fallback) {
   return parsed;
 }
 
-bool Env::BoolOr(const char* name, bool fallback) {
-  const char* v = Raw(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  bool parsed = false;
-  if (!ParseBool(v, &parsed)) {
-    WarnBadValue(name, v, "a boolean (1/0/true/false/yes/no/on/off)");
-    return fallback;
-  }
-  return parsed;
-}
-
-double Env::FloatOr(const char* name, double fallback) {
-  const char* v = Raw(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  double parsed = 0.0;
-  if (!ParseFloat(v, &parsed)) {
-    WarnBadValue(name, v, "a number");
-    return fallback;
-  }
-  return parsed;
-}
-
 bool Env::ParseInt(const char* value, int64_t* out) {
   if (value == nullptr || *value == '\0') return false;
   char* end = nullptr;
@@ -88,34 +56,6 @@ bool Env::ParseInt(const char* value, int64_t* out) {
   if (end == value || *end != '\0') return false;
   *out = static_cast<int64_t>(parsed);
   return true;
-}
-
-bool Env::ParseFloat(const char* value, double* out) {
-  if (value == nullptr || *value == '\0') return false;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || *end != '\0') return false;
-  *out = parsed;
-  return true;
-}
-
-bool Env::ParseBool(const char* value, bool* out) {
-  if (value == nullptr || *value == '\0') return false;
-  static const char* kTrue[] = {"1", "true", "yes", "on"};
-  static const char* kFalse[] = {"0", "false", "no", "off"};
-  for (const char* t : kTrue) {
-    if (EqualsIgnoreCase(value, t)) {
-      *out = true;
-      return true;
-    }
-  }
-  for (const char* f : kFalse) {
-    if (EqualsIgnoreCase(value, f)) {
-      *out = false;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace retia::util

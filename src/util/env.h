@@ -8,11 +8,12 @@ namespace retia::util {
 
 // Single choke point for RETIA_* environment-variable configuration. Every
 // subsystem that reads the environment (par's RETIA_NUM_THREADS, obs's
-// RETIA_TRACE / RETIA_METRICS, bench's RETIA_BENCH_CACHE, ckpt's
-// RETIA_RESUME and the RETIA_FAIL_* fault-injection knobs) goes through
-// these helpers, so parsing and fallback behaviour are uniform and the
-// README can document one table. Malformed values never abort: the typed
-// accessors warn once to stderr and return the fallback.
+// RETIA_TRACE / RETIA_METRICS, simd's RETIA_SIMD, quant's RETIA_QUANT /
+// RETIA_QUANT_MIN_ROWS, bench's RETIA_BENCH_CACHE and the RETIA_FAIL_*
+// fault-injection knobs) goes through these helpers, so parsing and
+// fallback behaviour are uniform and the README can document one table.
+// Malformed values never abort: the typed accessors warn once to stderr
+// and return the fallback.
 class Env {
  public:
   // Raw value, or nullptr when the variable is unset.
@@ -30,19 +31,10 @@ class Env {
   // Like IntOr, but values < 1 also fall back (with a warning).
   static int64_t PositiveIntOr(const char* name, int64_t fallback);
 
-  // Boolean value: 1/true/yes/on and 0/false/no/off (case-insensitive).
-  static bool BoolOr(const char* name, bool fallback);
-
-  // Floating-point value (e.g. RETIA_STREAM_LR); warns and returns
-  // `fallback` on junk.
-  static double FloatOr(const char* name, double fallback);
-
-  // Pure parsing helpers (unit-testable without touching the process
-  // environment). Return false when `value` is null, empty, or malformed;
-  // `*out` is untouched on failure.
+  // Pure parsing helper (unit-testable without touching the process
+  // environment). Returns false when `value` is null, empty, or
+  // malformed; `*out` is untouched on failure.
   static bool ParseInt(const char* value, int64_t* out);
-  static bool ParseBool(const char* value, bool* out);
-  static bool ParseFloat(const char* value, double* out);
 };
 
 }  // namespace retia::util

@@ -1,9 +1,9 @@
 // Tests for the batched serve path: engine SubmitBatch bit-identity with
 // the per-query path (f32 and int8, across SIMD backends), per-slot error
-// isolation in mixed-validity batches, Router::RouteBatch scatter/gather
-// over local and socket channels, and the decode scratch arena's
-// warm-path no-growth guarantee. Registered under the ctest label `serve`
-// so the TSan matrix in scripts/check.sh covers it.
+// isolation in mixed-validity batches, and Router::RouteBatch
+// scatter/gather (including multi-frame chunking) over local and socket
+// channels. Registered under the ctest label `serve` so the TSan matrix in
+// scripts/check.sh covers it.
 
 #include <cstdint>
 #include <cstring>
@@ -18,7 +18,6 @@
 #include "core/retia.h"
 #include "graph/graph_cache.h"
 #include "obs/obs.h"
-#include "serve/arena.h"
 #include "serve/engine.h"
 #include "serve/query.h"
 #include "serve/replica.h"
@@ -40,7 +39,6 @@ using serve::ReplicaServer;
 using serve::Result;
 using serve::Router;
 using serve::RouterConfig;
-using serve::ScratchArena;
 using serve::ServeConfig;
 using serve::ServeEngine;
 using serve::SocketChannel;
@@ -230,21 +228,53 @@ TEST(RouterBatchTest, RouteBatchMatchesPerQueryRouteAndStampsShards) {
   Router batched(std::move(replicas_a), config);
   Router singles(std::move(replicas_b), config);
 
+  const auto check = [&](const std::vector<Query>& queries) {
+    const std::vector<Result<QueryResult>> batch = batched.RouteBatch(queries);
+    ASSERT_EQ(batch.size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const Result<QueryResult> single = singles.Route(queries[i]);
+      ExpectBitIdentical(batch[i], single, i);
+      if (batch[i].ok()) {
+        // The shard stamp must match what single-query routing computes.
+        EXPECT_EQ(batch[i].value().shard, single.value().shard)
+            << "slot " << i;
+        EXPECT_GE(batch[i].value().shard, 0);
+      }
+    }
+  };
+
   std::vector<Query> queries = MixedBatch(dataset, 40);
   queries.push_back(Query::Entity(1 << 20, 0, dataset.test_times().front(),
                                   5));  // degrades only its own slot
-  const std::vector<Result<QueryResult>> batch = batched.RouteBatch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const Result<QueryResult> single = singles.Route(queries[i]);
-    ExpectBitIdentical(batch[i], single, i);
-    if (batch[i].ok()) {
-      // The shard stamp must match what single-query routing computes.
-      EXPECT_EQ(batch[i].value().shard, single.value().shard) << "slot " << i;
-      EXPECT_GE(batch[i].value().shard, 0);
-    }
-  }
+  check(queries);
   EXPECT_TRUE(batched.RouteBatch({}).empty());
+
+  // More than two 64-query frames' worth on shard 0 (so RouteBatch ships
+  // it in at least three chunks) on top of a mixed batch over every shard.
+  std::vector<int64_t> shard0_subjects;
+  for (int64_t s = 0; s < dataset.num_entities(); ++s) {
+    if (batched.ShardFor(s) == 0) shard0_subjects.push_back(s);
+  }
+  ASSERT_FALSE(shard0_subjects.empty());
+  const std::vector<int64_t>& times = dataset.test_times();
+  std::vector<Query> big = MixedBatch(dataset, 90);
+  for (int64_t i = 0; i < 150; ++i) {
+    const int64_t s = shard0_subjects[i % shard0_subjects.size()];
+    const int64_t t = times[i % times.size()];
+    big.push_back(i % 4 == 3 ? Query::Relation(s, (s + 3) % 11, t, 5)
+                             : Query::Entity(s, i % 10, t, 5));
+  }
+  std::vector<int64_t> per_shard(batched.num_shards(), 0);
+  for (const Query& query : big) ++per_shard[batched.ShardFor(query.s)];
+  ASSERT_GT(per_shard[0], 128);
+  int64_t expected_frames = 0;
+  for (const int64_t n : per_shard) expected_frames += (n + 63) / 64;
+
+  obs::Counter* frames =
+      obs::MetricsRegistry::Get().GetCounter("serve.router.batch.frames");
+  const int64_t frames_before = frames->Value();
+  check(big);
+  EXPECT_EQ(frames->Value() - frames_before, expected_frames);
 }
 
 TEST(RouterBatchTest, SocketBatchBitIdenticalToPerQuerySubmit) {
@@ -279,58 +309,6 @@ TEST(RouterBatchTest, SocketBatchBitIdenticalToPerQuerySubmit) {
   for (const Result<QueryResult>& result : down) {
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.code(), StatusCode::kShardUnavailable);
-  }
-}
-
-// ---- Scratch arena ----------------------------------------------------------
-
-TEST(ArenaTest, WarmArenaStopsGrowingAndReportsItsFootprint) {
-  obs::Counter* growths =
-      obs::MetricsRegistry::Get().GetCounter("serve.arena.growths");
-  obs::Gauge* bytes =
-      obs::MetricsRegistry::Get().GetGauge("serve.arena.bytes");
-
-  ScratchArena arena;
-  const int64_t before = growths->Value();
-  // Cold pass: three allocations the initial (empty) arena cannot hold.
-  arena.Alloc<int64_t>(100);
-  arena.Alloc<float>(5000);
-  arena.Alloc<double>(300);
-  const int64_t cold_growths = growths->Value() - before;
-  EXPECT_GT(cold_growths, 0);
-
-  arena.Reset();  // consolidates to one block of total capacity
-  const size_t warm_capacity = arena.capacity();
-  EXPECT_EQ(bytes->Value(), static_cast<double>(warm_capacity));
-
-  // Warm passes: the same allocation pattern must never grow again, and
-  // pointers must be served from the consolidated block.
-  for (int round = 0; round < 10; ++round) {
-    int64_t* a = arena.Alloc<int64_t>(100);
-    float* b = arena.Alloc<float>(5000);
-    double* c = arena.Alloc<double>(300);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    ASSERT_NE(c, nullptr);
-    a[99] = round;  // the memory is real and writable
-    b[4999] = 1.0f;
-    c[299] = 2.0;
-    arena.Reset();
-    EXPECT_EQ(arena.capacity(), warm_capacity) << "round " << round;
-  }
-  EXPECT_EQ(growths->Value() - before, cold_growths)
-      << "warm path must be allocation-free";
-  EXPECT_EQ(bytes->Value(), static_cast<double>(warm_capacity));
-}
-
-TEST(ArenaTest, AllocationsAreAlignedAndZeroSizedAllocIsSafe) {
-  ScratchArena arena;
-  EXPECT_EQ(arena.Alloc<int64_t>(0), arena.Alloc<int64_t>(0));
-  for (int i = 0; i < 50; ++i) {
-    double* p = arena.Alloc<double>(i + 1);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % alignof(double), 0u);
-    int64_t* q = arena.Alloc<int64_t>(1);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(q) % alignof(int64_t), 0u);
   }
 }
 

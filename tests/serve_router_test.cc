@@ -3,10 +3,11 @@
 // (nothing a socket peer sends may crash a serving process), router
 // bit-identity against a direct engine, shard-failure reporting, the
 // unix-socket replica end-to-end path (hung-up connections closed and
-// reaped), and cross-replica snapshot-epoch consistency under concurrent
-// SwapAll. Registered under the ctest label `serve` so the TSan matrix in
-// scripts/check.sh covers the zero-drop swap guarantee on the multi-shard
-// path.
+// reaped, a burst above the connection pool's size answered exactly and
+// its overflow sockets closed), and cross-replica snapshot-epoch
+// consistency under concurrent SwapAll. Registered under the ctest label
+// `serve` so the TSan matrix in scripts/check.sh covers the zero-drop swap
+// guarantee on the multi-shard path.
 
 #include <chrono>
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -68,16 +70,16 @@ std::vector<int64_t> Ids(int64_t n) {
 }
 
 TEST(ShardMapTest, DeterministicAcrossInstances) {
-  const ShardMap a(Ids(5), /*virtual_nodes=*/64);
-  const ShardMap b(Ids(5), /*virtual_nodes=*/64);
+  const ShardMap a(Ids(5));
+  const ShardMap b(Ids(5));
   for (int64_t subject = 0; subject < 10000; ++subject) {
     ASSERT_EQ(a.ShardFor(subject), b.ShardFor(subject)) << subject;
   }
 }
 
 TEST(ShardMapTest, AddingReplicaRemapsOnlyOntoNewReplica) {
-  const ShardMap before(Ids(3), /*virtual_nodes=*/64);
-  const ShardMap after(Ids(4), /*virtual_nodes=*/64);
+  const ShardMap before(Ids(3));
+  const ShardMap after(Ids(4));
   int64_t moved = 0;
   for (int64_t subject = 0; subject < 20000; ++subject) {
     const int64_t old_shard = before.ShardFor(subject);
@@ -98,8 +100,8 @@ TEST(ShardMapTest, AddingReplicaRemapsOnlyOntoNewReplica) {
 TEST(ShardMapTest, RemovingReplicaRemapsOnlyItsKeys) {
   // Ring of {0, 1, 2, 3} vs the same ring with 3 removed: only keys that
   // lived on shard 3 may change owners.
-  const ShardMap before(Ids(4), /*virtual_nodes=*/64);
-  const ShardMap after(Ids(3), /*virtual_nodes=*/64);
+  const ShardMap before(Ids(4));
+  const ShardMap after(Ids(3));
   for (int64_t subject = 0; subject < 20000; ++subject) {
     const int64_t old_shard = before.ShardFor(subject);
     const int64_t new_shard = after.ShardFor(subject);
@@ -110,7 +112,7 @@ TEST(ShardMapTest, RemovingReplicaRemapsOnlyItsKeys) {
 }
 
 TEST(ShardMapTest, KeysSpreadAcrossReplicas) {
-  const ShardMap map(Ids(4), /*virtual_nodes=*/64);
+  const ShardMap map(Ids(4));
   std::map<int64_t, int64_t> counts;
   for (int64_t subject = 0; subject < 20000; ++subject) {
     ++counts[map.ShardFor(subject)];
@@ -700,6 +702,21 @@ int64_t OpenFds() {
   return std::distance(std::filesystem::begin(fds), std::filesystem::end(fds));
 }
 
+// Waits up to 10 s for the open-fd count to fall to `limit`, and returns
+// the last count seen. The replica closes a connection only once its
+// handler sees the hang-up, so the count settles asynchronously.
+int64_t OpenFdsSettledTo(int64_t limit) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (OpenFds() > limit && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return OpenFds();
+}
+
+// Descriptors tolerated above the expected count once the replica settles.
+constexpr int64_t kFdSlack = 8;
+
 TEST(ReplicaServerTest, HungUpConnectionsAreClosedAndReaped) {
   const tkg::TkgDataset dataset = tkg::GenerateSynthetic(TinyDataConfig());
   core::RetiaModel model(TinyModelConfig(dataset));
@@ -721,18 +738,66 @@ TEST(ReplicaServerTest, HungUpConnectionsAreClosedAndReaped) {
     ASSERT_TRUE(ping.ok()) << "cycle " << i << ": " << ping.ToString();
   }
   // The replica closes each connection once its handler sees the hang-up.
-  constexpr int64_t kSlack = 8;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (OpenFds() > fds_before + kSlack &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_LE(OpenFds(), fds_before + kSlack);
+  EXPECT_LE(OpenFdsSettledTo(fds_before + kFdSlack), fds_before + kFdSlack);
 
   SocketChannel fresh(path, config);
   Result<int64_t> ping = fresh.Ping();
   ASSERT_TRUE(ping.ok()) << ping.ToString();
+  server.Stop();
+}
+
+TEST(ReplicaServerTest, BurstAbovePoolSizeMatchesInProcessAndClosesOverflow) {
+  const tkg::TkgDataset dataset = tkg::GenerateSynthetic(TinyDataConfig());
+  core::RetiaModel model(TinyModelConfig(dataset));
+  const int64_t t = dataset.test_times().front();
+
+  ServeEngine reference(SnapshotOf(model, dataset), SmallServeConfig());
+  ServeEngine served(SnapshotOf(model, dataset), SmallServeConfig());
+  const std::string path = testing::TempDir() + "/retia_replica_burst.sock";
+  ReplicaServer server(&served, nullptr, path);
+  ASSERT_TRUE(server.Start().ok());
+
+  // 8 concurrent callers over a 2-socket pool: a caller that finds the
+  // pool empty dials its own connection, and Return keeps only 2 of them.
+  constexpr int64_t kPool = 2;
+  RouterConfig config;
+  config.connections_per_replica = kPool;
+  config.timeout_ms = 10000;
+  std::vector<std::unique_ptr<ReplicaChannel>> channels;
+  channels.push_back(std::make_unique<SocketChannel>(path, config));
+  Router router(std::move(channels), config);
+
+  constexpr int kThreads = 8;
+  constexpr int kCallsPerThread = 25;
+  std::vector<Query> queries;
+  for (int i = 0; i < kThreads * kCallsPerThread; ++i) {
+    queries.push_back(Query::Entity(i % dataset.num_entities(), i % 10, t, 5));
+  }
+  const int64_t fds_before = OpenFds();
+  std::vector<std::optional<Result<QueryResult>>> routed(queries.size());
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kThreads; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t i = c; i < queries.size(); i += kThreads) {
+        routed[i] = router.Route(queries[i]);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(routed[i].has_value()) << "query " << i;
+    ASSERT_TRUE(routed[i]->ok()) << "query " << i << ": "
+                                 << routed[i]->ToString();
+    Result<QueryResult> direct = reference.Submit(queries[i]);
+    ASSERT_TRUE(direct.ok()) << direct.ToString();
+    EXPECT_EQ(routed[i]->value().candidates, direct.value().candidates)
+        << "query " << i;
+  }
+  // Both ends of each pooled connection live in this process; every
+  // overflow connection is closed on return and reaped by the replica.
+  const int64_t limit = fds_before + 2 * kPool + kFdSlack;
+  EXPECT_LE(OpenFdsSettledTo(limit), limit);
   server.Stop();
 }
 

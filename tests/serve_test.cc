@@ -227,7 +227,6 @@ TEST(ServeEngineTest, ConcurrentTopKBitIdenticalToSingleThreaded) {
 
   ServeConfig config;
   config.num_threads = 8;
-  config.max_batch = 16;
   config.max_k = k;
   ServeEngine engine(&model, &graph_cache, config);
   engine.Warmup(t);
@@ -284,11 +283,12 @@ TEST(ServeEngineTest, OversubscribedPoolStaysBitIdenticalAndDeadlockFree) {
   const std::vector<std::vector<ScoredCandidate>> reference =
       ReferenceTopK(&model, &graph_cache, t, queries, k);
 
-  par::ThreadPool pool(2);  // declared before the engine: must outlive it
+  // Declared before the engine: the pool and the default-pool override
+  // must outlive it.
+  par::ThreadPool pool(2);
+  par::ScopedDefaultPool pool_guard(&pool);
   ServeConfig config;
   config.num_threads = 2;
-  config.pool = &pool;
-  config.max_batch = 8;
   config.max_k = k;
   config.enable_cache = false;  // force every query through the queue
   ServeEngine engine(&model, &graph_cache, config);
@@ -398,11 +398,12 @@ TEST(ServeEngineTest, MicroBatchingCoalescesQueuedQueries) {
   graph::GraphCache graph_cache(&dataset);
   const int64_t t = dataset.test_times().front();
 
-  par::ThreadPool pool(2);  // one worker; declared before the engine
+  // One worker; the pool and the default-pool override are declared
+  // before the engine so they outlive it.
+  par::ThreadPool pool(2);
+  par::ScopedDefaultPool pool_guard(&pool);
   ServeConfig config;
   config.num_threads = 1;
-  config.pool = &pool;
-  config.max_batch = 32;
   config.max_k = 3;
   config.enable_cache = false;
   ServeEngine engine(&model, &graph_cache, config);

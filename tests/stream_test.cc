@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -119,6 +120,8 @@ int64_t RankOf(const std::vector<serve::ScoredCandidate>& candidates,
 
 // ---- Ingestion --------------------------------------------------------------
 
+constexpr int64_t kMaxId = std::numeric_limits<int64_t>::max();
+
 TEST(StreamIngestTest, BucketsSealsAndRejectsLate) {
   std::unique_ptr<tkg::TkgDataset> live = MakeLiveDataset();
   const int64_t t0 = live->max_time();
@@ -179,6 +182,20 @@ TEST(StreamIngestTest, RejectsInvalidAndUnseenIds) {
   EXPECT_EQ(ingest.counters().rejected_unseen_relation, 1);
   EXPECT_EQ(ingest.counters().rejected_unseen_entity, 2);
   EXPECT_EQ(ingest.counters().accepted, 0);
+
+  // Ids at the top of the int64 range are unseen too, and a following
+  // seal appends only the accepted fact.
+  EXPECT_EQ(ingest.Offer({kMaxId, 0, 1, t}),
+            IngestStatus::kRejectedUnseenEntity);
+  EXPECT_EQ(ingest.Offer({1, 0, kMaxId, t}),
+            IngestStatus::kRejectedUnseenEntity);
+  EXPECT_EQ(ingest.Offer({1, 0, 2, t}), IngestStatus::kAccepted);
+  EXPECT_EQ(ingest.counters().rejected_unseen_entity, 4);
+  const std::vector<SealedBucket> sealed = ingest.Flush();
+  ASSERT_EQ(sealed.size(), 1u);
+  EXPECT_EQ(sealed[0].facts.size(), 1u);
+  EXPECT_EQ(live->FactsAt(t).size(), 1u);
+  EXPECT_EQ(live->num_entities(), n);
 }
 
 TEST(StreamIngestTest, GrowEntitiesPolicyGrowsVocabUpToCap) {
@@ -201,6 +218,20 @@ TEST(StreamIngestTest, GrowEntitiesPolicyGrowsVocabUpToCap) {
   // The growth cap holds.
   EXPECT_EQ(ingest.Offer({n + 10, 0, 1, t}),
             IngestStatus::kRejectedUnseenEntity);
+  EXPECT_EQ(live->num_entities(), n + 3);
+
+  // Ids at the top of the int64 range are beyond any cap, and a following
+  // seal appends only the first, accepted fact.
+  EXPECT_EQ(ingest.Offer({kMaxId, 0, 1, t}),
+            IngestStatus::kRejectedUnseenEntity);
+  EXPECT_EQ(ingest.Offer({1, 0, kMaxId, t}),
+            IngestStatus::kRejectedUnseenEntity);
+  EXPECT_EQ(ingest.counters().rejected_unseen_entity, 3);
+  EXPECT_EQ(ingest.counters().grown_entities, 3);
+  const std::vector<SealedBucket> sealed = ingest.Flush();
+  ASSERT_EQ(sealed.size(), 1u);
+  EXPECT_EQ(sealed[0].facts.size(), 1u);
+  EXPECT_EQ(live->FactsAt(t).size(), 1u);
   EXPECT_EQ(live->num_entities(), n + 3);
 }
 

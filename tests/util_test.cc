@@ -186,20 +186,6 @@ TEST(EnvTest, ParseIntAcceptsIntegersOnly) {
   EXPECT_EQ(v, 99);  // untouched on failure
 }
 
-TEST(EnvTest, ParseBoolAcceptsCommonSpellings) {
-  bool v = false;
-  EXPECT_TRUE(Env::ParseBool("1", &v));
-  EXPECT_TRUE(v);
-  EXPECT_TRUE(Env::ParseBool("off", &v));
-  EXPECT_FALSE(v);
-  EXPECT_TRUE(Env::ParseBool("TRUE", &v));
-  EXPECT_TRUE(v);
-  EXPECT_TRUE(Env::ParseBool("no", &v));
-  EXPECT_FALSE(v);
-  EXPECT_FALSE(Env::ParseBool("maybe", &v));
-  EXPECT_FALSE(Env::ParseBool(nullptr, &v));
-}
-
 TEST(EnvTest, TypedAccessorsFallBackOnJunk) {
   ::setenv("RETIA_TEST_ENV_INT", "17", 1);
   EXPECT_EQ(Env::IntOr("RETIA_TEST_ENV_INT", 5), 17);
@@ -215,12 +201,6 @@ TEST(EnvTest, TypedAccessorsFallBackOnJunk) {
   EXPECT_EQ(Env::StringOr("RETIA_TEST_ENV_STR", "d"), "hello");
   ::unsetenv("RETIA_TEST_ENV_STR");
   EXPECT_EQ(Env::StringOr("RETIA_TEST_ENV_STR", "d"), "d");
-
-  ::setenv("RETIA_TEST_ENV_BOOL", "yes", 1);
-  EXPECT_TRUE(Env::BoolOr("RETIA_TEST_ENV_BOOL", false));
-  ::setenv("RETIA_TEST_ENV_BOOL", "whatever", 1);
-  EXPECT_FALSE(Env::BoolOr("RETIA_TEST_ENV_BOOL", false));
-  ::unsetenv("RETIA_TEST_ENV_BOOL");
 }
 
 }  // namespace
