@@ -223,23 +223,46 @@ void BM_EntityRgcnLayerForward(benchmark::State& state) {
 }
 BENCHMARK(BM_EntityRgcnLayerForward);
 
-void BM_RelationRgcnLayerForward(benchmark::State& state) {
-  retia::tkg::TkgDataset ds = retia::tkg::GenerateSynthetic(
-      retia::tkg::SyntheticConfig::Icews14Like());
-  retia::graph::Subgraph g(ds.FactsAt(0), ds.num_entities(),
-                           ds.num_relations());
-  retia::graph::HyperSubgraph hg(g);
+// One relation R-GCN layer forward plus backward on the twin hyperrelation
+// subgraph of the last timestamp of a synthetic history shaped like the
+// perfbench workloads: `stream` is the stream window's world (300
+// entities, 16 relations, 60 facts per timestamp, d = 32; 2,944
+// hyperedges over 32 relation nodes) and `paper` its paper-scale profile
+// (23,000 entities, 250 relations, 1,500 facts per timestamp, d = 200;
+// 356,928 hyperedges over 500 relation nodes).
+void BM_RelationRgcnLayer(benchmark::State& state, int64_t entities,
+                          int64_t relations, int64_t facts, int64_t schemas,
+                          int64_t dim) {
+  retia::tkg::SyntheticConfig config;
+  config.num_entities = entities;
+  config.num_relations = relations;
+  config.num_timestamps = 10;
+  config.facts_per_timestamp = facts;
+  config.num_schemas = schemas;
+  config.seed = 17;
+  const retia::tkg::TkgDataset ds = retia::tkg::GenerateSynthetic(config);
+  const retia::graph::Subgraph g(ds.FactsAt(ds.max_time()),
+                                 ds.num_entities(), ds.num_relations());
+  const retia::graph::HyperSubgraph hg(g);
   retia::util::Rng rng(11);
-  retia::core::RelationRgcnLayer layer(32, 0.0f, &rng);
+  retia::core::RelationRgcnLayer layer(dim, 0.0f, &rng);
   layer.SetTraining(false);
-  Tensor rels = RandomTensor({2 * ds.num_relations(), 32}, 12);
-  Tensor hypers = RandomTensor({8, 32}, 13);
-  retia::tensor::NoGradGuard guard;
+  Tensor rels = RandomTensor({2 * relations, dim}, 12);
+  Tensor hypers = RandomTensor({8, dim}, 13);
+  rels.SetRequiresGrad(true);
+  hypers.SetRequiresGrad(true);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(layer.Forward(rels, hypers, hg, &rng).Data());
+    Tensor out = layer.Forward(rels, hypers, hg, &rng);
+    retia::tensor::Sum(out).Backward();
+    benchmark::DoNotOptimize(rels.Grad().data());
   }
+  state.counters["hyperedges"] = static_cast<double>(hg.num_edges());
+  LabelBackend(state);
 }
-BENCHMARK(BM_RelationRgcnLayerForward);
+BENCHMARK_CAPTURE(BM_RelationRgcnLayer, stream, 300, 16, 60, 240, 32)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_RelationRgcnLayer, paper, 23000, 250, 1500, 6000, 200)
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Quantized inference kernels (docs/QUANTIZATION.md). The decode pair
@@ -449,7 +472,7 @@ BENCHMARK(BM_ScatterAddThreadSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // on par::ParallelShards) and the program-order recurrent chain, whose
 // kernels shard on the pool (DESIGN.md §12). The name is kept because
 // BENCH_kernels.json, scripts/bench_kernels.sh and scripts/check.sh key
-// on it. This row (plus the privatized scatter-add above) is what the
+// on it. This row (plus the scatter-add sweep above) is what the
 // thread-sweep acceptance gate in scripts/bench_kernels.sh reads; the
 // bit-identity cross-check doubles as the determinism contract.
 void BM_InterOpTimestepSweep(benchmark::State& state) {

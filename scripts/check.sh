@@ -63,14 +63,17 @@
 #    must drop zero requests; a SIGKILLed replica must degrade only its
 #    consistent-hash arc to shard_unavailable without hanging the router
 #    (docs/SERVING_TOPOLOGY.md).
-# 6. UBSan smoke over the vector kernels and the outside-input suites:
-#    builds simd_test, tensor_property_test, stream_test and
-#    serve_router_test with -fsanitize=undefined (no-recover) into
-#    build-ubsan/ and runs them. The exp bit tricks (int add on the
-#    exponent field, shift-by-23, bitcasts) and the unaligned vector
-#    loads are exactly the code UBSan exists for; stream_test and
-#    serve_router_test feed the program ingested ids and wire bytes, where
-#    signed overflow on a hostile value is the bug class to catch.
+# 6. UBSan smoke over the vector kernels, the graph index arithmetic and
+#    the outside-input suites: builds simd_test, tensor_property_test,
+#    core_test, graph_test, stream_test and serve_router_test with
+#    -fsanitize=undefined (no-recover) into build-ubsan/ and runs them.
+#    The exp bit tricks (int add on the exponent field, shift-by-23,
+#    bitcasts) and the unaligned vector loads are exactly the code UBSan
+#    exists for; so are Algorithm 1's packed u64 hyperedge keys and the
+#    CSR offsets of the relation R-GCN's row aggregation (graph_test,
+#    core_test); stream_test and serve_router_test feed the program
+#    ingested ids and wire bytes, where signed overflow on a hostile value
+#    is the bug class to catch.
 #
 # Usage: scripts/check.sh [build-dir]        (default: <repo>/build-tsan)
 set -euo pipefail
@@ -433,8 +436,9 @@ echo "check.sh: SIGKILLed replica degraded to shard_unavailable without" \
      "hanging the router; surviving shard kept serving"
 
 # ---------------------------------------------------------------------------
-# UBSan smoke over the vector kernels and the two suites that feed outside
-# input (ingested ids, wire bytes) into the program. -fno-sanitize-recover=all
+# UBSan smoke over the vector kernels, Algorithm 1 and the row aggregation
+# (graph_test, core_test), and the two suites that feed outside input
+# (ingested ids, wire bytes) into the program. -fno-sanitize-recover=all
 # (set by the RETIA_SANITIZE=undefined branch in CMakeLists.txt) makes the
 # first report fatal, so a green run means zero findings.
 BUILD_UBSAN="${ROOT}/build-ubsan"
@@ -443,14 +447,16 @@ cmake -B "${BUILD_UBSAN}" -S "${ROOT}" \
   -DRETIA_SANITIZE=undefined
 
 cmake --build "${BUILD_UBSAN}" -j "${JOBS}" \
-  --target simd_test tensor_property_test stream_test serve_router_test
+  --target simd_test tensor_property_test core_test graph_test stream_test \
+  serve_router_test
 
 UBSAN_OPTIONS="print_stacktrace=1${UBSAN_OPTIONS:+:${UBSAN_OPTIONS}}" \
   ctest --test-dir "${BUILD_UBSAN}" -L simd --output-on-failure
-for suite in tensor_property_test stream_test serve_router_test; do
+for suite in tensor_property_test core_test graph_test stream_test \
+    serve_router_test; do
   UBSAN_OPTIONS="print_stacktrace=1${UBSAN_OPTIONS:+:${UBSAN_OPTIONS}}" \
     "${BUILD_UBSAN}/tests/${suite}"
 done
 
-echo "check.sh: simd kernels, stream ingest and serve wire suites clean" \
-     "under UndefinedBehaviorSanitizer"
+echo "check.sh: simd kernels, graph/core, stream ingest and serve wire" \
+     "suites clean under UndefinedBehaviorSanitizer"

@@ -205,68 +205,76 @@ std::vector<RetiaModel::StepState> RetiaModel::Evolve(
   cache.Prefetch(history, /*hypergraphs=*/run_ram);
   for (int64_t t : history) {
     const graph::Subgraph& g = cache.subgraph(t);
+    const graph::HyperSubgraph* hg = run_ram ? &cache.hypergraph(t) : nullptr;
 
-    // ---- TIM + RAM: produce R_t ----------------------------------------
+    // ---- TIM: the relation input R_t^in and the hyperrelations HR_t -----
     Tensor r_input;  // relation embeddings fed to the RAM / decoder
-    if (!config_.use_ram) {
-      // Table VI "wo. RAM": relations stay at their initial embeddings.
-      r_input = r0;
-    } else if (config_.relation_mode == RelationMode::kNone) {
-      // Fig. 6/7 "wo. RM": raw initial embeddings, no modeling.
-      r_input = r0;
-    } else if (!config_.use_tim) {
-      // Table IX / Fig. 3-4 "wo. TIM": no communication from the EAM; the
-      // relation pipeline evolves on its own previous output.
-      r_input = r_prev;
-    } else {
-      // Eq. 7: R_Mean^t = [R_0 ; MP(E_{t-1}, E_r^t)].
-      Tensor pooled = ApplyPoolPlan(e_prev, EntityPoolPlan(g, rel_aug));
-      Tensor r_mean = tensor::ConcatCols(r0, pooled);
-      if (config_.relation_mode == RelationMode::kMp) {
-        // Fig. 6/7 "w. MP": no LSTM evolution; a learned projection brings
-        // the 2d-wide pooled features back to width d.
-        r_input = mp_proj_->Forward(r_mean);
+    Tensor hr_t;     // hyperrelation embeddings delivered to the RAM
+    {
+      RETIA_OBS_TRACE_SPAN("core.evolve.tim");
+      if (!config_.use_ram) {
+        // Table VI "wo. RAM": relations stay at their initial embeddings.
+        r_input = r0;
+      } else if (config_.relation_mode == RelationMode::kNone) {
+        // Fig. 6/7 "wo. RM": raw initial embeddings, no modeling.
+        r_input = r0;
+      } else if (!config_.use_tim) {
+        // Table IX / Fig. 3-4 "wo. TIM": no communication from the EAM;
+        // the relation pipeline evolves on its own previous output.
+        r_input = r_prev;
       } else {
-        // Eq. 8, with C_0 = R_Mean^0.
-        if (!lstm_cell.defined()) lstm_cell = r_mean;
-        nn::ProjectedLstmCell::State state =
-            relation_lstm_->Forward(r_mean, {r_prev, lstm_cell});
-        r_input = state.h;
-        lstm_cell = state.c;
+        // Eq. 7: R_Mean^t = [R_0 ; MP(E_{t-1}, E_r^t)].
+        Tensor pooled = ApplyPoolPlan(e_prev, EntityPoolPlan(g, rel_aug));
+        Tensor r_mean = tensor::ConcatCols(r0, pooled);
+        if (config_.relation_mode == RelationMode::kMp) {
+          // Fig. 6/7 "w. MP": no LSTM evolution; a learned projection
+          // brings the 2d-wide pooled features back to width d.
+          r_input = mp_proj_->Forward(r_mean);
+        } else {
+          // Eq. 8, with C_0 = R_Mean^0.
+          if (!lstm_cell.defined()) lstm_cell = r_mean;
+          nn::ProjectedLstmCell::State state =
+              relation_lstm_->Forward(r_mean, {r_prev, lstm_cell});
+          r_input = state.h;
+          lstm_cell = state.c;
+        }
+      }
+      if (run_ram) {
+        // Hyperrelation embeddings delivered to the RAM (Fig. 5).
+        if (!config_.use_tim || config_.hyper_mode == HyperMode::kNone) {
+          hr_t = hr0;
+        } else if (config_.hyper_mode == HyperMode::kHmp) {
+          // "w. HMP": hyperrelation representations replaced by the mean
+          // of the immediately adjacent relation embeddings.
+          hr_t = ApplyPoolPlan(r_input, HyperPoolPlan(*hg));
+        } else {
+          // Eq. 9/10, with HC_0 = HR_Mean^0.
+          Tensor hr_mean = tensor::ConcatCols(
+              hr0, ApplyPoolPlan(r_input, HyperPoolPlan(*hg)));
+          if (!hlstm_cell.defined()) hlstm_cell = hr_mean;
+          nn::ProjectedLstmCell::State state =
+              hyper_lstm_->Forward(hr_mean, {hr_prev, hlstm_cell});
+          hr_t = state.h;
+          hlstm_cell = state.c;
+        }
+        hr_prev = hr_t;
       }
     }
 
+    // ---- RAM: produce R_t --------------------------------------------------
     Tensor r_t = r_input;
     if (run_ram) {
-      const graph::HyperSubgraph& hg = cache.hypergraph(t);
-      // Hyperrelation embeddings delivered to the RAM (Fig. 5).
-      Tensor hr_t;
-      if (!config_.use_tim || config_.hyper_mode == HyperMode::kNone) {
-        hr_t = hr0;
-      } else if (config_.hyper_mode == HyperMode::kHmp) {
-        // "w. HMP": hyperrelation representations replaced by the mean of
-        // the immediately adjacent relation embeddings.
-        hr_t = ApplyPoolPlan(r_input, HyperPoolPlan(hg));
-      } else {
-        // Eq. 9/10, with HC_0 = HR_Mean^0.
-        Tensor hr_mean =
-            tensor::ConcatCols(hr0, ApplyPoolPlan(r_input, HyperPoolPlan(hg)));
-        if (!hlstm_cell.defined()) hlstm_cell = hr_mean;
-        nn::ProjectedLstmCell::State state =
-            hyper_lstm_->Forward(hr_mean, {hr_prev, hlstm_cell});
-        hr_t = state.h;
-        hlstm_cell = state.c;
-      }
-      hr_prev = hr_t;
+      RETIA_OBS_TRACE_SPAN("core.evolve.ram");
       // Eq. 2 + Eq. 3: aggregate in the twin hyperrelation subgraph, then
       // gate against the input through the R-GRU.
-      Tensor r_agg = relation_rgcn_->Forward(r_input, hr_t, hg, &rng_);
+      Tensor r_agg = relation_rgcn_->Forward(r_input, hr_t, *hg, &rng_);
       r_t = relation_gru_->Forward(r_agg, r_input);
     }
 
     // ---- EAM: produce E_t ------------------------------------------------
     Tensor e_t = e_prev;
     if (config_.use_eam) {
+      RETIA_OBS_TRACE_SPAN("core.evolve.eam");
       // Table IX "wo. TIM" severs the channel from the RAM: the EAM sees
       // its own private static relation embeddings.
       const Tensor& eam_rel = config_.use_tim ? r_t : eam_static_relations_;
@@ -448,6 +456,7 @@ Tensor RetiaModel::ScoreRelationsImpl(
 
 Tensor RetiaModel::SumStateDecodes(
     size_t num_states, const std::function<Tensor(size_t)>& decode) const {
+  RETIA_OBS_TRACE_SPAN("core.decode");
   const size_t first =
       config_.time_variability_decode ? 0 : num_states - 1;
   const int64_t n = static_cast<int64_t>(num_states - first);

@@ -77,34 +77,19 @@ Tensor RelationRgcnLayer::Forward(const Tensor& relations,
                                   const graph::HyperSubgraph& hg,
                                   util::Rng* rng) const {
   RETIA_CHECK_EQ(hyperrelations.Dim(0), graph::kNumHyperRelationsAug);
-  const int64_t num_rel_nodes = relations.Dim(0);
   Tensor out = tensor::MatMulTransposeB(relations, self_weight_);
   if (hg.num_edges() > 0) {
-    // Per-edge input r_s + hr, transformed by the edge's W_hr. Edges are
-    // processed grouped by hyperrelation type so each group is one matmul
-    // (the gather / GEMM / scatter kernels shard deterministically over
-    // par::DefaultPool(); see tensor/). Groups are built in one pass over
-    // the edge list, preserving edge order within each group.
-    Tensor x = tensor::Add(tensor::GatherRows(relations, hg.src()),
-                           tensor::GatherRows(hyperrelations, hg.hyper_rel()));
-    const int64_t num_edges = hg.num_edges();
-    std::vector<std::vector<int64_t>> edge_ids(graph::kNumHyperRelationsAug);
-    std::vector<std::vector<int64_t>> dsts(graph::kNumHyperRelationsAug);
-    std::vector<std::vector<float>> norms(graph::kNumHyperRelationsAug);
-    for (int64_t e = 0; e < num_edges; ++e) {
-      const int64_t hr = hg.hyper_rel()[e];
-      edge_ids[hr].push_back(e);
-      dsts[hr].push_back(hg.dst()[e]);
-      norms[hr].push_back(hg.edge_norm()[e]);
-    }
-    for (int64_t hr = 0; hr < graph::kNumHyperRelationsAug; ++hr) {
-      if (edge_ids[hr].empty()) continue;
-      Tensor group = tensor::GatherRows(x, edge_ids[hr]);
-      Tensor msg = tensor::ScaleRows(
-          tensor::MatMulTransposeB(group, weights_[hr]), norms[hr]);
-      out = tensor::Add(
-          out, tensor::ScatterAddRows(msg, dsts[hr], num_rel_nodes));
-    }
+    // Eq. 1 is linear in (r_s + hr) up to f, so it aggregates before it
+    // transforms: row r_o of `slots` holds, in column block hr, the
+    // normalised sum of r_s + hr over R_{r_o}^{hr}, and one GEMM against
+    // the eight W_hr side by side applies every transform. That costs
+    // E*d + 8*2M*d^2 instead of a d x d product per hyperedge.
+    Tensor slots = tensor::Add(
+        tensor::AggregateRows(relations, hg.relation_aggregation()),
+        tensor::AggregateRows(hyperrelations,
+                              hg.hyperrelation_aggregation()));
+    out = tensor::Add(out, tensor::MatMulTransposeB(
+                               slots, tensor::ConcatCols(weights_)));
   }
   out = tensor::RRelu(out, kRReluLo, kRReluHi, training(), rng);
   return tensor::Dropout(out, dropout_, training(), rng);

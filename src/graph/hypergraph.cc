@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/obs.h"
 #include "util/check.h"
 
 namespace retia::graph {
@@ -54,6 +55,7 @@ Incidence BuildIncidence(const std::vector<int64_t>& ents,
 
 HyperSubgraph::HyperSubgraph(const Subgraph& base)
     : num_relation_nodes_(base.num_relations_aug()) {
+  RETIA_OBS_TRACE_SPAN("graph.hypergraph");
   // Hyperedges are sorted and deduplicated as packed u64 keys
   // (r_s * 8 + hr) * R + r_o, whose order is the (r_s, hr, r_o) order;
   // 8 * R^2 keys and the entity * R + r incidence keys must fit in 64 bits.
@@ -120,18 +122,31 @@ HyperSubgraph::HyperSubgraph(const Subgraph& base)
     dst_.push_back(static_cast<int64_t>(key % num_rels));
   }
 
-  // c_{r_o,hr} = |R_{r_o}^{hr}| (Eq. 1 normalisation), counted per
-  // (r_o, hr) in a flat table.
+  // c_{r_o,hr} = |R_{r_o}^{hr}| (Eq. 1 normalisation), counted per slot
+  // r_o * 8 + hr in a flat table.
+  std::vector<int64_t> slot(src_.size());
   std::vector<int64_t> counts(num_rels * kNumHyperRelationsAug, 0);
   for (size_t e = 0; e < src_.size(); ++e) {
-    ++counts[dst_[e] * kNumHyperRelationsAug + hyper_rel_[e]];
+    slot[e] = dst_[e] * kNumHyperRelationsAug + hyper_rel_[e];
+    ++counts[slot[e]];
   }
   edge_norm_.resize(src_.size());
   for (size_t e = 0; e < src_.size(); ++e) {
-    edge_norm_[e] = 1.0f / static_cast<float>(
-                               counts[dst_[e] * kNumHyperRelationsAug +
-                                      hyper_rel_[e]]);
+    edge_norm_[e] = 1.0f / static_cast<float>(counts[slot[e]]);
   }
+  relation_aggregation_ =
+      tensor::MakeRowAggregation(num_relation_nodes_, kNumHyperRelationsAug,
+                                 num_relation_nodes_, slot, src_, edge_norm_);
+  std::vector<int64_t> filled;
+  std::vector<int64_t> filled_hr;
+  for (size_t s = 0; s < counts.size(); ++s) {
+    if (counts[s] == 0) continue;
+    filled.push_back(static_cast<int64_t>(s));
+    filled_hr.push_back(static_cast<int64_t>(s % kNumHyperRelationsAug));
+  }
+  hyperrelation_aggregation_ = tensor::MakeRowAggregation(
+      num_relation_nodes_, kNumHyperRelationsAug, kNumHyperRelationsAug,
+      filled, filled_hr, std::vector<float>(filled.size(), 1.0f));
 
   // R_hr^t: the relations incident to each hyperrelation, ascending.
   std::vector<char> incident(kNumHyperRelationsAug * num_rels, 0);

@@ -2,9 +2,11 @@
 #define RETIA_GRAPH_HYPERGRAPH_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/subgraph.h"
+#include "tensor/ops.h"
 
 namespace retia::graph {
 
@@ -47,6 +49,23 @@ class HyperSubgraph {
   // 1/c_{r_o,hr} per hyperedge (Eq. 1).
   const std::vector<float>& edge_norm() const { return edge_norm_; }
 
+  // The two tensor::AggregateRows plans of Eq. 1 with the transform
+  // deferred. Both write [2M, 8 * d]: slot r_o * 8 + hr holds the sum over
+  // R_{r_o}^{hr} of (1/c_{r_o,hr}) (r_s + hr), the input of W_hr.
+  //  - relation_aggregation: one entry per hyperedge, from the relation
+  //    table row r_s, weighted 1/c_{r_o,hr};
+  //  - hyperrelation_aggregation: one entry per non-empty slot, from the
+  //    hyperrelation table row hr, weighted 1, since the weights of a slot
+  //    sum to one.
+  const std::shared_ptr<const tensor::RowAggregation>& relation_aggregation()
+      const {
+    return relation_aggregation_;
+  }
+  const std::shared_ptr<const tensor::RowAggregation>&
+  hyperrelation_aggregation() const {
+    return hyperrelation_aggregation_;
+  }
+
   // Relations incident to each of the 8 hyperrelation ids (deduplicated);
   // the R_hr^t sets consumed by hyper mean pooling (Eq. 9).
   const std::vector<std::vector<int64_t>>& hyperrelation_relations() const {
@@ -59,6 +78,8 @@ class HyperSubgraph {
   std::vector<int64_t> hyper_rel_;
   std::vector<int64_t> dst_;
   std::vector<float> edge_norm_;
+  std::shared_ptr<const tensor::RowAggregation> relation_aggregation_;
+  std::shared_ptr<const tensor::RowAggregation> hyperrelation_aggregation_;
   std::vector<std::vector<int64_t>> hyperrelation_relations_;
 };
 

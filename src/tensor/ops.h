@@ -2,6 +2,7 @@
 #define RETIA_TENSOR_OPS_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -66,29 +67,53 @@ Tensor MatMulTransposeB(const Tensor& a, const Tensor& b);
 Tensor GatherRows(const Tensor& a, const std::vector<int64_t>& idx);
 
 // Dense [rows, n] result where result[idx[e]] += src[e] for every e. This is
-// the message-passing aggregation primitive (sum over in-edges). Dispatches
-// between two deterministic kernels on problem size alone (ScatterAlgo
-// below), so the result is bit-identical for every thread count.
+// the message-passing aggregation primitive (sum over in-edges). Fixed
+// shards own contiguous destination-row ranges and each row receives its
+// contributions in index order, so the result is bit-identical to the
+// serial loop for every thread count.
 Tensor ScatterAddRows(const Tensor& src, const std::vector<int64_t>& idx,
                       int64_t rows);
 
-// Scatter-add kernel selector. kAuto (what ScatterAddRows uses) picks per
-// problem size — a pure function of (k, n, rows), never the thread count:
-//  - kOwnerComputes: fixed shards own contiguous destination-row ranges and
-//    scan the whole index list. Exactly the serial accumulation order, but
-//    the duplicated index scan caps its scaling.
-//  - kPrivatized: fixed source-row shards accumulate into private
-//    destination buffers, merged by a fixed binary tree in shard order.
-//    Scales with duplicate-heavy indices; same values up to float addition
-//    order (the tree association differs from the serial left fold), still
-//    bit-identical across thread counts because shards and tree shape
-//    depend on the problem size only.
-enum class ScatterAlgo { kAuto, kOwnerComputes, kPrivatized };
+// The fixed sparsity pattern of AggregateRows: entry j adds
+// weight[j] * table[src[j]] into output slot slot[j]. For an [table_rows, n]
+// table the output is [rows, blocks * n], and slot s is the n-wide column
+// block s % blocks of row s / blocks (row s of the output viewed as
+// [rows * blocks, n]). The entries are held twice, grouped by slot for the
+// forward pass and by source row for the backward pass, each group in input
+// order. Build it once per pattern with MakeRowAggregation; it is immutable
+// and shared with the backward closures that use it.
+struct RowAggregation {
+  int64_t rows = 0;
+  int64_t blocks = 1;
+  int64_t table_rows = 0;
+  // Entries of slot s: [slot_begin[s], slot_begin[s + 1]) of slot_src and
+  // slot_weight.
+  std::vector<int64_t> slot_begin;
+  std::vector<int64_t> slot_src;
+  std::vector<float> slot_weight;
+  // Entries of source row i: [src_begin[i], src_begin[i + 1]) of src_slot
+  // and src_weight.
+  std::vector<int64_t> src_begin;
+  std::vector<int64_t> src_slot;
+  std::vector<float> src_weight;
+};
 
-// ScatterAddRows with a forced kernel; tests and benches use it to compare
-// the two algorithms. The backward pass (a gather) is algorithm-independent.
-Tensor ScatterAddRowsWith(ScatterAlgo algo, const Tensor& src,
-                          const std::vector<int64_t>& idx, int64_t rows);
+// Checks every index and groups the entries (slot[j], src[j], weight[j]).
+std::shared_ptr<const RowAggregation> MakeRowAggregation(
+    int64_t rows, int64_t blocks, int64_t table_rows,
+    const std::vector<int64_t>& slot, const std::vector<int64_t>& src,
+    const std::vector<float>& weight);
+
+// Sparse weighted row aggregation: out slot s = sum over its entries j, in
+// input order, of weight[j] * table[src[j]]; empty slots are zero. Gradients
+// flow to `table` (the weights are constants). Forward shards own slot
+// ranges and backward shards own source-row ranges, and every output row
+// is summed in entry order, so the result is bit-identical to the serial
+// loop for every thread count. This is message passing with the transform
+// deferred: a layer aggregates into per-slot rows first and then applies
+// one GEMM per output row instead of one per edge.
+Tensor AggregateRows(const Tensor& table,
+                     const std::shared_ptr<const RowAggregation>& plan);
 
 // Per-row constant scaling: c[i,:] = s[i] * a[i,:]. `s` carries no gradient
 // (used for 1/c_{o,r} degree normalisation, Eq. 1/4).
@@ -104,6 +129,8 @@ Tensor SliceRows(const Tensor& a, int64_t start, int64_t len);
 
 // [m,p] ++ [m,q] -> [m,p+q] along columns.
 Tensor ConcatCols(const Tensor& a, const Tensor& b);
+// [m,p_0] ++ ... ++ [m,p_k] -> [m, sum p_i] along columns, in one copy.
+Tensor ConcatCols(const std::vector<Tensor>& parts);
 // [p,n] ++ [q,n] -> [p+q,n] along rows.
 Tensor ConcatRows(const Tensor& a, const Tensor& b);
 // Columns [start, start+len) of a 2-D tensor.

@@ -19,9 +19,8 @@ namespace {
 // result is bit-identical for every thread count. The duplicate-index
 // case (several sources hitting one destination, the message-passing
 // aggregation pattern) is therefore race-free by construction.
-void ScatterAddRowsOwnerComputes(const float* src, const int64_t* idx,
-                                 int64_t k, int64_t n, int64_t rows,
-                                 float* out) {
+void ScatterAddRowsKernel(const float* src, const int64_t* idx, int64_t k,
+                          int64_t n, int64_t rows, float* out) {
   const int64_t shards =
       std::min(par::NumShards(k * n, par::kTargetShardWork), rows);
   par::ParallelShards(shards, [&](int64_t shard) {
@@ -34,92 +33,40 @@ void ScatterAddRowsOwnerComputes(const float* src, const int64_t* idx,
   });
 }
 
-// Privatization cap: one private buffer per shard, so shards are bounded
-// both by memory (kMaxScatterPrivateElems per buffer) and by merge cost.
-constexpr int64_t kMaxScatterPrivateShards = 16;
-constexpr int64_t kMaxScatterPrivateElems = int64_t{1} << 18;
-
-// Shard count the privatized kernel uses — a pure function of the problem
-// size (k, n, rows); 1 means "use owner-computes". Privatization pays when
-// the index list is duplicate-heavy (k >> rows): owner-computes then
-// re-scans the k indices once per shard while every shard only owns a
-// sliver of the accumulate work, which is why its thread sweep is flat.
-int64_t PrivatizedScatterShards(int64_t k, int64_t n, int64_t rows) {
+// out[g] = sum over j in [begin[g], begin[g + 1]) of weight[j] * in[at[j]]
+// for every group g in [0, groups), each n wide and summed in entry order.
+// Fixed shards own contiguous group ranges, so writes are disjoint and every
+// group's sum is the serial one at any thread count. AggregateRows runs it
+// by slot forward and by source row backward.
+void SegmentedAxpyKernel(const int64_t* begin, const int64_t* at,
+                         const float* weight, const float* in, int64_t groups,
+                         int64_t n, float* out) {
+  if (groups == 0) return;
   const int64_t shards = std::min(
-      par::NumShards(k * n, par::kTargetShardWork), kMaxScatterPrivateShards);
-  if (shards <= 1) return 1;
-  if (rows * n > kMaxScatterPrivateElems) return 1;  // buffers too large
-  if (k < 4 * rows) return 1;  // sparse: the zero+merge overhead dominates
-  return shards;
-}
-
-// Privatized scatter-add: fixed shards of the SOURCE rows accumulate their
-// contributions (in index order) into private zeroed [rows, n] buffers,
-// then a fixed binary tree merges the buffers pairwise in shard order and
-// the root is added into `out`. Shard boundaries, the tree shape, and
-// every accumulation order are functions of (k, n, rows) alone, so the
-// result is bit-identical for every thread count — but NOT bit-identical
-// to owner-computes: float addition is not associative, and the tree
-// association differs from the serial left fold (documented numerics
-// change; tensor_property_test pins the two kernels together within
-// accumulation tolerance).
-void ScatterAddRowsPrivatized(const float* src, const int64_t* idx, int64_t k,
-                              int64_t n, int64_t rows, int64_t shards,
-                              float* out) {
-  const int64_t buf_elems = rows * n;
-  if (shards <= 1) {
-    // One shard degenerates to the serial index-order accumulation.
-    for (int64_t e = 0; e < k; ++e) {
-      simd::Kernels().accumulate(src + e * n, out + idx[e] * n, n);
-    }
-    return;
-  }
-  std::unique_ptr<float[]> bufs(new float[shards * buf_elems]);
+      par::NumShards(begin[groups] * n, par::kTargetShardWork), groups);
   par::ParallelShards(shards, [&](int64_t shard) {
-    float* buf = bufs.get() + shard * buf_elems;
-    std::fill(buf, buf + buf_elems, 0.0f);
-    const par::Range r = par::ShardRange(k, shards, shard);
-    for (int64_t e = r.begin; e < r.end; ++e) {
-      simd::Kernels().accumulate(src + e * n, buf + idx[e] * n, n);
+    const par::Range owned = par::ShardRange(groups, shards, shard);
+    for (int64_t g = owned.begin; g < owned.end; ++g) {
+      for (int64_t j = begin[g]; j < begin[g + 1]; ++j) {
+        simd::Kernels().axpy(weight[j], in + at[j] * n, out + g * n, n);
+      }
     }
   });
-  for (int64_t stride = 1; stride < shards; stride *= 2) {
-    // Level merge: buf[i] += buf[i + stride] for i = 0, 2*stride, ... —
-    // disjoint pairs, so the level parallelizes; the pairing is fixed.
-    const int64_t pairs = (shards - stride + 2 * stride - 1) / (2 * stride);
-    par::ParallelShards(pairs, [&](int64_t p) {
-      const int64_t i = p * 2 * stride;
-      simd::Kernels().accumulate(bufs.get() + (i + stride) * buf_elems,
-                                 bufs.get() + i * buf_elems, buf_elems);
-    });
-  }
-  simd::Kernels().accumulate(bufs.get(), out, buf_elems);
 }
 
-void ScatterAddRowsKernel(ScatterAlgo algo, const float* src,
-                          const int64_t* idx, int64_t k, int64_t n,
-                          int64_t rows, float* out) {
-  switch (algo) {
-    case ScatterAlgo::kOwnerComputes:
-      ScatterAddRowsOwnerComputes(src, idx, k, n, rows, out);
-      return;
-    case ScatterAlgo::kPrivatized:
-      ScatterAddRowsPrivatized(
-          src, idx, k, n, rows,
-          std::min(par::NumShards(k * n, par::kTargetShardWork),
-                   kMaxScatterPrivateShards),
-          out);
-      return;
-    case ScatterAlgo::kAuto: {
-      const int64_t shards = PrivatizedScatterShards(k, n, rows);
-      if (shards > 1) {
-        ScatterAddRowsPrivatized(src, idx, k, n, rows, shards, out);
-      } else {
-        ScatterAddRowsOwnerComputes(src, idx, k, n, rows, out);
-      }
-      return;
-    }
+// Stable counting sort of entries [0, keys.size()) by key in [0, num_keys):
+// returns the CSR offsets and writes the entry order to `order`.
+std::vector<int64_t> GroupByKey(const std::vector<int64_t>& keys,
+                                int64_t num_keys, std::vector<int64_t>* order) {
+  std::vector<int64_t> begin(num_keys + 1, 0);
+  for (int64_t key : keys) ++begin[key + 1];
+  for (int64_t g = 0; g < num_keys; ++g) begin[g + 1] += begin[g];
+  std::vector<int64_t> next(begin.begin(), begin.end() - 1);
+  order->resize(keys.size());
+  for (size_t j = 0; j < keys.size(); ++j) {
+    (*order)[next[keys[j]]++] = static_cast<int64_t>(j);
   }
+  return begin;
 }
 
 }  // namespace
@@ -148,16 +95,15 @@ Tensor GatherRows(const Tensor& a, const std::vector<int64_t>& idx) {
                         // Adjoint of a gather is a (duplicate-index)
                         // scatter-add of the output grads.
                         std::vector<float> ga(rows * n, 0.0f);
-                        ScatterAddRowsKernel(ScatterAlgo::kAuto,
-                                             self.grad.data(),
+                        ScatterAddRowsKernel(self.grad.data(),
                                              idx_copy->data(), k, n, rows,
                                              ga.data());
                         a.impl().AccumulateGrad(ga.data(), rows * n);
                       });
 }
 
-Tensor ScatterAddRowsWith(ScatterAlgo algo, const Tensor& src,
-                          const std::vector<int64_t>& idx, int64_t rows) {
+Tensor ScatterAddRows(const Tensor& src, const std::vector<int64_t>& idx,
+                      int64_t rows) {
   RETIA_OBS_TIMED_SCOPE("tensor.scatter_add.us");
   RETIA_CHECK_EQ(src.Rank(), 2);
   RETIA_CHECK_EQ(src.Dim(0), static_cast<int64_t>(idx.size()));
@@ -168,7 +114,7 @@ Tensor ScatterAddRowsWith(ScatterAlgo algo, const Tensor& src,
     RETIA_CHECK_LT(idx[e], rows);
     RETIA_CHECK_LE(0, idx[e]);
   }
-  ScatterAddRowsKernel(algo, src.Data(), idx.data(), k, n, rows, out.data());
+  ScatterAddRowsKernel(src.Data(), idx.data(), k, n, rows, out.data());
   auto idx_copy = std::make_shared<std::vector<int64_t>>(idx);
   return MakeOpResult({rows, n}, std::move(out), {src},
                       [src, idx_copy, n, k](TensorImpl& self) mutable {
@@ -188,9 +134,68 @@ Tensor ScatterAddRowsWith(ScatterAlgo algo, const Tensor& src,
                       });
 }
 
-Tensor ScatterAddRows(const Tensor& src, const std::vector<int64_t>& idx,
-                      int64_t rows) {
-  return ScatterAddRowsWith(ScatterAlgo::kAuto, src, idx, rows);
+std::shared_ptr<const RowAggregation> MakeRowAggregation(
+    int64_t rows, int64_t blocks, int64_t table_rows,
+    const std::vector<int64_t>& slot, const std::vector<int64_t>& src,
+    const std::vector<float>& weight) {
+  RETIA_CHECK_LE(0, rows);
+  RETIA_CHECK_LE(1, blocks);
+  RETIA_CHECK_LE(0, table_rows);
+  RETIA_CHECK_EQ(slot.size(), src.size());
+  RETIA_CHECK_EQ(slot.size(), weight.size());
+  const int64_t num_slots = rows * blocks;
+  for (size_t j = 0; j < slot.size(); ++j) {
+    RETIA_CHECK_LT(slot[j], num_slots);
+    RETIA_CHECK_LE(0, slot[j]);
+    RETIA_CHECK_LT(src[j], table_rows);
+    RETIA_CHECK_LE(0, src[j]);
+  }
+  auto plan = std::make_shared<RowAggregation>();
+  plan->rows = rows;
+  plan->blocks = blocks;
+  plan->table_rows = table_rows;
+  std::vector<int64_t> order;
+  plan->slot_begin = GroupByKey(slot, num_slots, &order);
+  plan->slot_src.reserve(order.size());
+  plan->slot_weight.reserve(order.size());
+  for (int64_t j : order) {
+    plan->slot_src.push_back(src[j]);
+    plan->slot_weight.push_back(weight[j]);
+  }
+  plan->src_begin = GroupByKey(src, table_rows, &order);
+  plan->src_slot.reserve(order.size());
+  plan->src_weight.reserve(order.size());
+  for (int64_t j : order) {
+    plan->src_slot.push_back(slot[j]);
+    plan->src_weight.push_back(weight[j]);
+  }
+  return plan;
+}
+
+Tensor AggregateRows(const Tensor& table,
+                     const std::shared_ptr<const RowAggregation>& plan) {
+  RETIA_OBS_TIMED_SCOPE("tensor.aggregate_rows.us");
+  RETIA_CHECK(plan != nullptr);
+  RETIA_CHECK_EQ(table.Rank(), 2);
+  RETIA_CHECK_EQ(table.Dim(0), plan->table_rows);
+  const int64_t n = table.Dim(1);
+  const int64_t num_slots = plan->rows * plan->blocks;
+  std::vector<float> out(num_slots * n, 0.0f);
+  SegmentedAxpyKernel(plan->slot_begin.data(), plan->slot_src.data(),
+                      plan->slot_weight.data(), table.Data(), num_slots, n,
+                      out.data());
+  return MakeOpResult(
+      {plan->rows, plan->blocks * n}, std::move(out), {table},
+      [table, plan, n](TensorImpl& self) mutable {
+        if (!table.RequiresGrad()) return;
+        // Adjoint: table row i gathers weight * grad from the slots its
+        // entries feed, in entry order.
+        std::vector<float> g(plan->table_rows * n, 0.0f);
+        SegmentedAxpyKernel(plan->src_begin.data(), plan->src_slot.data(),
+                            plan->src_weight.data(), self.grad.data(),
+                            plan->table_rows, n, g.data());
+        table.impl().AccumulateGrad(g.data(), plan->table_rows * n);
+      });
 }
 
 Tensor ScaleRows(const Tensor& a, const std::vector<float>& s) {
@@ -268,35 +273,40 @@ Tensor SliceRows(const Tensor& a, int64_t start, int64_t len) {
 }
 
 Tensor ConcatCols(const Tensor& a, const Tensor& b) {
-  RETIA_CHECK_EQ(a.Rank(), 2);
-  RETIA_CHECK_EQ(b.Rank(), 2);
-  RETIA_CHECK_EQ(a.Dim(0), b.Dim(0));
-  const int64_t m = a.Dim(0);
-  const int64_t p = a.Dim(1);
-  const int64_t q = b.Dim(1);
-  std::vector<float> out(m * (p + q));
-  const float* pa = a.Data();
-  const float* pb = b.Data();
-  for (int64_t i = 0; i < m; ++i) {
-    std::memcpy(out.data() + i * (p + q), pa + i * p, p * sizeof(float));
-    std::memcpy(out.data() + i * (p + q) + p, pb + i * q, q * sizeof(float));
+  return ConcatCols(std::vector<Tensor>{a, b});
+}
+
+Tensor ConcatCols(const std::vector<Tensor>& parts) {
+  RETIA_CHECK(!parts.empty());
+  const int64_t m = parts[0].Dim(0);
+  std::vector<int64_t> offset;  // first output column of each part
+  int64_t width = 0;
+  for (const Tensor& part : parts) {
+    RETIA_CHECK_EQ(part.Rank(), 2);
+    RETIA_CHECK_EQ(part.Dim(0), m);
+    offset.push_back(width);
+    width += part.Dim(1);
+  }
+  std::vector<float> out(m * width);
+  for (size_t p = 0; p < parts.size(); ++p) {
+    const int64_t q = parts[p].Dim(1);
+    const float* src = parts[p].Data();
+    for (int64_t i = 0; i < m; ++i)
+      std::memcpy(out.data() + i * width + offset[p], src + i * q,
+                  q * sizeof(float));
   }
   return MakeOpResult(
-      {m, p + q}, std::move(out), {a, b},
-      [a, b, m, p, q](TensorImpl& self) mutable {
-        if (a.RequiresGrad()) {
-          std::vector<float> ga(m * p);
+      {m, width}, std::move(out), parts,
+      [parts, offset, m, width](TensorImpl& self) mutable {
+        for (size_t p = 0; p < parts.size(); ++p) {
+          if (!parts[p].RequiresGrad()) continue;
+          const int64_t q = parts[p].Dim(1);
+          std::vector<float> g(m * q);
           for (int64_t i = 0; i < m; ++i)
-            std::memcpy(ga.data() + i * p, self.grad.data() + i * (p + q),
-                        p * sizeof(float));
-          a.impl().AccumulateGrad(ga.data(), m * p);
-        }
-        if (b.RequiresGrad()) {
-          std::vector<float> gb(m * q);
-          for (int64_t i = 0; i < m; ++i)
-            std::memcpy(gb.data() + i * q, self.grad.data() + i * (p + q) + p,
+            std::memcpy(g.data() + i * q,
+                        self.grad.data() + i * width + offset[p],
                         q * sizeof(float));
-          b.impl().AccumulateGrad(gb.data(), m * q);
+          parts[p].impl().AccumulateGrad(g.data(), m * q);
         }
       });
 }

@@ -1,4 +1,7 @@
 #include <cmath>
+#include <functional>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -164,6 +167,257 @@ TEST(RelationRgcnLayerTest, MessagesCrossBetweenRelations) {
     delta += std::fabs(out_a.At(1, j) - out_b.At(1, j));
   EXPECT_GT(delta, 1e-4f);
 }
+
+// ---------------------------------------------------------------------------
+// RelationRgcnLayer against the per-edge form of Eq. 1.
+//
+// The layer sums (1/c) (r_s + hr) per (r_o, hr) slot and then applies the
+// eight W_hr in one GEMM. The per-edge form below transforms every
+// hyperedge by its W_hr before it scatters: gather, one GEMM per
+// hyperrelation group, degree scale, scatter-add. The two are equal in
+// exact arithmetic (Eq. 1 is linear up to f, and a slot's weights 1/c sum
+// to one), so they may differ only by rounding: per element at most
+// 2 * gamma_n * sum|terms| with gamma_n = n u / (1 - n u), u = 2^-24, for
+// n at least the longest chain of roundings in either order (Higham's
+// summation bound, applied to both computations).
+
+struct RelationLayerWeights {
+  std::vector<Tensor> w_hr;  // 8 x [d,d]
+  Tensor self_weight;        // [d,d]
+};
+
+RelationLayerWeights WeightsOf(const RelationRgcnLayer& layer) {
+  RelationLayerWeights w;
+  for (const auto& [name, t] : layer.NamedParameters()) {
+    if (name == "self_weight") {
+      w.self_weight = t;
+    } else {
+      w.w_hr.push_back(t);
+    }
+  }
+  EXPECT_EQ(w.w_hr.size(), static_cast<size_t>(graph::kNumHyperRelationsAug));
+  return w;
+}
+
+// Eq. 1 per hyperedge, with the eval-mode activation of the layer.
+Tensor PerEdgeRelationLayer(const RelationLayerWeights& w,
+                            const Tensor& relations,
+                            const Tensor& hyperrelations,
+                            const graph::HyperSubgraph& hg) {
+  Tensor out = tensor::MatMulTransposeB(relations, w.self_weight);
+  if (hg.num_edges() > 0) {
+    Tensor x = tensor::Add(tensor::GatherRows(relations, hg.src()),
+                           tensor::GatherRows(hyperrelations, hg.hyper_rel()));
+    for (int64_t hr = 0; hr < graph::kNumHyperRelationsAug; ++hr) {
+      std::vector<int64_t> edges, dsts;
+      std::vector<float> norms;
+      for (int64_t e = 0; e < hg.num_edges(); ++e) {
+        if (hg.hyper_rel()[e] != hr) continue;
+        edges.push_back(e);
+        dsts.push_back(hg.dst()[e]);
+        norms.push_back(hg.edge_norm()[e]);
+      }
+      if (edges.empty()) continue;
+      Tensor msg = tensor::ScaleRows(
+          tensor::MatMulTransposeB(tensor::GatherRows(x, edges), w.w_hr[hr]),
+          norms);
+      out = tensor::Add(out, tensor::ScatterAddRows(msg, dsts, relations.Dim(0)));
+    }
+  }
+  return tensor::RRelu(out, 1.0f / 8.0f, 1.0f / 3.0f, /*training=*/false,
+                       nullptr);
+}
+
+double Gamma(double n) {
+  const double u = std::ldexp(1.0, -24);
+  return n * u / (1.0 - n * u);
+}
+
+// A random subgraph over `entities` entities and `relations` relations;
+// few entities per fact make Algorithm 1 dense.
+graph::Subgraph RandomSubgraph(int64_t facts, int64_t entities,
+                               int64_t relations, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<tkg::Quadruple> quads;
+  for (int64_t i = 0; i < facts; ++i) {
+    quads.push_back({rng.UniformInt(0, entities - 1),
+                     rng.UniformInt(0, relations - 1),
+                     rng.UniformInt(0, entities - 1), 0});
+  }
+  return graph::Subgraph(quads, entities, relations);
+}
+
+struct ReferenceCase {
+  const char* name;
+  int64_t facts, entities, relations, dim;
+  uint64_t seed;
+};
+
+// Names the case in ctest names (instead of a byte dump of the struct).
+void PrintTo(const ReferenceCase& c, std::ostream* os) { *os << c.name; }
+
+class RelationRgcnReferenceTest
+    : public ::testing::TestWithParam<ReferenceCase> {};
+
+// Forward output and the gradients of R, HR, every w_hr and self_weight,
+// for the loss sum(out * C) with a random C, against the per-edge form.
+TEST_P(RelationRgcnReferenceTest, WithinAnalyticBoundOfPerEdgeForm) {
+  const ReferenceCase& c = GetParam();
+  const graph::Subgraph g =
+      RandomSubgraph(c.facts, c.entities, c.relations, c.seed);
+  const graph::HyperSubgraph hg(g);
+  const int64_t d = c.dim;
+  const int64_t n_rel = hg.num_relation_nodes();
+  const int64_t n_hr = graph::kNumHyperRelationsAug;
+  util::Rng rng(c.seed + 1);
+  RelationRgcnLayer layer(d, /*dropout=*/0.2f, &rng);
+  layer.SetTraining(false);
+  const RelationLayerWeights w = WeightsOf(layer);
+  Tensor rels = TestTensor({n_rel, d}, c.seed + 2);
+  Tensor hypers = TestTensor({n_hr, d}, c.seed + 3);
+
+  // sum|terms| of each output element, in double, with |r_s + hr| bounded
+  // by |r_s| + |hr|, and the rounding-chain length of its row.
+  auto at = [](const Tensor& t, int64_t i, int64_t j) {
+    return std::fabs(static_cast<double>(t.Data()[i * t.Dim(1) + j]));
+  };
+  std::vector<int64_t> in_deg(n_rel, 0), out_deg(n_rel, 0), hr_edges(n_hr, 0);
+  for (int64_t e = 0; e < hg.num_edges(); ++e) {
+    ++in_deg[hg.dst()[e]];
+    ++out_deg[hg.src()[e]];
+    ++hr_edges[hg.hyper_rel()[e]];
+  }
+  const double base = 9.0 * static_cast<double>(d) + 16.0;
+  std::vector<double> m_out(n_rel * d, 0.0);
+  for (int64_t o = 0; o < n_rel; ++o)
+    for (int64_t i = 0; i < d; ++i)
+      for (int64_t k = 0; k < d; ++k)
+        m_out[o * d + i] += at(rels, o, k) * at(w.self_weight, i, k);
+  for (int64_t e = 0; e < hg.num_edges(); ++e) {
+    const int64_t s = hg.src()[e], h = hg.hyper_rel()[e], o = hg.dst()[e];
+    for (int64_t i = 0; i < d; ++i)
+      for (int64_t k = 0; k < d; ++k)
+        m_out[o * d + i] += hg.edge_norm()[e] *
+                            (at(rels, s, k) + at(hypers, h, k)) *
+                            at(w.w_hr[h], i, k);
+  }
+  auto out_bound = [&](int64_t i) {
+    return 2.0 * Gamma(base + in_deg[i / d]) * m_out[i];
+  };
+
+  // The loss is sum(out * C) with a random C. An output inside its bound
+  // may take the other RReLU branch in one of the two forms, so its C is
+  // zero: every other element has the same slope in both.
+  std::vector<float> out_ref;
+  {
+    tensor::NoGradGuard no_grad;
+    out_ref = PerEdgeRelationLayer(w, rels, hypers, hg).impl().data;
+  }
+  Tensor upstream = TestTensor({n_rel, d}, c.seed + 4, false);
+  const double slope = (1.0 / 8.0 + 1.0 / 3.0) / 2.0;
+  std::vector<double> g_abs(n_rel * d);  // |d loss / d pre-activation|
+  for (int64_t i = 0; i < n_rel * d; ++i) {
+    if (std::fabs(out_ref[i]) <= out_bound(i)) upstream.Data()[i] = 0.0f;
+    g_abs[i] = std::fabs(upstream.Data()[i]) * (out_ref[i] > 0 ? 1.0 : slope);
+  }
+
+  std::vector<Tensor> inputs = {rels, hypers};
+  for (const Tensor& p : layer.Parameters()) inputs.push_back(p);
+  // One forward + backward: the output, then the gradient of each input.
+  auto run = [&](const std::function<Tensor()>& forward) {
+    for (Tensor& t : inputs) {
+      t.MutableGrad();
+      t.ZeroGrad();
+    }
+    Tensor out = forward();
+    tensor::Sum(tensor::Mul(out, upstream)).Backward();
+    std::vector<std::vector<float>> result = {out.impl().data};
+    for (const Tensor& t : inputs) result.push_back(t.Grad());
+    return result;
+  };
+  const auto got =
+      run([&] { return layer.Forward(rels, hypers, hg, nullptr); });
+  const auto want =
+      run([&] { return PerEdgeRelationLayer(w, rels, hypers, hg); });
+
+  std::vector<double> m_rel(n_rel * d, 0.0), m_hr(n_hr * d, 0.0),
+      m_self(d * d, 0.0);
+  std::vector<std::vector<double>> m_w(n_hr, std::vector<double>(d * d, 0.0));
+  for (int64_t o = 0; o < n_rel; ++o)
+    for (int64_t i = 0; i < d; ++i)
+      for (int64_t k = 0; k < d; ++k) {
+        m_rel[o * d + k] += g_abs[o * d + i] * at(w.self_weight, i, k);
+        m_self[i * d + k] += g_abs[o * d + i] * at(rels, o, k);
+      }
+  for (int64_t e = 0; e < hg.num_edges(); ++e) {
+    const int64_t s = hg.src()[e], h = hg.hyper_rel()[e], o = hg.dst()[e];
+    const double norm = hg.edge_norm()[e];
+    for (int64_t i = 0; i < d; ++i)
+      for (int64_t k = 0; k < d; ++k) {
+        const double gw = norm * g_abs[o * d + i] * at(w.w_hr[h], i, k);
+        m_rel[s * d + k] += gw;
+        m_hr[h * d + k] += gw;
+        m_w[h][i * d + k] +=
+            norm * g_abs[o * d + i] * (at(rels, s, k) + at(hypers, h, k));
+      }
+  }
+
+  // Checks one tensor against its reference; `bound(i)` is element i's.
+  auto expect_within = [&](size_t which,
+                           const std::function<double(int64_t)>& bound,
+                           const std::string& what) {
+    ASSERT_EQ(got[which].size(), want[which].size()) << what;
+    for (size_t i = 0; i < want[which].size(); ++i) {
+      const double diff = std::fabs(static_cast<double>(got[which][i]) -
+                                    static_cast<double>(want[which][i]));
+      ASSERT_LE(diff, bound(static_cast<int64_t>(i)))
+          << what << " element " << i << ": " << got[which][i] << " vs "
+          << want[which][i];
+    }
+  };
+  // RReLU is 1-Lipschitz, so the activated outputs keep the bound.
+  expect_within(0, out_bound, "output");
+  expect_within(
+      1,
+      [&](int64_t i) {
+        return 2.0 * Gamma(base + out_deg[i / d]) * m_rel[i];
+      },
+      "grad_relations");
+  expect_within(
+      2,
+      [&](int64_t i) {
+        return 2.0 * Gamma(base + hr_edges[i / d] + n_rel) * m_hr[i];
+      },
+      "grad_hyperrelations");
+  for (int64_t h = 0; h < n_hr; ++h) {
+    expect_within(
+        3 + h,
+        [&](int64_t i) {
+          return 2.0 * Gamma(base + hr_edges[h] + n_rel) * m_w[h][i];
+        },
+        "grad_w_hr" + std::to_string(h));
+  }
+  expect_within(
+      3 + n_hr,
+      [&](int64_t i) { return 2.0 * Gamma(base + n_rel) * m_self[i]; },
+      "grad_self_weight");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Hypergraphs, RelationRgcnReferenceTest,
+    ::testing::Values(
+        // No facts: no hyperedges, only the self loop.
+        ReferenceCase{"empty", 0, 6, 3, 8, 11},
+        // Sparse: most (r_o, hr) slots stay empty.
+        ReferenceCase{"sparse", 6, 40, 12, 8, 12},
+        ReferenceCase{"random_a", 30, 25, 6, 16, 13},
+        ReferenceCase{"random_b", 60, 20, 10, 12, 14},
+        // Dense like the paper-scale profile: many hyperedges per
+        // relation node.
+        ReferenceCase{"paper_like", 900, 60, 40, 16, 15}),
+    [](const ::testing::TestParamInfo<ReferenceCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------------
 // ConvTransEDecoder.

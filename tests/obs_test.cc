@@ -443,6 +443,92 @@ TEST(TraceTest, DisabledSpansRecordNothing) {
 }
 
 // ---------------------------------------------------------------------------
+// RETIA-layer spans: a cold Evolve traces Algorithm 1 once per history
+// timestamp and the TIM, RAM and EAM once per step, on the caller's thread
+// inside the caller's span; the decode traces once per ScoreObjects.
+
+tkg::TkgDataset SpanDataset() {
+  tkg::SyntheticConfig sc = tkg::SyntheticConfig::Icews14Like();
+  sc.num_entities = 60;
+  sc.num_timestamps = 10;
+  sc.facts_per_timestamp = 20;
+  sc.num_schemas = 80;
+  return tkg::GenerateSynthetic(sc);
+}
+
+core::RetiaConfig SpanModelConfig(const tkg::TkgDataset& ds) {
+  core::RetiaConfig config;
+  config.num_entities = ds.num_entities();
+  config.num_relations = ds.num_relations();
+  config.dim = 8;
+  config.history_len = 3;
+  config.conv_kernels = 2;
+  return config;
+}
+
+TEST(TraceTest, ColdEvolveTracesEachLayerOncePerHistoryStep) {
+#if defined(RETIA_OBS_DISABLE)
+  GTEST_SKIP() << "instrumentation macros compiled out in this build";
+#endif
+  const tkg::TkgDataset ds = SpanDataset();
+  core::RetiaModel model(SpanModelConfig(ds));
+  model.SetTraining(false);
+  graph::GraphCache cache(&ds);
+  const std::vector<int64_t> history = cache.HistoryBefore(8, 3);
+  ASSERT_EQ(history.size(), 3u);
+  Trace::Clear();
+  Trace::Enable();
+  {
+    RETIA_OBS_TRACE_SPAN("obs_test.caller");
+    const auto states = model.Evolve(cache, history);
+    model.ScoreObjects(states, {{0, 0}, {1, 2}});
+  }
+  Trace::Disable();
+  const JsonValue root = ParseOrDie(Trace::ToJson());
+  Trace::Clear();
+
+  const JsonValue* caller = nullptr;
+  for (const JsonValue& e : root.At("traceEvents").array) {
+    if (e.At("name").str == "obs_test.caller") caller = &e;
+  }
+  ASSERT_NE(caller, nullptr);
+  const double begin = caller->At("ts").number;
+  const double end = begin + caller->At("dur").number;
+  std::map<std::string, int> nested;  // caller-thread spans inside it
+  std::map<std::string, int> anywhere;
+  for (const JsonValue& e : root.At("traceEvents").array) {
+    const std::string& name = e.At("name").str;
+    ++anywhere[name];
+    const double ts = e.At("ts").number;
+    // ts and dur are printed to the nanosecond, in microseconds.
+    if (&e != caller && e.At("tid").number == caller->At("tid").number &&
+        ts >= begin && ts + e.At("dur").number <= end + 0.002) {
+      ++nested[name];
+    }
+  }
+  for (const char* layer : {"core.evolve.tim", "core.evolve.ram",
+                            "core.evolve.eam"}) {
+    EXPECT_EQ(nested[layer], 3) << layer;
+    EXPECT_EQ(anywhere[layer], 3) << layer;
+  }
+  EXPECT_EQ(nested["core.decode"], 1);
+  // Prefetch may build the hypergraphs on pool threads.
+  EXPECT_EQ(anywhere["graph.hypergraph"], 3);
+}
+
+TEST(TraceTest, UntracedEvolveRecordsNothing) {
+  const tkg::TkgDataset ds = SpanDataset();
+  core::RetiaModel model(SpanModelConfig(ds));
+  model.SetTraining(false);
+  graph::GraphCache cache(&ds);
+  Trace::Clear();
+  ASSERT_FALSE(Trace::Enabled());
+  model.ScoreObjects(model.Evolve(cache, cache.HistoryBefore(8, 3)),
+                     {{0, 0}});
+  EXPECT_EQ(Trace::EventCount(), 0);
+}
+
+// ---------------------------------------------------------------------------
 // Determinism guard: turning instrumentation on must not perturb training
 // by a single bit. Mirrors par_test's end-to-end step; memcmp, no
 // tolerance.

@@ -536,5 +536,46 @@ TEST(ThreadInvarianceTest, DuplicateScatterAddBitIdentical) {
   }
 }
 
+// AggregateRows shards its forward over output slots and its backward over
+// table rows; both must be byte-identical at every pool width, on a
+// duplicate-heavy plan large enough to split into many shards.
+TEST(ThreadInvarianceTest, AggregateRowsBitIdentical) {
+  const int64_t rows = 61, blocks = 8, table_rows = 43, cols = 24;
+  const int64_t entries = 20000;
+  std::vector<int64_t> slot(entries), src(entries);
+  std::vector<float> weight(entries);
+  uint64_t state = 7;
+  auto next = [&](uint64_t mod) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<int64_t>((state >> 33) % mod);
+  };
+  for (int64_t j = 0; j < entries; ++j) {
+    slot[j] = next(rows * blocks / 2) * 2;  // every odd slot stays empty
+    src[j] = next(table_rows);
+    weight[j] = 0.25f + static_cast<float>(next(1000)) / 1000.0f;
+  }
+  const auto plan = tensor::MakeRowAggregation(rows, blocks, table_rows, slot,
+                                               src, weight);
+  const tensor::Tensor upstream =
+      testing::TestTensor({rows, blocks * cols}, 35, false);
+  struct Result {
+    std::vector<float> out, grad;
+  };
+  auto run = [&](int threads) {
+    ThreadPool pool(threads);
+    ScopedDefaultPool guard(&pool);
+    tensor::Tensor table = testing::TestTensor({table_rows, cols}, 34);
+    tensor::Tensor out = tensor::AggregateRows(table, plan);
+    tensor::Sum(tensor::Mul(out, upstream)).Backward();
+    return Result{out.impl().data, table.Grad()};
+  };
+  const Result reference = run(1);
+  for (int threads : {2, 4, 8, DefaultThreads()}) {
+    const Result got = run(threads);
+    ExpectBitIdentical({got.out, got.grad}, {reference.out, reference.grad},
+                       "threads=" + std::to_string(threads));
+  }
+}
+
 }  // namespace
 }  // namespace retia::par

@@ -213,6 +213,31 @@ TEST(OpsForwardTest, ScatterAddRowsAccumulatesDuplicates) {
   EXPECT_EQ(out.At(2, 0), 0.0f);
 }
 
+TEST(OpsForwardTest, AggregateRowsSumsEntriesIntoSlotsInInputOrder) {
+  // Table rows t0..t2, output [2 rows, 2 blocks * 2 cols]. Slot s is row
+  // s / 2, column block s % 2; slot 1 is left empty.
+  Tensor table = Tensor::FromVector({3, 2}, {1, 2, 10, 20, 100, 200});
+  const auto plan = MakeRowAggregation(
+      2, 2, 3, /*slot=*/{3, 0, 3, 2}, /*src=*/{0, 2, 1, 0},
+      /*weight=*/{0.5f, 1.0f, 2.0f, -1.0f});
+  Tensor out = AggregateRows(table, plan);
+  ASSERT_EQ(out.Dim(0), 2);
+  ASSERT_EQ(out.Dim(1), 4);
+  const std::vector<float> want = {100, 200, 0,    0,   // slots 0, 1
+                                   -1,  -2,  20.5f, 41};  // slots 2, 3
+  EXPECT_EQ(out.impl().data, want);
+  // Slot 3's entries keep their input order: 0.5*t0 then 2*t1.
+  EXPECT_EQ(plan->slot_src, (std::vector<int64_t>{2, 0, 0, 1}));
+  EXPECT_EQ(plan->src_slot, (std::vector<int64_t>{3, 2, 3, 0}));
+}
+
+TEST(OpsForwardTest, AggregateRowsOutOfRangeDies) {
+  EXPECT_DEATH(MakeRowAggregation(2, 1, 3, {2}, {0}, {1.0f}), "expected");
+  EXPECT_DEATH(MakeRowAggregation(2, 1, 3, {0}, {3}, {1.0f}), "expected");
+  const auto plan = MakeRowAggregation(2, 1, 3, {0}, {0}, {1.0f});
+  EXPECT_DEATH(AggregateRows(Tensor::Zeros({4, 2}), plan), "expected");
+}
+
 TEST(OpsForwardTest, ScaleRowsPerRow) {
   Tensor a = Tensor::FromVector({2, 2}, {1, 2, 3, 4});
   Tensor out = ScaleRows(a, {2.0f, 0.5f});
@@ -460,6 +485,27 @@ TEST(GradTest, ScatterAddRows) {
   Tensor w = TestTensor({3, 3}, 54, false);
   std::vector<int64_t> idx = {1, 1, 0, 2};
   CheckGradients([&] { return Sum(Mul(ScatterAddRows(a, idx, 3), w)); }, {a});
+}
+
+TEST(GradTest, AggregateRows) {
+  // Duplicate sources, several entries per slot and empty slots.
+  Tensor table = TestTensor({4, 3}, 64);
+  const auto plan =
+      MakeRowAggregation(3, 2, 4, {0, 0, 5, 2, 5, 0, 3},
+                         {1, 3, 1, 0, 2, 1, 3},
+                         {0.5f, -1.5f, 2.0f, 1.0f, 0.25f, 1.0f, -0.75f});
+  Tensor w = TestTensor({3, 6}, 65, false);
+  CheckGradients([&] { return Sum(Mul(AggregateRows(table, plan), w)); },
+                 {table});
+}
+
+TEST(GradTest, ConcatColsOfSeveralParts) {
+  Tensor a = TestTensor({2, 3}, 66);
+  Tensor b = TestTensor({2, 1}, 67);
+  Tensor c = TestTensor({2, 2}, 68);
+  Tensor w = TestTensor({2, 6}, 69, false);
+  CheckGradients([&] { return Sum(Mul(ConcatCols({a, b, c}), w)); },
+                 {a, b, c});
 }
 
 TEST(GradTest, ScaleRows) {

@@ -5,7 +5,10 @@
 //     default pool width;
 //   - the model, at pool widths 1 and 4: a cold-cache eval Evolve, the
 //     three frozen decodes, a training-mode Evolve plus backward, and a
-//     12-timestamp Trainer::FineTuneOnTimes.
+//     12-timestamp Trainer::FineTuneOnTimes;
+//   - the relation R-GCN layer (the RAM) alone, forward plus every
+//     gradient, on a stream-like and a paper-like hypergraph at pool
+//     widths 1 and 4, so a change to its numerics shows on its own line.
 // Build this file against two trees (e.g. a parent checkout and the
 // current one, each also under RETIA_SIMD=scalar) and diff the output:
 // identical hashes prove the change kept every result bit-exact. Within
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "core/retia.h"
+#include "core/rgcn.h"
 #include "graph/graph_cache.h"
 #include "nn/optimizer.h"
 #include "par/thread_pool.h"
@@ -184,6 +188,47 @@ void ModelSections(const retia::tkg::TkgDataset& ds, int threads) {
   });
 }
 
+// One eval-mode RelationRgcnLayer forward plus the gradients of R, HR and
+// every layer parameter for the loss sum(out * C), on the hypergraph of the
+// last timestamp of a synthetic dataset. Inputs are drawn once, so the
+// width sections hash the same computation.
+void RamSections(const char* name, int64_t entities, int64_t relations,
+                 int64_t facts, int64_t schemas, int64_t dim) {
+  retia::tkg::SyntheticConfig c;
+  c.num_entities = entities;
+  c.num_relations = relations;
+  c.num_timestamps = 10;
+  c.facts_per_timestamp = facts;
+  c.num_schemas = schemas;
+  c.seed = 17;
+  const retia::tkg::TkgDataset ds = retia::tkg::GenerateSynthetic(c);
+  const retia::graph::Subgraph g(ds.FactsAt(ds.max_time()), entities,
+                                 relations);
+  const retia::graph::HyperSubgraph hg(g);
+  retia::util::Rng rng(5);
+  retia::core::RelationRgcnLayer layer(dim, 0.2f, &rng);
+  layer.SetTraining(false);
+  const Tensor rels = RandTensor({2 * relations, dim}, true);
+  const Tensor hypers = RandTensor({8, dim}, true);
+  const Tensor upstream = RandTensor({2 * relations, dim}, false);
+  std::vector<Tensor> inputs = {rels, hypers};
+  for (const Tensor& p : layer.Parameters()) inputs.push_back(p);
+  for (int threads : {1, 4}) {
+    retia::par::ThreadPool pool(threads);
+    retia::par::ScopedDefaultPool scoped(&pool);
+    WidthSection(name, threads, [&] {
+      for (Tensor& t : inputs) {
+        t.MutableGrad();
+        t.ZeroGrad();
+      }
+      Tensor out = layer.Forward(rels, hypers, hg, nullptr);
+      retia::tensor::Sum(retia::tensor::Mul(out, upstream)).Backward();
+      HashFloats(out.impl().data);
+      for (const Tensor& t : inputs) HashFloats(t.Grad());
+    });
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -333,6 +378,10 @@ int main() {
   const retia::tkg::TkgDataset ds = ProbeDataset();
   for (int threads : {1, 4}) ModelSections(ds, threads);
   Section("model");
+
+  RamSections("ram_stream", 300, 16, 60, 240, 32);
+  RamSections("ram_paper", 23000, 250, 1500, 6000, 64);
+  Section("ram");
 
   std::printf("final        %016llx\n", static_cast<unsigned long long>(g_hash));
   return 0;
