@@ -33,27 +33,6 @@ RegcnModel::RegcnModel(const RegcnConfig& config)
   RegisterModule("relation_decoder", relation_decoder_.get());
 }
 
-Tensor RegcnModel::MeanPoolEntities(const Tensor& entities,
-                                    const graph::Subgraph& g) const {
-  const int64_t rel_aug = 2 * config_.num_relations;
-  std::vector<int64_t> ent_idx;
-  std::vector<int64_t> rel_idx;
-  std::vector<float> weights;
-  for (int64_t r : g.active_relations()) {
-    const auto& ents = g.relation_entities()[r];
-    const float w = 1.0f / static_cast<float>(ents.size());
-    for (int64_t e : ents) {
-      ent_idx.push_back(e);
-      rel_idx.push_back(r);
-      weights.push_back(w);
-    }
-  }
-  if (ent_idx.empty()) return Tensor::Zeros({rel_aug, config_.dim});
-  return tensor::ScatterAddRows(
-      tensor::ScaleRows(tensor::GatherRows(entities, ent_idx), weights),
-      rel_idx, rel_aug);
-}
-
 std::vector<core::EvolutionModel::StepState> RegcnModel::Evolve(
     graph::GraphCache& cache, const std::vector<int64_t>& history) {
   const Tensor e0 = entity_init_->table();
@@ -67,10 +46,12 @@ std::vector<core::EvolutionModel::StepState> RegcnModel::Evolve(
   Tensor r_prev = r0;
   for (int64_t t : history) {
     const graph::Subgraph& g = cache.subgraph(t);
+    g.CheckEntityRows(e_prev.Dim(0));
     Tensor r_t = r_prev;
     if (config_.evolve_relations) {
       // RE-GCN relation evolution: r_t = GRU([R_0 ; MP(E_{t-1})], r_{t-1}).
-      Tensor r_mean = tensor::ConcatCols(r0, MeanPoolEntities(e_prev, g));
+      Tensor r_mean = tensor::ConcatCols(
+          r0, tensor::AggregateRows(e_prev, g.relation_pooling()));
       r_t = relation_gru_->Forward(r_mean, r_prev);
     }
     Tensor e_agg = entity_rgcn_->Forward(e_prev, r_t, g, &rng_);

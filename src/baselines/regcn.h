@@ -67,9 +67,6 @@ class RegcnModel : public core::EvolutionModel {
   const RegcnConfig& config() const { return config_; }
 
  private:
-  tensor::Tensor MeanPoolEntities(const tensor::Tensor& entities,
-                                  const graph::Subgraph& g) const;
-
   RegcnConfig config_;
   util::Rng rng_;
   std::unique_ptr<nn::Embedding> entity_init_;

@@ -27,19 +27,19 @@ RenetModel::RenetModel(const RenetConfig& config)
 
 Tensor RenetModel::NeighborSummary(const Tensor& entities,
                                    const graph::Subgraph& g) const {
-  const int64_t n = config_.num_entities;
-  if (g.num_edges() == 0) return Tensor::Zeros({n, config_.dim});
+  g.CheckEntityRows(entities.Dim(0));
   // Every edge (s, r, o) deposits e_s into o's summary (inverse edges give
   // the other direction); per-entity means via in-degree normalisation.
+  const int64_t n = g.num_entities();
   std::vector<int64_t> degree(n, 0);
   for (int64_t e = 0; e < g.num_edges(); ++e) ++degree[g.dst()[e]];
   std::vector<float> weights(g.num_edges());
   for (int64_t e = 0; e < g.num_edges(); ++e) {
     weights[e] = 1.0f / static_cast<float>(degree[g.dst()[e]]);
   }
-  Tensor gathered =
-      tensor::ScaleRows(tensor::GatherRows(entities, g.src()), weights);
-  return tensor::ScatterAddRows(gathered, g.dst(), n);
+  return tensor::AggregateRows(
+      entities,
+      tensor::MakeRowAggregation(n, 1, n, g.dst(), g.src(), weights));
 }
 
 std::vector<core::EvolutionModel::StepState> RenetModel::Evolve(

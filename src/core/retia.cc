@@ -129,48 +129,6 @@ std::unique_ptr<RetiaModel> RetiaModel::Clone() const {
   return clone;
 }
 
-RetiaModel::PoolPlan RetiaModel::EntityPoolPlan(const graph::Subgraph& g,
-                                                int64_t rel_aug) {
-  PoolPlan plan;
-  plan.dst_rows = rel_aug;
-  for (int64_t r : g.active_relations()) {
-    const auto& ents = g.relation_entities()[r];
-    const float w = 1.0f / static_cast<float>(ents.size());
-    for (int64_t e : ents) {
-      plan.src_idx.push_back(e);
-      plan.dst_idx.push_back(r);
-      plan.weights.push_back(w);
-    }
-  }
-  return plan;
-}
-
-RetiaModel::PoolPlan RetiaModel::HyperPoolPlan(const graph::HyperSubgraph& hg) {
-  PoolPlan plan;
-  plan.dst_rows = graph::kNumHyperRelationsAug;
-  for (int64_t hr = 0; hr < graph::kNumHyperRelationsAug; ++hr) {
-    const auto& rels = hg.hyperrelation_relations()[hr];
-    if (rels.empty()) continue;
-    const float w = 1.0f / static_cast<float>(rels.size());
-    for (int64_t r : rels) {
-      plan.src_idx.push_back(r);
-      plan.dst_idx.push_back(hr);
-      plan.weights.push_back(w);
-    }
-  }
-  return plan;
-}
-
-Tensor RetiaModel::ApplyPoolPlan(const Tensor& table,
-                                 const PoolPlan& plan) const {
-  if (plan.src_idx.empty()) {
-    return Tensor::Zeros({plan.dst_rows, config_.dim});
-  }
-  Tensor gathered =
-      tensor::ScaleRows(tensor::GatherRows(table, plan.src_idx), plan.weights);
-  return tensor::ScatterAddRows(gathered, plan.dst_idx, plan.dst_rows);
-}
-
 std::vector<RetiaModel::StepState> RetiaModel::Evolve(
     graph::GraphCache& cache, const std::vector<int64_t>& history) {
   const Tensor e0 =
@@ -194,7 +152,6 @@ std::vector<RetiaModel::StepState> RetiaModel::Evolve(
 
   const bool run_ram = config_.use_ram &&
                        config_.relation_mode == RelationMode::kMpLstmAgg;
-  const int64_t rel_aug = 2 * config_.num_relations;
 
   // The snapshots (and twin hyperrelation subgraphs, Algorithm 1) of the
   // history depend on the dataset alone, so they build in parallel up
@@ -205,6 +162,7 @@ std::vector<RetiaModel::StepState> RetiaModel::Evolve(
   cache.Prefetch(history, /*hypergraphs=*/run_ram);
   for (int64_t t : history) {
     const graph::Subgraph& g = cache.subgraph(t);
+    g.CheckEntityRows(e_prev.Dim(0));
     const graph::HyperSubgraph* hg = run_ram ? &cache.hypergraph(t) : nullptr;
 
     // ---- TIM: the relation input R_t^in and the hyperrelations HR_t -----
@@ -224,8 +182,8 @@ std::vector<RetiaModel::StepState> RetiaModel::Evolve(
         r_input = r_prev;
       } else {
         // Eq. 7: R_Mean^t = [R_0 ; MP(E_{t-1}, E_r^t)].
-        Tensor pooled = ApplyPoolPlan(e_prev, EntityPoolPlan(g, rel_aug));
-        Tensor r_mean = tensor::ConcatCols(r0, pooled);
+        Tensor r_mean = tensor::ConcatCols(
+            r0, tensor::AggregateRows(e_prev, g.relation_pooling()));
         if (config_.relation_mode == RelationMode::kMp) {
           // Fig. 6/7 "w. MP": no LSTM evolution; a learned projection
           // brings the 2d-wide pooled features back to width d.
@@ -246,11 +204,11 @@ std::vector<RetiaModel::StepState> RetiaModel::Evolve(
         } else if (config_.hyper_mode == HyperMode::kHmp) {
           // "w. HMP": hyperrelation representations replaced by the mean
           // of the immediately adjacent relation embeddings.
-          hr_t = ApplyPoolPlan(r_input, HyperPoolPlan(*hg));
+          hr_t = tensor::AggregateRows(r_input, hg->hyperrelation_pooling());
         } else {
           // Eq. 9/10, with HC_0 = HR_Mean^0.
           Tensor hr_mean = tensor::ConcatCols(
-              hr0, ApplyPoolPlan(r_input, HyperPoolPlan(*hg)));
+              hr0, tensor::AggregateRows(r_input, hg->hyperrelation_pooling()));
           if (!hlstm_cell.defined()) hlstm_cell = hr_mean;
           nn::ProjectedLstmCell::State state =
               hyper_lstm_->Forward(hr_mean, {hr_prev, hlstm_cell});

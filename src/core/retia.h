@@ -175,23 +175,6 @@ class RetiaModel : public EvolutionModel {
       size_t num_states,
       const std::function<tensor::Tensor(size_t)>& decode) const;
 
-  // Index plan of one mean pooling (gather src rows, scale by 1/degree,
-  // scatter-add into dst rows of a [dst_rows, d] output).
-  struct PoolPlan {
-    std::vector<int64_t> src_idx;
-    std::vector<int64_t> dst_idx;
-    std::vector<float> weights;
-    int64_t dst_rows = 0;
-  };
-
-  // TIM Eq. 7: mean pooling of adjacent entity embeddings per relation.
-  static PoolPlan EntityPoolPlan(const graph::Subgraph& g, int64_t rel_aug);
-  // TIM Eq. 9: hyper mean pooling of adjacent relation embeddings.
-  static PoolPlan HyperPoolPlan(const graph::HyperSubgraph& hg);
-  // Executes a plan against an embedding table; empty plans yield zeros.
-  tensor::Tensor ApplyPoolPlan(const tensor::Tensor& table,
-                               const PoolPlan& plan) const;
-
   RetiaConfig config_;
   util::Rng rng_;
 

@@ -32,13 +32,15 @@ EntityRgcnLayer::EntityRgcnLayer(int64_t dim, int64_t num_relations_aug,
 Tensor EntityRgcnLayer::Forward(const Tensor& nodes, const Tensor& relations,
                                 const graph::Subgraph& g,
                                 util::Rng* rng) const {
+  g.CheckEntityRows(nodes.Dim(0));
   RETIA_CHECK_EQ(relations.Dim(0), g.num_relations_aug());
-  const int64_t num_nodes = nodes.Dim(0);
-  // The gather / per-edge GEMM / scatter-add kernels below run on
+  // The gather / per-edge GEMM / aggregation kernels below run on
   // par::DefaultPool() with deterministic fixed shards (GatherRows /
-  // MatMulTransposeB / ScatterAddRows in tensor/), so the message passing
+  // MatMulTransposeB / AggregateRows in tensor/), so the message passing
   // parallelizes across edges while staying bit-identical to the serial
-  // aggregation for every thread count.
+  // aggregation for every thread count. Each edge is transformed before
+  // the aggregation; aggregating first, as the relation layer does, would
+  // change the rounding.
   // Per-edge input: e_s + r.
   Tensor x = tensor::Add(tensor::GatherRows(nodes, g.src()),
                          tensor::GatherRows(relations, g.rel()));
@@ -52,9 +54,8 @@ Tensor EntityRgcnLayer::Forward(const Tensor& nodes, const Tensor& relations,
         tensor::SliceCols(coeff_e, b, 1));
     msg = msg.defined() ? tensor::Add(msg, part) : part;
   }
-  // Degree normalisation 1/c_{o,r} and aggregation.
-  msg = tensor::ScaleRows(msg, g.edge_norm());
-  Tensor agg = tensor::ScatterAddRows(msg, g.dst(), num_nodes);
+  // Degree normalisation 1/c_{o,r} and the sum over in-edges, in one op.
+  Tensor agg = tensor::AggregateRows(msg, g.edge_aggregation());
   // Self loop and activation.
   Tensor out = tensor::Add(agg, tensor::MatMulTransposeB(nodes, self_weight_));
   out = tensor::RRelu(out, kRReluLo, kRReluHi, training(), rng);

@@ -14,7 +14,8 @@ namespace retia::graph {
 
 // Lazily-built cache of per-timestamp subgraphs and twin hyperrelation
 // subgraphs for a dataset. Training revisits the same timestamps every
-// epoch, so graph construction (including Algorithm 1) is paid once.
+// epoch, so graph construction (including Algorithm 1 and the
+// tensor::AggregateRows plans of Eqs. 1, 4, 7 and 9) is paid once.
 //
 // Threading: subgraph(), hypergraph(), and Prefetch() are safe to call
 // concurrently from any number of threads (Prefetch builds a history's

@@ -162,6 +162,8 @@ HyperSubgraph::HyperSubgraph(const Subgraph& base)
       }
     }
   }
+  hyperrelation_pooling_ =
+      MeanPoolingPlan(hyperrelation_relations_, num_relation_nodes_);
 }
 
 }  // namespace retia::graph

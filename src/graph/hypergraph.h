@@ -71,6 +71,13 @@ class HyperSubgraph {
   const std::vector<std::vector<int64_t>>& hyperrelation_relations() const {
     return hyperrelation_relations_;
   }
+  // Eq. 9's HMP as a tensor::AggregateRows plan: one entry per (hr, r)
+  // with r in R_hr^t, weight 1/|R_hr^t|, relations ascending within hr.
+  // Maps the [2M, d] relation table to [8, d] (zero rows for absent hr).
+  const std::shared_ptr<const tensor::RowAggregation>& hyperrelation_pooling()
+      const {
+    return hyperrelation_pooling_;
+  }
 
  private:
   int64_t num_relation_nodes_;
@@ -81,6 +88,7 @@ class HyperSubgraph {
   std::shared_ptr<const tensor::RowAggregation> relation_aggregation_;
   std::shared_ptr<const tensor::RowAggregation> hyperrelation_aggregation_;
   std::vector<std::vector<int64_t>> hyperrelation_relations_;
+  std::shared_ptr<const tensor::RowAggregation> hyperrelation_pooling_;
 };
 
 }  // namespace retia::graph

@@ -2,10 +2,27 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 #include "util/check.h"
 
 namespace retia::graph {
+
+std::shared_ptr<const tensor::RowAggregation> MeanPoolingPlan(
+    const std::vector<std::vector<int64_t>>& sets, int64_t table_rows) {
+  std::vector<int64_t> slot;
+  std::vector<int64_t> src;
+  std::vector<float> weight;
+  for (size_t s = 0; s < sets.size(); ++s) {
+    for (int64_t member : sets[s]) {
+      slot.push_back(static_cast<int64_t>(s));
+      src.push_back(member);
+      weight.push_back(1.0f / static_cast<float>(sets[s].size()));
+    }
+  }
+  return tensor::MakeRowAggregation(static_cast<int64_t>(sets.size()), 1,
+                                    table_rows, slot, src, weight);
+}
 
 Subgraph::Subgraph(const std::vector<tkg::Quadruple>& facts,
                    int64_t num_entities, int64_t num_relations)
@@ -15,8 +32,11 @@ Subgraph::Subgraph(const std::vector<tkg::Quadruple>& facts,
   rel_.reserve(facts.size() * 2);
   dst_.reserve(facts.size() * 2);
   for (const tkg::Quadruple& q : facts) {
+    RETIA_CHECK_LE(0, q.subject);
     RETIA_CHECK_LT(q.subject, num_entities_);
+    RETIA_CHECK_LE(0, q.object);
     RETIA_CHECK_LT(q.object, num_entities_);
+    RETIA_CHECK_LE(0, q.relation);
     RETIA_CHECK_LT(q.relation, m);
     // Forward edge and its inverse (o, r^-1, s).
     src_.push_back(q.subject);
@@ -49,6 +69,18 @@ Subgraph::Subgraph(const std::vector<tkg::Quadruple>& facts,
     ents.erase(std::unique(ents.begin(), ents.end()), ents.end());
     if (!ents.empty()) active_relations_.push_back(r);
   }
+  relation_pooling_ = MeanPoolingPlan(relation_entities_, num_entities_);
+  std::vector<int64_t> edges(src_.size());
+  std::iota(edges.begin(), edges.end(), int64_t{0});
+  edge_aggregation_ = tensor::MakeRowAggregation(
+      num_entities_, 1, num_edges(), dst_, edges, edge_norm_);
+}
+
+void Subgraph::CheckEntityRows(int64_t rows) const {
+  RETIA_CHECK_MSG(rows == num_entities_, "the entity table has "
+                                             << rows
+                                             << " rows but the snapshot has "
+                                             << num_entities_ << " entities");
 }
 
 }  // namespace retia::graph

@@ -62,17 +62,14 @@ Tensor MatMulTransposeB(const Tensor& a, const Tensor& b);
 
 // ---- Indexing / structure ----------------------------------------------------
 
-// Rows of `a` selected by `idx` (values in [0, a.Dim(0))) -> [idx.size(), n].
-// This is the embedding-lookup / per-edge gather primitive.
-Tensor GatherRows(const Tensor& a, const std::vector<int64_t>& idx);
+// The two sparse ops: GatherRows for lookups, AggregateRows for every
+// weighted row-sum (mean pooling, message aggregation).
 
-// Dense [rows, n] result where result[idx[e]] += src[e] for every e. This is
-// the message-passing aggregation primitive (sum over in-edges). Fixed
-// shards own contiguous destination-row ranges and each row receives its
-// contributions in index order, so the result is bit-identical to the
-// serial loop for every thread count.
-Tensor ScatterAddRows(const Tensor& src, const std::vector<int64_t>& idx,
-                      int64_t rows);
+// Rows of `a` selected by `idx` (values in [0, a.Dim(0))) -> [idx.size(), n].
+// This is the embedding-lookup / per-edge gather primitive. Its backward
+// scatter-adds the output gradient into `a` with fixed shards owning
+// table-row ranges, each row summed in index order.
+Tensor GatherRows(const Tensor& a, const std::vector<int64_t>& idx);
 
 // The fixed sparsity pattern of AggregateRows: entry j adds
 // weight[j] * table[src[j]] into output slot slot[j]. For an [table_rows, n]
@@ -115,13 +112,8 @@ std::shared_ptr<const RowAggregation> MakeRowAggregation(
 Tensor AggregateRows(const Tensor& table,
                      const std::shared_ptr<const RowAggregation>& plan);
 
-// Per-row constant scaling: c[i,:] = s[i] * a[i,:]. `s` carries no gradient
-// (used for 1/c_{o,r} degree normalisation, Eq. 1/4).
-Tensor ScaleRows(const Tensor& a, const std::vector<float>& s);
-
 // c[i,j] = a[i,j] * s[i,0]; `s` is an [m,1] tensor. Gradients flow to both
-// inputs (unlike ScaleRows, whose scales are constants). Used for the basis
-// coefficients of the R-GCN basis decomposition.
+// inputs. Used for the basis coefficients of the R-GCN basis decomposition.
 Tensor MulColBroadcast(const Tensor& a, const Tensor& s);
 
 // Rows [start, start+len) of a 2-D tensor.

@@ -11,14 +11,14 @@ namespace retia::tensor {
 
 namespace {
 
-// Scatter-add of `k` source rows into `rows` destination rows ("owner
-// computes"): each fixed shard owns a contiguous destination-row range and
-// scans the whole index list, accumulating only the rows it owns. Writes
-// are disjoint across shards and every destination row receives its
-// contributions in index order — exactly the serial accumulation, so the
-// result is bit-identical for every thread count. The duplicate-index
-// case (several sources hitting one destination, the message-passing
-// aggregation pattern) is therefore race-free by construction.
+// GatherRows' backward: scatter-add of `k` source rows into `rows`
+// destination rows ("owner computes"). Each fixed shard owns a contiguous
+// destination-row range and scans the whole index list, accumulating only
+// the rows it owns. Writes are disjoint across shards and every
+// destination row receives its contributions in index order — exactly the
+// serial accumulation, so the result is bit-identical for every thread
+// count. Duplicate indices (one table row looked up several times) are
+// therefore race-free by construction.
 void ScatterAddRowsKernel(const float* src, const int64_t* idx, int64_t k,
                           int64_t n, int64_t rows, float* out) {
   const int64_t shards =
@@ -102,38 +102,6 @@ Tensor GatherRows(const Tensor& a, const std::vector<int64_t>& idx) {
                       });
 }
 
-Tensor ScatterAddRows(const Tensor& src, const std::vector<int64_t>& idx,
-                      int64_t rows) {
-  RETIA_OBS_TIMED_SCOPE("tensor.scatter_add.us");
-  RETIA_CHECK_EQ(src.Rank(), 2);
-  RETIA_CHECK_EQ(src.Dim(0), static_cast<int64_t>(idx.size()));
-  const int64_t k = src.Dim(0);
-  const int64_t n = src.Dim(1);
-  std::vector<float> out(rows * n, 0.0f);
-  for (int64_t e = 0; e < k; ++e) {
-    RETIA_CHECK_LT(idx[e], rows);
-    RETIA_CHECK_LE(0, idx[e]);
-  }
-  ScatterAddRowsKernel(src.Data(), idx.data(), k, n, rows, out.data());
-  auto idx_copy = std::make_shared<std::vector<int64_t>>(idx);
-  return MakeOpResult({rows, n}, std::move(out), {src},
-                      [src, idx_copy, n, k](TensorImpl& self) mutable {
-                        if (!src.RequiresGrad()) return;
-                        // Adjoint is a gather: disjoint per source row.
-                        std::vector<float> gs(k * n);
-                        par::ParallelFor(
-                            k, par::GrainRows(n), [&](int64_t e0, int64_t e1) {
-                              for (int64_t e = e0; e < e1; ++e) {
-                                const float* g =
-                                    self.grad.data() + (*idx_copy)[e] * n;
-                                std::memcpy(gs.data() + e * n, g,
-                                            n * sizeof(float));
-                              }
-                            });
-                        src.impl().AccumulateGrad(gs.data(), k * n);
-                      });
-}
-
 std::shared_ptr<const RowAggregation> MakeRowAggregation(
     int64_t rows, int64_t blocks, int64_t table_rows,
     const std::vector<int64_t>& slot, const std::vector<int64_t>& src,
@@ -196,28 +164,6 @@ Tensor AggregateRows(const Tensor& table,
                             plan->table_rows, n, g.data());
         table.impl().AccumulateGrad(g.data(), plan->table_rows * n);
       });
-}
-
-Tensor ScaleRows(const Tensor& a, const std::vector<float>& s) {
-  RETIA_CHECK_EQ(a.Rank(), 2);
-  RETIA_CHECK_EQ(a.Dim(0), static_cast<int64_t>(s.size()));
-  const int64_t m = a.Dim(0);
-  const int64_t n = a.Dim(1);
-  std::vector<float> out(m * n);
-  const float* pa = a.Data();
-  for (int64_t i = 0; i < m; ++i)
-    simd::Kernels().scale(pa + i * n, s[i], out.data() + i * n, n);
-  auto s_copy = std::make_shared<std::vector<float>>(s);
-  return MakeOpResult({m, n}, std::move(out), {a},
-                      [a, s_copy, m, n](TensorImpl& self) mutable {
-                        if (!a.RequiresGrad()) return;
-                        std::vector<float> g(m * n);
-                        for (int64_t i = 0; i < m; ++i)
-                          simd::Kernels().scale(self.grad.data() + i * n,
-                                                (*s_copy)[i],
-                                                g.data() + i * n, n);
-                        a.impl().AccumulateGrad(g.data(), m * n);
-                      });
 }
 
 Tensor MulColBroadcast(const Tensor& a, const Tensor& s) {

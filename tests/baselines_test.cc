@@ -334,6 +334,19 @@ TEST(RegcnTest, LossBackwardTouchesAllParameters) {
   EXPECT_GT(with_grad, 0);
 }
 
+// The snapshot's plans fix its entity count (see
+// RetiaModelTest.EntityCountMismatchDiesAtNamedCheck).
+TEST(RegcnTest, EntityCountMismatchDiesAtNamedCheck) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  tkg::TkgDataset ds = TinyDataset();
+  graph::GraphCache cache(&ds);
+  RegcnConfig config = TinyRegcnConfig(ds);
+  config.num_entities += 1;
+  RegcnModel model(config);
+  EXPECT_DEATH(model.Evolve(cache, cache.HistoryBefore(5, 3)),
+               "the entity table has 26 rows but the snapshot has 25");
+}
+
 // ---------------------------------------------------------------------------
 // RE-NET-lite.
 
@@ -403,6 +416,17 @@ TEST(RenetTest, TrainsViaTrainerInterface) {
   auto records = trainer.TrainGeneral();
   ASSERT_EQ(records.size(), 3u);
   EXPECT_LT(records.back().joint_loss, records.front().joint_loss);
+}
+
+TEST(RenetTest, EntityCountMismatchDiesAtNamedCheck) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  tkg::TkgDataset ds = TinyDataset();
+  graph::GraphCache cache(&ds);
+  RenetConfig config = TinyRenetConfig(ds);
+  config.num_entities -= 1;
+  RenetModel model(config);
+  EXPECT_DEATH(model.Evolve(cache, cache.HistoryBefore(5, 3)),
+               "the entity table has 24 rows but the snapshot has 25");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@ namespace retia::core {
 namespace {
 
 using tensor::Tensor;
+using ::retia::testing::ScatterPlan;
 using ::retia::testing::TestTensor;
 
 tkg::SyntheticConfig TinyConfig() {
@@ -174,12 +177,12 @@ TEST(RelationRgcnLayerTest, MessagesCrossBetweenRelations) {
 // The layer sums (1/c) (r_s + hr) per (r_o, hr) slot and then applies the
 // eight W_hr in one GEMM. The per-edge form below transforms every
 // hyperedge by its W_hr before it scatters: gather, one GEMM per
-// hyperrelation group, degree scale, scatter-add. The two are equal in
-// exact arithmetic (Eq. 1 is linear up to f, and a slot's weights 1/c sum
-// to one), so they may differ only by rounding: per element at most
-// 2 * gamma_n * sum|terms| with gamma_n = n u / (1 - n u), u = 2^-24, for
-// n at least the longest chain of roundings in either order (Higham's
-// summation bound, applied to both computations).
+// hyperrelation group, then a scatter-add weighted by the degree norms.
+// The two are equal in exact arithmetic (Eq. 1 is linear up to f, and a
+// slot's weights 1/c sum to one), so they may differ only by rounding: per
+// element at most 2 * gamma_n * sum|terms| with gamma_n = n u / (1 - n u),
+// u = 2^-24, for n at least the longest chain of roundings in either order
+// (Higham's summation bound, applied to both computations).
 
 struct RelationLayerWeights {
   std::vector<Tensor> w_hr;  // 8 x [d,d]
@@ -218,10 +221,11 @@ Tensor PerEdgeRelationLayer(const RelationLayerWeights& w,
         norms.push_back(hg.edge_norm()[e]);
       }
       if (edges.empty()) continue;
-      Tensor msg = tensor::ScaleRows(
-          tensor::MatMulTransposeB(tensor::GatherRows(x, edges), w.w_hr[hr]),
-          norms);
-      out = tensor::Add(out, tensor::ScatterAddRows(msg, dsts, relations.Dim(0)));
+      Tensor msg =
+          tensor::MatMulTransposeB(tensor::GatherRows(x, edges), w.w_hr[hr]);
+      out = tensor::Add(out, tensor::AggregateRows(
+                                 msg, ScatterPlan(dsts, relations.Dim(0),
+                                                  norms)));
     }
   }
   return tensor::RRelu(out, 1.0f / 8.0f, 1.0f / 3.0f, /*training=*/false,
@@ -622,6 +626,51 @@ TEST(RetiaModelTest, ParameterCountScalesWithVocabulary) {
                           2 * ds.num_relations() * config.dim +
                           8 * config.dim;
   EXPECT_GT(model.NumParameters(), minimum);
+}
+
+// The backward closures hold the snapshot's AggregateRows plans by
+// shared_ptr, so the tape outlives the GraphCache that built them: the
+// gradients after the cache is gone equal those with it alive.
+TEST(RetiaModelTest, BackwardOutlivesGraphCache) {
+  tkg::TkgDataset ds = tkg::GenerateSynthetic(TinyConfig());
+  auto grads = [&](bool drop_cache) {
+    RetiaModel model(TinyModelConfig(ds));
+    model.SetTraining(true);
+    auto cache = std::make_unique<graph::GraphCache>(&ds);
+    auto states = model.Evolve(*cache, cache->HistoryBefore(6, 3));
+    auto loss = model.ComputeLoss(states, ds.FactsAt(6));
+    if (drop_cache) cache.reset();
+    loss.joint.Backward();
+    std::vector<std::vector<float>> out;
+    for (const Tensor& p : model.Parameters()) out.push_back(p.impl().grad);
+    return out;
+  };
+  EXPECT_EQ(grads(/*drop_cache=*/true), grads(/*drop_cache=*/false));
+}
+
+// A snapshot's plans fix its entity count, so a model sized for another
+// vocabulary dies at one named check before any op runs.
+TEST(RetiaModelTest, EntityCountMismatchDiesAtNamedCheck) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  tkg::TkgDataset ds = tkg::GenerateSynthetic(TinyConfig());
+  graph::GraphCache cache(&ds);
+  const std::vector<int64_t> history = cache.HistoryBefore(6, 3);
+  for (int64_t delta : {-1, 1}) {
+    RetiaConfig config = TinyModelConfig(ds);
+    config.num_entities += delta;
+    RetiaModel model(config);
+    EXPECT_DEATH(model.Evolve(cache, history),
+                 "the entity table has " +
+                     std::to_string(config.num_entities) +
+                     " rows but the snapshot has " +
+                     std::to_string(ds.num_entities()) + " entities");
+  }
+  util::Rng rng(1);
+  const graph::Subgraph g({{0, 0, 1, 0}}, 4, 1);
+  EntityRgcnLayer layer(4, 2, 1, 0.0f, &rng);
+  EXPECT_DEATH(layer.Forward(Tensor::Zeros({5, 4}), Tensor::Zeros({2, 4}), g,
+                             &rng),
+               "the entity table has 5 rows but the snapshot has 4 entities");
 }
 
 TEST(RetiaModelTest, EvolveIsDeterministicInEvalMode) {

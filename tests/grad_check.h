@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -59,6 +60,19 @@ inline tensor::Tensor TestTensor(std::vector<int64_t> shape, uint64_t seed,
     t.Data()[i] = static_cast<float>((state >> 33) % 2000) / 1000.0f - 1.0f;
   }
   return t;
+}
+
+// The tensor::AggregateRows plan of a scatter-add: row e of an
+// [idx.size(), n] table goes into output row idx[e] of [rows, n], with
+// weight weights[e] (1 when `weights` is empty).
+inline std::shared_ptr<const tensor::RowAggregation> ScatterPlan(
+    const std::vector<int64_t>& idx, int64_t rows,
+    std::vector<float> weights = {}) {
+  if (weights.empty()) weights.assign(idx.size(), 1.0f);
+  std::vector<int64_t> src(idx.size());
+  for (size_t e = 0; e < idx.size(); ++e) src[e] = static_cast<int64_t>(e);
+  return tensor::MakeRowAggregation(rows, 1, static_cast<int64_t>(idx.size()),
+                                    idx, src, weights);
 }
 
 }  // namespace retia::testing

@@ -64,6 +64,14 @@ TEST(SubgraphTest, EmptyFactListYieldsEmptyGraph) {
   EXPECT_TRUE(g.active_relations().empty());
 }
 
+// A negative id would index relation_entities() and the plans out of
+// bounds; the constructor rejects it first.
+TEST(SubgraphTest, NegativeIdsDie) {
+  EXPECT_DEATH(Subgraph({{-1, 0, 1, 0}}, 3, 2), "0 <= q.subject");
+  EXPECT_DEATH(Subgraph({{0, -1, 1, 0}}, 3, 2), "0 <= q.relation");
+  EXPECT_DEATH(Subgraph({{0, 0, -1, 0}}, 3, 2), "0 <= q.object");
+}
+
 // ---------------------------------------------------------------------------
 // HyperSubgraph (Algorithm 1).
 
@@ -265,6 +273,52 @@ ReferenceHypergraph BuildReference(const Subgraph& base) {
   return ref;
 }
 
+// Slot s of a mean-pooling plan holds sets[s], ascending, each with weight
+// 1/|sets[s]|.
+void ExpectMeanPooling(const tensor::RowAggregation& plan,
+                       const std::vector<std::vector<int64_t>>& sets,
+                       int64_t table_rows) {
+  ASSERT_EQ(plan.rows, static_cast<int64_t>(sets.size()));
+  EXPECT_EQ(plan.blocks, 1);
+  EXPECT_EQ(plan.table_rows, table_rows);
+  for (size_t s = 0; s < sets.size(); ++s) {
+    const auto first = plan.slot_src.begin() + plan.slot_begin[s];
+    const auto last = plan.slot_src.begin() + plan.slot_begin[s + 1];
+    EXPECT_EQ(std::vector<int64_t>(first, last), sets[s]) << "slot " << s;
+    for (int64_t j = plan.slot_begin[s]; j < plan.slot_begin[s + 1]; ++j) {
+      EXPECT_EQ(plan.slot_weight[j], 1.0f / static_cast<float>(sets[s].size()));
+    }
+  }
+}
+
+// Eq. 4's plan: row o sums the edges into o, in edge order, each weighted
+// 1/c_{o,r}.
+void ExpectEdgeAggregation(const Subgraph& g) {
+  const tensor::RowAggregation& plan = *g.edge_aggregation();
+  ASSERT_EQ(plan.rows, g.num_entities());
+  EXPECT_EQ(plan.blocks, 1);
+  EXPECT_EQ(plan.table_rows, g.num_edges());
+  for (int64_t o = 0; o < g.num_entities(); ++o) {
+    std::vector<int64_t> edges;
+    std::vector<float> norms;
+    for (int64_t e = 0; e < g.num_edges(); ++e) {
+      if (g.dst()[e] != o) continue;
+      edges.push_back(e);
+      norms.push_back(g.edge_norm()[e]);
+    }
+    const int64_t begin = plan.slot_begin[o];
+    const int64_t end = plan.slot_begin[o + 1];
+    EXPECT_EQ(std::vector<int64_t>(plan.slot_src.begin() + begin,
+                                   plan.slot_src.begin() + end),
+              edges)
+        << "row " << o;
+    EXPECT_EQ(std::vector<float>(plan.slot_weight.begin() + begin,
+                                 plan.slot_weight.begin() + end),
+              norms)
+        << "row " << o;
+  }
+}
+
 void ExpectMatchesReference(const std::vector<Quadruple>& facts,
                             int64_t num_entities, int64_t num_relations) {
   const Subgraph g(facts, num_entities, num_relations);
@@ -281,11 +335,17 @@ void ExpectMatchesReference(const std::vector<Quadruple>& facts,
               0);
   }
   EXPECT_EQ(hg.hyperrelation_relations(), ref.hyperrelation_relations);
+  ExpectMeanPooling(*hg.hyperrelation_pooling(), ref.hyperrelation_relations,
+                    g.num_relations_aug());
+  ExpectMeanPooling(*g.relation_pooling(), g.relation_entities(),
+                    num_entities);
+  ExpectEdgeAggregation(g);
 }
 
 // The flat build reproduces the map/set build's hyperedges, in the same
 // order, with the same norms and R_hr sets, over random subgraphs and the
-// corner cases.
+// corner cases; the Eq. 7 and Eq. 9 pooling plans mean exactly those sets
+// and the Eq. 4 plan sums each edge into its destination.
 TEST(HypergraphTest, FlatBuildMatchesSetReference) {
   {
     SCOPED_TRACE("empty graph");

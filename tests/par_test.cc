@@ -13,14 +13,19 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baselines/regcn.h"
+#include "baselines/renet.h"
 #include "core/retia.h"
 #include "grad_check.h"
 #include "graph/graph_cache.h"
@@ -509,8 +514,10 @@ TEST(ThreadInvarianceTest, GraphCachePrefetchMatchesSerialBuild) {
   }
 }
 
-// Duplicate-index scatter-add under parallelism: the owner-computes kernel
-// must accumulate duplicates in exact serial edge order.
+// Duplicate-index scatter-add under parallelism, on both owner-computes
+// scatters: AggregateRows with a weight-1 plan, and GatherRows' backward
+// into its table. Each must accumulate duplicates in exact serial edge
+// order.
 TEST(ThreadInvarianceTest, DuplicateScatterAddBitIdentical) {
   const int64_t k = 4096, rows = 37, cols = 19;
   tensor::Tensor src = testing::TestTensor({k, cols}, 33, false);
@@ -520,19 +527,102 @@ TEST(ThreadInvarianceTest, DuplicateScatterAddBitIdentical) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
     idx[e] = static_cast<int64_t>((state >> 33) % rows);
   }
-  auto run = [&](int threads) {
+  const auto plan = testing::ScatterPlan(idx, rows);
+  std::vector<float> serial(rows * cols, 0.0f);
+  for (int64_t e = 0; e < k; ++e)
+    for (int64_t j = 0; j < cols; ++j)
+      serial[idx[e] * cols + j] += src.Data()[e * cols + j];
+  for (int threads : {1, 2, 4, 8}) {
     ThreadPool pool(threads);
     ScopedDefaultPool guard(&pool);
-    return tensor::ScatterAddRows(src, idx, rows).impl().data;
+    // The gather's output gradient is `src`.
+    tensor::Tensor table = tensor::Tensor::Zeros({rows, cols}, true);
+    tensor::Sum(tensor::Mul(tensor::GatherRows(table, idx), src)).Backward();
+    ExpectBitIdentical(
+        {tensor::AggregateRows(src, plan).impl().data, table.Grad()},
+        {serial, serial}, "threads=" + std::to_string(threads));
+  }
+}
+
+// A history step at a timestamp without facts runs every AggregateRows
+// plan with no entries: pooled relations, hyperrelations and entity
+// messages are all zero. Evolve, the loss and its backward stay finite and
+// byte-identical across pool widths for RETIA (full and w.HMP), RE-GCN
+// (which CEN and TiRGN build on) and RE-NET.
+TEST(ThreadInvarianceTest, FactlessHistoryStepBitIdentical) {
+  const tkg::TkgDataset full = tkg::GenerateSynthetic(SmallIcews14Config());
+  std::vector<tkg::Quadruple> split[3];
+  const std::vector<tkg::Quadruple>* from[3] = {&full.train(), &full.valid(),
+                                                &full.test()};
+  for (int i = 0; i < 3; ++i) {
+    for (const tkg::Quadruple& q : *from[i]) {
+      if (q.time != 6) split[i].push_back(q);
+    }
+  }
+  const tkg::TkgDataset ds("factless", full.num_entities(),
+                           full.num_relations(), split[0], split[1], split[2],
+                           "");
+  ASSERT_TRUE(ds.FactsAt(6).empty());
+  const std::vector<int64_t> history = {4, 5, 6, 7};
+
+  using MakeModel = std::function<std::unique_ptr<core::EvolutionModel>()>;
+  core::RetiaConfig retia;
+  retia.num_entities = ds.num_entities();
+  retia.num_relations = ds.num_relations();
+  retia.dim = 16;
+  retia.conv_kernels = 4;
+  core::RetiaConfig retia_hmp = retia;
+  retia_hmp.hyper_mode = core::HyperMode::kHmp;
+  baselines::RegcnConfig regcn;
+  regcn.num_entities = ds.num_entities();
+  regcn.num_relations = ds.num_relations();
+  regcn.dim = 16;
+  regcn.conv_kernels = 4;
+  baselines::RenetConfig renet;
+  renet.num_entities = ds.num_entities();
+  renet.num_relations = ds.num_relations();
+  renet.dim = 16;
+  const std::vector<std::pair<const char*, MakeModel>> models = {
+      {"retia", [&] { return std::make_unique<core::RetiaModel>(retia); }},
+      {"retia_hmp",
+       [&] { return std::make_unique<core::RetiaModel>(retia_hmp); }},
+      {"regcn", [&] { return std::make_unique<baselines::RegcnModel>(regcn); }},
+      {"renet", [&] { return std::make_unique<baselines::RenetModel>(renet); }},
   };
-  const std::vector<float> reference = run(1);
-  for (int threads : {2, 8, DefaultThreads()}) {
-    const std::vector<float> got = run(threads);
-    ASSERT_EQ(got.size(), reference.size());
-    EXPECT_EQ(std::memcmp(got.data(), reference.data(),
-                          got.size() * sizeof(float)),
-              0)
-        << "threads=" << threads;
+  struct Run {
+    float loss = 0.0f;
+    std::vector<std::vector<float>> states, grads;
+  };
+  for (const auto& [name, make] : models) {
+    auto run = [&](int threads) {
+      ThreadPool pool(threads);
+      ScopedDefaultPool guard(&pool);
+      std::unique_ptr<core::EvolutionModel> model = make();
+      model->SetTraining(true);
+      graph::GraphCache cache(&ds);
+      const auto states = model->Evolve(cache, history);
+      auto loss = model->ComputeLoss(states, ds.FactsAt(8));
+      loss.joint.Backward();
+      Run result;
+      result.loss = loss.joint.Item();
+      for (const auto& st : states) {
+        result.states.push_back(st.entities.impl().data);
+        result.states.push_back(st.relations.impl().data);
+      }
+      for (const tensor::Tensor& p : model->Parameters()) {
+        result.grads.push_back(p.impl().grad);
+      }
+      return result;
+    };
+    const Run reference = run(1);
+    EXPECT_TRUE(std::isfinite(reference.loss)) << name;
+    const Run wide = run(4);
+    EXPECT_EQ(std::memcmp(&wide.loss, &reference.loss, sizeof(float)), 0)
+        << name;
+    ExpectBitIdentical(wide.states, reference.states,
+                       std::string(name) + " states");
+    ExpectBitIdentical(wide.grads, reference.grads,
+                       std::string(name) + " grads");
   }
 }
 

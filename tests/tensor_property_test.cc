@@ -15,6 +15,7 @@ namespace retia::tensor {
 namespace {
 
 using ::retia::testing::CheckGradients;
+using ::retia::testing::ScatterPlan;
 using ::retia::testing::TestTensor;
 
 // ---------------------------------------------------------------------------
@@ -70,7 +71,8 @@ TEST_P(GatherScatterAdjoint, InnerProductsMatch) {
   Tensor a = TestTensor({rows, cols}, GetParam() * 3 + 1, false);
   Tensor b = TestTensor({k, cols}, GetParam() * 3 + 2, false);
   const float lhs = Sum(Mul(GatherRows(a, idx), b)).Item();
-  const float rhs = Sum(Mul(a, ScatterAddRows(b, idx, rows))).Item();
+  const float rhs =
+      Sum(Mul(a, AggregateRows(b, ScatterPlan(idx, rows)))).Item();
   EXPECT_NEAR(lhs, rhs, 1e-3f);
 }
 
@@ -83,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GatherScatterAdjoint,
 TEST(GatherScatterProperty, ScatterOfDistinctIndicesRoundTrips) {
   std::vector<int64_t> idx = {3, 0, 2};
   Tensor b = TestTensor({3, 4}, 31, false);
-  Tensor scattered = ScatterAddRows(b, idx, 5);
+  Tensor scattered = AggregateRows(b, ScatterPlan(idx, 5));
   Tensor back = GatherRows(scattered, idx);
   for (int64_t i = 0; i < b.NumElements(); ++i) {
     EXPECT_FLOAT_EQ(back.Data()[i], b.Data()[i]);
@@ -272,11 +274,13 @@ INSTANTIATE_TEST_SUITE_P(FiftyRandomShapes, BackendEquivalenceSweep,
                          ::testing::Range<uint64_t>(0, 50));
 
 // ---------------------------------------------------------------------------
-// ScatterAddRows over 50 random shapes: byte-identical at every pool width
-// and equal to a serial index-order loop, over small and large destination
-// tables and duplicate-heavy and duplicate-free index vectors. (The suite
-// and test names date from when a second, privatized kernel was compared
-// here; they are kept so the sweep's ctest names stay stable.)
+// The two owner-computes scatters over 50 random shapes: AggregateRows
+// with a weight-1 scatter plan, and the table gradient of GatherRows (its
+// backward). Both are byte-identical at every pool width and equal to a
+// serial index-order loop, over small and large destination tables and
+// duplicate-heavy and duplicate-free index vectors. (The suite and test
+// names date from when a second, privatized kernel was compared here; they
+// are kept so the sweep's ctest names stay stable.)
 
 class ScatterAlgoEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
@@ -288,12 +292,7 @@ TEST_P(ScatterAlgoEquivalence, PrivatizedMatchesOwnerComputesAcrossThreads) {
   std::vector<int64_t> idx(k);
   for (auto& i : idx) i = rng.UniformInt(0, rows - 1);
   Tensor src = TestTensor({k, cols}, GetParam() * 11 + 3, false);
-
-  auto run = [&](int threads) {
-    par::ThreadPool pool(threads);
-    par::ScopedDefaultPool guard(&pool);
-    return ScatterAddRows(src, idx, rows).impl().data;
-  };
+  const auto plan = ScatterPlan(idx, rows);
 
   // One float add per contribution, in index order.
   std::vector<float> serial(rows * cols, 0.0f);
@@ -302,12 +301,22 @@ TEST_P(ScatterAlgoEquivalence, PrivatizedMatchesOwnerComputesAcrossThreads) {
       serial[idx[e] * cols + j] += src.Data()[e * cols + j];
 
   for (int threads : {1, 2, 4, 8}) {
-    const std::vector<float> got = run(threads);
-    ASSERT_EQ(got.size(), serial.size());
-    EXPECT_EQ(
-        std::memcmp(got.data(), serial.data(), got.size() * sizeof(float)), 0)
-        << "threads=" << threads << " rows=" << rows << " cols=" << cols
-        << " k=" << k;
+    par::ThreadPool pool(threads);
+    par::ScopedDefaultPool guard(&pool);
+    // The gather's output gradient is `src`, so the table's gradient is the
+    // same scatter-add.
+    Tensor table = Tensor::Zeros({rows, cols}, /*requires_grad=*/true);
+    Sum(Mul(GatherRows(table, idx), src)).Backward();
+    const std::vector<float> aggregated = AggregateRows(src, plan).impl().data;
+    for (const std::vector<float>* got : {&aggregated, &table.Grad()}) {
+      ASSERT_EQ(got->size(), serial.size());
+      EXPECT_EQ(std::memcmp(got->data(), serial.data(),
+                            got->size() * sizeof(float)),
+                0)
+          << (got == &aggregated ? "AggregateRows" : "GatherRows backward")
+          << " threads=" << threads << " rows=" << rows << " cols=" << cols
+          << " k=" << k;
+    }
   }
 }
 
@@ -383,9 +392,9 @@ TEST(LayerNormProperty, ConstantRowNormalisesToBeta) {
 }
 
 // ---------------------------------------------------------------------------
-// Duplicate-index ScatterAddRows: the adjoint of a duplicate-index gather,
-// gradient-checked so the owner-computes parallel kernel proves it routes
-// every duplicate's gradient.
+// Duplicate-index scatter-add on AggregateRows: the adjoint of a
+// duplicate-index gather, gradient-checked so the owner-computes parallel
+// kernel proves it routes every duplicate's gradient.
 
 TEST(GatherScatterProperty, DuplicateIndexScatterGradients) {
   const std::vector<int64_t> idx = {2, 0, 2, 2, 1, 0};  // heavy duplicates
@@ -393,7 +402,7 @@ TEST(GatherScatterProperty, DuplicateIndexScatterGradients) {
   Tensor mask = TestTensor({12}, 82, false);
   CheckGradients(
       [&] {
-        Tensor o = ScatterAddRows(src, idx, 4);  // row 3 stays empty
+        Tensor o = AggregateRows(src, ScatterPlan(idx, 4));  // row 3 empty
         return Sum(Mul(Reshape(o, {1, 12}), Reshape(mask, {1, 12})));
       },
       {src});

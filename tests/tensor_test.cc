@@ -12,6 +12,7 @@ namespace retia::tensor {
 namespace {
 
 using ::retia::testing::CheckGradients;
+using ::retia::testing::ScatterPlan;
 using ::retia::testing::TestTensor;
 
 // ---------------------------------------------------------------------------
@@ -207,7 +208,7 @@ TEST(OpsForwardTest, GatherRowsOutOfRangeDies) {
 
 TEST(OpsForwardTest, ScatterAddRowsAccumulatesDuplicates) {
   Tensor src = Tensor::FromVector({3, 2}, {1, 1, 2, 2, 3, 3});
-  Tensor out = ScatterAddRows(src, {1, 1, 0}, 3);
+  Tensor out = AggregateRows(src, ScatterPlan({1, 1, 0}, 3));
   EXPECT_EQ(out.At(0, 0), 3.0f);
   EXPECT_EQ(out.At(1, 0), 3.0f);  // 1 + 2
   EXPECT_EQ(out.At(2, 0), 0.0f);
@@ -238,11 +239,19 @@ TEST(OpsForwardTest, AggregateRowsOutOfRangeDies) {
   EXPECT_DEATH(AggregateRows(Tensor::Zeros({4, 2}), plan), "expected");
 }
 
-TEST(OpsForwardTest, ScaleRowsPerRow) {
-  Tensor a = Tensor::FromVector({2, 2}, {1, 2, 3, 4});
-  Tensor out = ScaleRows(a, {2.0f, 0.5f});
-  EXPECT_EQ(out.At(0, 1), 4.0f);
-  EXPECT_EQ(out.At(1, 0), 1.5f);
+// A snapshot with no facts gives plans with no entries: the output is all
+// zeros and the backward adds nothing to the table's gradient.
+TEST(OpsForwardTest, AggregateRowsOverEmptyPlanIsZerosAndAddsNoGradient) {
+  Tensor table = TestTensor({3, 2}, 70);
+  const auto plan = MakeRowAggregation(4, 2, 3, {}, {}, {});
+  Tensor out = AggregateRows(table, plan);
+  ASSERT_EQ(out.Shape(), (std::vector<int64_t>{4, 4}));
+  EXPECT_EQ(out.impl().data, std::vector<float>(16, 0.0f));
+  std::vector<float>& grad = table.MutableGrad();
+  std::iota(grad.begin(), grad.end(), 0.5f);
+  const std::vector<float> before = grad;
+  Sum(out).Backward();
+  EXPECT_EQ(table.Grad(), before);
 }
 
 TEST(OpsForwardTest, MulColBroadcast) {
@@ -484,7 +493,8 @@ TEST(GradTest, ScatterAddRows) {
   Tensor a = TestTensor({4, 3}, 53);
   Tensor w = TestTensor({3, 3}, 54, false);
   std::vector<int64_t> idx = {1, 1, 0, 2};
-  CheckGradients([&] { return Sum(Mul(ScatterAddRows(a, idx, 3), w)); }, {a});
+  CheckGradients(
+      [&] { return Sum(Mul(AggregateRows(a, ScatterPlan(idx, 3)), w)); }, {a});
 }
 
 TEST(GradTest, AggregateRows) {
@@ -506,12 +516,6 @@ TEST(GradTest, ConcatColsOfSeveralParts) {
   Tensor w = TestTensor({2, 6}, 69, false);
   CheckGradients([&] { return Sum(Mul(ConcatCols({a, b, c}), w)); },
                  {a, b, c});
-}
-
-TEST(GradTest, ScaleRows) {
-  Tensor a = TestTensor({3, 4}, 55);
-  std::vector<float> s = {0.5f, -1.0f, 2.0f};
-  CheckGradients([&] { return Sum(ScaleRows(a, s)); }, {a});
 }
 
 TEST(GradTest, MulColBroadcast) {

@@ -8,7 +8,10 @@
 //     12-timestamp Trainer::FineTuneOnTimes;
 //   - the relation R-GCN layer (the RAM) alone, forward plus every
 //     gradient, on a stream-like and a paper-like hypergraph at pool
-//     widths 1 and 4, so a change to its numerics shows on its own line.
+//     widths 1 and 4, so a change to its numerics shows on its own line;
+//   - the baselines built on the same ops, at pool widths 1 and 4: a
+//     12-timestamp Trainer::FineTuneOnTimes of RE-GCN, of RE-GCN with
+//     CEN's time-variability decode, and of RE-NET.
 // Build this file against two trees (e.g. a parent checkout and the
 // current one, each also under RETIA_SIMD=scalar) and diff the output:
 // identical hashes prove the change kept every result bit-exact. Within
@@ -20,6 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/regcn.h"
+#include "baselines/renet.h"
 #include "core/retia.h"
 #include "core/rgcn.h"
 #include "graph/graph_cache.h"
@@ -114,6 +119,23 @@ void WidthSection(const char* name, int threads, Body body) {
   HashBytes(&local, sizeof(local));
 }
 
+// Online fine-tuning over timestamps 3..14 (Evolve, loss, backward, clip
+// and Adam, in program order), then every parameter.
+void HashFineTune(retia::core::EvolutionModel& model,
+                  const retia::tkg::TkgDataset& ds) {
+  model.SetTraining(true);
+  retia::graph::GraphCache cache(&ds);
+  retia::train::TrainConfig config;
+  config.online_steps = 1;
+  config.online_lr = 1e-2f;
+  retia::train::Trainer trainer(&model, &cache, config);
+  std::vector<int64_t> times;
+  for (int64_t i = 3; i < 15; ++i) times.push_back(i);
+  const int64_t applied = trainer.FineTuneOnTimes(times);
+  HashBytes(&applied, sizeof(applied));
+  for (const Tensor& p : model.Parameters()) HashFloats(p.impl().data);
+}
+
 void ModelSections(const retia::tkg::TkgDataset& ds, int threads) {
   using retia::core::EvolutionModel;
   using retia::core::RetiaModel;
@@ -168,23 +190,34 @@ void ModelSections(const retia::tkg::TkgDataset& ds, int threads) {
     }
   });
 
-  // Online fine-tuning over 12 timestamps: Evolve, loss, backward, clip
-  // and Adam, in program order.
   WidthSection("finetune", threads, [&] {
     RetiaModel model(ProbeModelConfig(ds));
-    model.SetTraining(true);
-    retia::graph::GraphCache cache(&ds);
-    retia::train::TrainConfig config;
-    config.online_steps = 1;
-    config.online_lr = 1e-2f;
-    retia::train::Trainer trainer(&model, &cache, config);
-    std::vector<int64_t> times;
-    for (int64_t i = 3; i < 15; ++i) times.push_back(i);
-    const int64_t applied = trainer.FineTuneOnTimes(times);
-    HashBytes(&applied, sizeof(applied));
-    for (const retia::tensor::Tensor& p : model.Parameters()) {
-      HashFloats(p.impl().data);
+    HashFineTune(model, ds);
+  });
+}
+
+// RE-GCN (and with it CEN and TiRGN's local part) and RE-NET, fine-tuned
+// on the model battery's dataset.
+void BaselineSections(const retia::tkg::TkgDataset& ds, int threads) {
+  retia::par::ThreadPool pool(threads);
+  retia::par::ScopedDefaultPool scoped(&pool);
+  WidthSection("baselines", threads, [&] {
+    retia::baselines::RegcnConfig regcn;
+    regcn.num_entities = ds.num_entities();
+    regcn.num_relations = ds.num_relations();
+    regcn.dim = 16;
+    regcn.conv_kernels = 4;
+    for (bool time_variability : {false, true}) {
+      regcn.time_variability_decode = time_variability;
+      retia::baselines::RegcnModel model(regcn);
+      HashFineTune(model, ds);
     }
+    retia::baselines::RenetConfig renet;
+    renet.num_entities = ds.num_entities();
+    renet.num_relations = ds.num_relations();
+    renet.dim = 16;
+    retia::baselines::RenetModel model(renet);
+    HashFineTune(model, ds);
   });
 }
 
@@ -323,8 +356,14 @@ int main() {
     HashFloats(g.impl().data);
     HashFloats(table.Grad());
 
+    // Scatter-add as an AggregateRows plan: source row e into row idx[e],
+    // weight 1.
+    std::vector<int64_t> rows(idx.size());
+    for (size_t e = 0; e < idx.size(); ++e) rows[e] = static_cast<int64_t>(e);
+    const auto plan = retia::tensor::MakeRowAggregation(
+        50, 1, 12, idx, rows, std::vector<float>(idx.size(), 1.0f));
     Tensor src = RandTensor({12, 24}, true);
-    Tensor sc = retia::tensor::ScatterAddRows(src, idx, 50);
+    Tensor sc = retia::tensor::AggregateRows(src, plan);
     retia::tensor::Sum(retia::tensor::Mul(sc, sc)).Backward();
     HashFloats(sc.impl().data);
     HashFloats(src.Grad());
@@ -382,6 +421,9 @@ int main() {
   RamSections("ram_stream", 300, 16, 60, 240, 32);
   RamSections("ram_paper", 23000, 250, 1500, 6000, 64);
   Section("ram");
+
+  for (int threads : {1, 4}) BaselineSections(ds, threads);
+  Section("baselines");
 
   std::printf("final        %016llx\n", static_cast<unsigned long long>(g_hash));
   return 0;
