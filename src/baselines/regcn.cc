@@ -63,86 +63,19 @@ std::vector<core::EvolutionModel::StepState> RegcnModel::Evolve(
   return states;
 }
 
-core::EvolutionModel::LossParts RegcnModel::ComputeLoss(
-    const std::vector<StepState>& states,
-    const std::vector<tkg::Quadruple>& facts) {
-  RETIA_CHECK(!states.empty());
-  const int64_t m = config_.num_relations;
-  std::vector<std::pair<int64_t, int64_t>> entity_queries;
-  std::vector<int64_t> entity_targets;
-  for (const tkg::Quadruple& q : facts) {
-    entity_queries.emplace_back(q.subject, q.relation);
-    entity_targets.push_back(q.object);
-    entity_queries.emplace_back(q.object, q.relation + m);
-    entity_targets.push_back(q.subject);
-  }
-  Tensor loss_e =
-      tensor::NllFromProbs(ScoreObjects(states, entity_queries), entity_targets);
-  std::vector<std::pair<int64_t, int64_t>> relation_queries;
-  std::vector<int64_t> relation_targets;
-  for (const tkg::Quadruple& q : facts) {
-    relation_queries.emplace_back(q.subject, q.object);
-    relation_targets.push_back(q.relation);
-  }
-  Tensor loss_r = tensor::NllFromProbs(ScoreRelations(states, relation_queries),
-                                       relation_targets);
-  LossParts parts;
-  parts.entity_loss = loss_e.Item();
-  parts.relation_loss = loss_r.Item();
-  parts.joint =
-      tensor::Add(tensor::Scale(loss_e, config_.lambda_entity),
-                  tensor::Scale(loss_r, 1.0f - config_.lambda_entity));
-  return parts;
-}
-
 Tensor RegcnModel::ScoreObjects(
     const std::vector<StepState>& states,
     const std::vector<std::pair<int64_t, int64_t>>& queries) {
-  RETIA_CHECK(!states.empty());
-  std::vector<int64_t> s_idx;
-  std::vector<int64_t> r_idx;
-  for (const auto& [s, r] : queries) {
-    s_idx.push_back(s);
-    r_idx.push_back(r);
-  }
-  const size_t first =
-      config_.time_variability_decode ? 0 : states.size() - 1;
-  Tensor total;
-  for (size_t i = first; i < states.size(); ++i) {
-    const StepState& st = states[i];
-    Tensor logits = entity_decoder_->Forward(
-        tensor::GatherRows(st.entities, s_idx),
-        tensor::GatherRows(st.relations, r_idx), st.entities, &rng_);
-    Tensor p = tensor::Softmax(logits);
-    total = total.defined() ? tensor::Add(total, p) : p;
-  }
-  return total;
+  return core::DecodeObjects(*entity_decoder_, states,
+                             config_.time_variability_decode, queries, &rng_);
 }
 
 Tensor RegcnModel::ScoreRelations(
     const std::vector<StepState>& states,
     const std::vector<std::pair<int64_t, int64_t>>& queries) {
-  RETIA_CHECK(!states.empty());
-  const int64_t m = config_.num_relations;
-  std::vector<int64_t> s_idx;
-  std::vector<int64_t> o_idx;
-  for (const auto& [s, o] : queries) {
-    s_idx.push_back(s);
-    o_idx.push_back(o);
-  }
-  const size_t first =
-      config_.time_variability_decode ? 0 : states.size() - 1;
-  Tensor total;
-  for (size_t i = first; i < states.size(); ++i) {
-    const StepState& st = states[i];
-    Tensor logits = relation_decoder_->Forward(
-        tensor::GatherRows(st.entities, s_idx),
-        tensor::GatherRows(st.entities, o_idx),
-        tensor::SliceRows(st.relations, 0, m), &rng_);
-    Tensor p = tensor::Softmax(logits);
-    total = total.defined() ? tensor::Add(total, p) : p;
-  }
-  return total;
+  return core::DecodeRelations(*relation_decoder_, states,
+                               config_.time_variability_decode,
+                               config_.num_relations, queries, &rng_);
 }
 
 }  // namespace retia::baselines

@@ -62,38 +62,6 @@ std::vector<core::EvolutionModel::StepState> RenetModel::Evolve(
   return states;
 }
 
-core::EvolutionModel::LossParts RenetModel::ComputeLoss(
-    const std::vector<StepState>& states,
-    const std::vector<tkg::Quadruple>& facts) {
-  RETIA_CHECK(!states.empty());
-  const int64_t m = config_.num_relations;
-  std::vector<std::pair<int64_t, int64_t>> entity_queries;
-  std::vector<int64_t> entity_targets;
-  for (const tkg::Quadruple& q : facts) {
-    entity_queries.emplace_back(q.subject, q.relation);
-    entity_targets.push_back(q.object);
-    entity_queries.emplace_back(q.object, q.relation + m);
-    entity_targets.push_back(q.subject);
-  }
-  Tensor loss_e = tensor::NllFromProbs(ScoreObjects(states, entity_queries),
-                                       entity_targets);
-  std::vector<std::pair<int64_t, int64_t>> relation_queries;
-  std::vector<int64_t> relation_targets;
-  for (const tkg::Quadruple& q : facts) {
-    relation_queries.emplace_back(q.subject, q.object);
-    relation_targets.push_back(q.relation);
-  }
-  Tensor loss_r = tensor::NllFromProbs(
-      ScoreRelations(states, relation_queries), relation_targets);
-  LossParts parts;
-  parts.entity_loss = loss_e.Item();
-  parts.relation_loss = loss_r.Item();
-  parts.joint =
-      tensor::Add(tensor::Scale(loss_e, config_.lambda_entity),
-                  tensor::Scale(loss_r, 1.0f - config_.lambda_entity));
-  return parts;
-}
-
 Tensor RenetModel::ScoreObjects(
     const std::vector<StepState>& states,
     const std::vector<std::pair<int64_t, int64_t>>& queries) {

@@ -44,7 +44,10 @@ class RenetModel : public core::EvolutionModel {
                                 const std::vector<int64_t>& history) override;
 
   LossParts ComputeLoss(const std::vector<StepState>& states,
-                        const std::vector<tkg::Quadruple>& facts) override;
+                        const std::vector<tkg::Quadruple>& facts) override {
+    return JointLoss(states, facts, config_.num_relations,
+                     config_.lambda_entity);
+  }
 
   tensor::Tensor ScoreObjects(
       const std::vector<StepState>& states,

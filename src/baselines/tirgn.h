@@ -47,8 +47,12 @@ class TirgnModel : public core::EvolutionModel {
   std::vector<StepState> Evolve(graph::GraphCache& cache,
                                 const std::vector<int64_t>& history) override;
 
+  // The joint loss over the gated scores below.
   LossParts ComputeLoss(const std::vector<StepState>& states,
-                        const std::vector<tkg::Quadruple>& facts) override;
+                        const std::vector<tkg::Quadruple>& facts) override {
+    return JointLoss(states, facts, config_.local.num_relations,
+                     config_.local.lambda_entity);
+  }
 
   tensor::Tensor ScoreObjects(
       const std::vector<StepState>& states,

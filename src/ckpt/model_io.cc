@@ -78,87 +78,9 @@ Result MetaBool(const Meta& meta, const std::string& key, bool* out) {
   return Result::Ok();
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Parameters.
-
-std::string EncodeParams(const nn::Module& module) {
-  ByteWriter w;
-  const auto named = module.NamedParameters();
-  w.U64(named.size());
-  for (const auto& [name, t] : named) {
-    w.Str(name);
-    const auto& shape = t.Shape();
-    w.U32(static_cast<uint32_t>(shape.size()));
-    for (int64_t dim : shape) w.I64(dim);
-    w.FloatArray(t.Data(), t.NumElements());
-  }
-  return w.Take();
-}
-
-Result DecodeParamsInto(nn::Module* module, std::string_view payload) {
-  ByteReader r(payload, kSectionParams);
-  uint64_t count = 0;
-  RETIA_CKPT_RETURN_IF_ERROR(r.U64(&count));
-  auto named = module->NamedParameters();
-  if (count != named.size()) {
-    return Result::Error(ErrorCode::kSchemaMismatch,
-                         "artifact has " + std::to_string(count) +
-                             " parameters, model has " +
-                             std::to_string(named.size()));
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string name;
-    RETIA_CKPT_RETURN_IF_ERROR(r.Str(&name));
-    if (name != named[i].first) {
-      return Result::Error(ErrorCode::kSchemaMismatch,
-                           "parameter order mismatch: artifact has '" + name +
-                               "', model expects '" + named[i].first + "'");
-    }
-    uint32_t rank = 0;
-    RETIA_CKPT_RETURN_IF_ERROR(r.U32(&rank));
-    if (rank > 16) {
-      return Result::Error(ErrorCode::kCorrupt,
-                           "implausible rank for parameter '" + name + "'");
-    }
-    std::vector<int64_t> shape(rank);
-    for (uint32_t d = 0; d < rank; ++d) {
-      RETIA_CKPT_RETURN_IF_ERROR(r.I64(&shape[d]));
-    }
-    tensor::Tensor& t = named[i].second;
-    if (shape != t.Shape()) {
-      return Result::Error(ErrorCode::kSchemaMismatch,
-                           "shape mismatch for parameter '" + name +
-                               "' (artifact " + ShapeString(shape) +
-                               ", model " + ShapeString(t.Shape()) + ")");
-    }
-    std::vector<float> values;
-    RETIA_CKPT_RETURN_IF_ERROR(r.FloatArray(&values));
-    if (static_cast<int64_t>(values.size()) != t.NumElements()) {
-      return Result::Error(ErrorCode::kCorrupt,
-                           "element count mismatch for parameter '" + name +
-                               "'");
-    }
-    t.impl().data = std::move(values);
-  }
-  return r.ExpectEnd();
-}
-
-// ---------------------------------------------------------------------------
-// Quantized parameters (docs/QUANTIZATION.md).
-
-bool QuantizesAsInt8(const std::vector<int64_t>& shape) {
-  if (shape.size() < 2) return false;
-  int64_t cols = 1;
-  for (size_t d = 1; d < shape.size(); ++d) cols *= shape[d];
-  return cols >= 16;
-}
-
-namespace {
-
-// Shared entry header: name, rank, dims. Validated against the live
-// parameter exactly like DecodeParamsInto (order, rank cap, shape).
+// Entry header of every parameter section (f32, q8 and f16): name, rank,
+// dims. Decoding validates it against the live parameter: order, rank
+// cap, shape.
 void EncodeParamHeader(ByteWriter* w, const std::string& name,
                        const std::vector<int64_t>& shape) {
   w->Str(name);
@@ -196,23 +118,84 @@ Result DecodeParamHeader(ByteReader* r, const std::string& expected_name,
   return Result::Ok();
 }
 
-}  // namespace
-
-Result SaveQuantizedModelArtifact(const core::RetiaModel& model,
-                                  const std::string& path,
-                                  const std::string& dataset_name) {
-  ArtifactWriter writer;
+// The sections every model artifact opens with, f32 or quantized: meta
+// (artifact kind, dataset name, RetiaConfig) and, for a static-constraint
+// model, the SetEntityTypes() table.
+void AddModelHeaderSections(const core::RetiaModel& model,
+                            const std::string& dataset_name,
+                            ArtifactWriter* writer) {
   Meta meta = {{"artifact", "retia.model"}, {"dataset_name", dataset_name}};
   AppendRetiaConfigMeta(model.config(), &meta);
-  writer.AddSection(kSectionMeta, EncodeMeta(meta));
+  writer->AddSection(kSectionMeta, EncodeMeta(meta));
   if (model.has_entity_types()) {
     ByteWriter types;
     types.I64(model.num_static_types());
     const auto& table = model.entity_types();
     types.U64(table.size());
     for (int64_t t : table) types.I64(t);
-    writer.AddSection(kSectionStaticTypes, types.Take());
+    writer->AddSection(kSectionStaticTypes, types.Take());
   }
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Parameters.
+
+std::string EncodeParams(const nn::Module& module) {
+  ByteWriter w;
+  const auto named = module.NamedParameters();
+  w.U64(named.size());
+  for (const auto& [name, t] : named) {
+    EncodeParamHeader(&w, name, t.Shape());
+    w.FloatArray(t.Data(), t.NumElements());
+  }
+  return w.Take();
+}
+
+Result DecodeParamsInto(nn::Module* module, std::string_view payload) {
+  ByteReader r(payload, kSectionParams);
+  uint64_t count = 0;
+  RETIA_CKPT_RETURN_IF_ERROR(r.U64(&count));
+  auto named = module->NamedParameters();
+  if (count != named.size()) {
+    return Result::Error(ErrorCode::kSchemaMismatch,
+                         "artifact has " + std::to_string(count) +
+                             " parameters, model has " +
+                             std::to_string(named.size()));
+  }
+  for (uint64_t i = 0; i < count; ++i) {
+    const std::string& name = named[i].first;
+    tensor::Tensor& t = named[i].second;
+    RETIA_CKPT_RETURN_IF_ERROR(
+        DecodeParamHeader(&r, name, t.Shape(), kSectionParams));
+    std::vector<float> values;
+    RETIA_CKPT_RETURN_IF_ERROR(r.FloatArray(&values));
+    if (static_cast<int64_t>(values.size()) != t.NumElements()) {
+      return Result::Error(ErrorCode::kCorrupt,
+                           "element count mismatch for parameter '" + name +
+                               "'");
+    }
+    t.impl().data = std::move(values);
+  }
+  return r.ExpectEnd();
+}
+
+// ---------------------------------------------------------------------------
+// Quantized parameters (docs/QUANTIZATION.md).
+
+bool QuantizesAsInt8(const std::vector<int64_t>& shape) {
+  if (shape.size() < 2) return false;
+  int64_t cols = 1;
+  for (size_t d = 1; d < shape.size(); ++d) cols *= shape[d];
+  return cols >= 16;
+}
+
+Result SaveQuantizedModelArtifact(const core::RetiaModel& model,
+                                  const std::string& path,
+                                  const std::string& dataset_name) {
+  ArtifactWriter writer;
+  AddModelHeaderSections(model, dataset_name, &writer);
 
   const auto named = model.NamedParameters();
   ByteWriter q8, f16;
@@ -522,17 +505,7 @@ Result SaveModelArtifact(const core::RetiaModel& model,
                          const std::string& path,
                          const std::string& dataset_name) {
   ArtifactWriter writer;
-  Meta meta = {{"artifact", "retia.model"}, {"dataset_name", dataset_name}};
-  AppendRetiaConfigMeta(model.config(), &meta);
-  writer.AddSection(kSectionMeta, EncodeMeta(meta));
-  if (model.has_entity_types()) {
-    ByteWriter types;
-    types.I64(model.num_static_types());
-    const auto& table = model.entity_types();
-    types.U64(table.size());
-    for (int64_t t : table) types.I64(t);
-    writer.AddSection(kSectionStaticTypes, types.Take());
-  }
+  AddModelHeaderSections(model, dataset_name, &writer);
   writer.AddSection(kSectionParams, EncodeParams(model));
   return writer.WriteFile(path);
 }

@@ -1,6 +1,7 @@
 #ifndef RETIA_CORE_EVOLUTION_MODEL_H_
 #define RETIA_CORE_EVOLUTION_MODEL_H_
 
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -11,6 +12,8 @@
 #include "util/rng.h"
 
 namespace retia::core {
+
+class ConvTransEDecoder;
 
 // Common interface of "evolutional representation" extrapolation models
 // (RETIA and the RE-GCN family): unroll embeddings over a history of
@@ -62,7 +65,44 @@ class EvolutionModel : public nn::Module {
   // through retia::ckpt so a resumed run replays the exact dropout masks
   // an uninterrupted run would have drawn.
   virtual util::Rng* MutableRng() { return nullptr; }
+
+ protected:
+  // The joint training loss of Eqs. 13-14 over `num_relations` = M:
+  // lambda_entity * NLL of ScoreObjects on the object queries (s, r) and
+  // the inverse subject queries (o, r + M), plus (1 - lambda_entity) *
+  // NLL of ScoreRelations on the relation queries (s, o).
+  LossParts JointLoss(const std::vector<StepState>& states,
+                      const std::vector<tkg::Quadruple>& facts,
+                      int64_t num_relations, float lambda_entity);
 };
+
+// Sums decode(i), the softmax probabilities of state i, over the decoded
+// states in state order: every state when `all_states` (the
+// time-variability decode of Eqs. 13/14), else the last. With `decoder`
+// in eval mode and no autograd tape, the per-state decodes are
+// independent and run one per par::ParallelShards shard; otherwise the
+// serial loop runs, so the tape and the RNG stream advance in state order
+// (DESIGN.md §12). Both give the same bits.
+tensor::Tensor SumStateDecodes(
+    const nn::Module& decoder, size_t num_states, bool all_states,
+    const std::function<tensor::Tensor(size_t)>& decode);
+
+// Summed Conv-TransE probabilities for object queries (s, r), r in
+// [0, 2M), against every entity of each decoded state -> [B, N] (Eqs. 11
+// and 13). `rng` feeds dropout in training mode; eval callers may pass
+// nullptr.
+tensor::Tensor DecodeObjects(
+    const ConvTransEDecoder& decoder,
+    const std::vector<EvolutionModel::StepState>& states, bool all_states,
+    const std::vector<std::pair<int64_t, int64_t>>& queries, util::Rng* rng);
+
+// Summed Conv-TransE probabilities for relation queries (s, o) against
+// the M forward relations of each decoded state -> [B, M] (Eqs. 12, 14).
+tensor::Tensor DecodeRelations(
+    const ConvTransEDecoder& decoder,
+    const std::vector<EvolutionModel::StepState>& states, bool all_states,
+    int64_t num_relations,
+    const std::vector<std::pair<int64_t, int64_t>>& queries, util::Rng* rng);
 
 }  // namespace retia::core
 

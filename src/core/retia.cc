@@ -5,7 +5,6 @@
 
 #include "nn/init.h"
 #include "obs/obs.h"
-#include "par/parallel_for.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -251,39 +250,8 @@ std::vector<RetiaModel::StepState> RetiaModel::Evolve(
 RetiaModel::LossParts RetiaModel::ComputeLoss(
     const std::vector<StepState>& states,
     const std::vector<tkg::Quadruple>& facts) {
-  RETIA_CHECK(!states.empty());
-  RETIA_CHECK(!facts.empty());
-  const int64_t m = config_.num_relations;
-
-  // Entity task: object queries plus inverse subject queries (Sec. III-A).
-  std::vector<std::pair<int64_t, int64_t>> entity_queries;
-  std::vector<int64_t> entity_targets;
-  entity_queries.reserve(facts.size() * 2);
-  for (const tkg::Quadruple& q : facts) {
-    entity_queries.emplace_back(q.subject, q.relation);
-    entity_targets.push_back(q.object);
-    entity_queries.emplace_back(q.object, q.relation + m);
-    entity_targets.push_back(q.subject);
-  }
-  Tensor p_entity = ScoreObjects(states, entity_queries);
-  Tensor loss_e = tensor::NllFromProbs(p_entity, entity_targets);
-
-  // Relation task (Eq. 12/14).
-  std::vector<std::pair<int64_t, int64_t>> relation_queries;
-  std::vector<int64_t> relation_targets;
-  relation_queries.reserve(facts.size());
-  for (const tkg::Quadruple& q : facts) {
-    relation_queries.emplace_back(q.subject, q.object);
-    relation_targets.push_back(q.relation);
-  }
-  Tensor p_relation = ScoreRelations(states, relation_queries);
-  Tensor loss_r = tensor::NllFromProbs(p_relation, relation_targets);
-
-  LossParts parts;
-  parts.entity_loss = loss_e.Item();
-  parts.relation_loss = loss_r.Item();
-  parts.joint = tensor::Add(tensor::Scale(loss_e, config_.lambda_entity),
-                            tensor::Scale(loss_r, 1.0f - config_.lambda_entity));
+  LossParts parts = JointLoss(states, facts, config_.num_relations,
+                              config_.lambda_entity);
 
   // Static-graph constraint (RE-GCN): at evolution step i the angle between
   // the evolved entity embeddings and the static per-type embeddings may
@@ -312,13 +280,16 @@ RetiaModel::LossParts RetiaModel::ComputeLoss(
 Tensor RetiaModel::ScoreObjects(
     const std::vector<StepState>& states,
     const std::vector<std::pair<int64_t, int64_t>>& queries) {
-  return ScoreObjectsImpl(states, queries, &rng_);
+  return DecodeObjects(*entity_decoder_, states,
+                       config_.time_variability_decode, queries, &rng_);
 }
 
 Tensor RetiaModel::ScoreRelations(
     const std::vector<StepState>& states,
     const std::vector<std::pair<int64_t, int64_t>>& queries) {
-  return ScoreRelationsImpl(states, queries, &rng_);
+  return DecodeRelations(*relation_decoder_, states,
+                         config_.time_variability_decode,
+                         config_.num_relations, queries, &rng_);
 }
 
 Tensor RetiaModel::ScoreObjectsFrozen(
@@ -326,7 +297,8 @@ Tensor RetiaModel::ScoreObjectsFrozen(
     const std::vector<std::pair<int64_t, int64_t>>& queries) const {
   RETIA_CHECK_MSG(!training(),
                   "frozen scoring requires eval mode (SetTraining(false))");
-  return ScoreObjectsImpl(states, queries, nullptr);
+  return DecodeObjects(*entity_decoder_, states,
+                       config_.time_variability_decode, queries, nullptr);
 }
 
 Tensor RetiaModel::ScoreRelationsFrozen(
@@ -334,7 +306,9 @@ Tensor RetiaModel::ScoreRelationsFrozen(
     const std::vector<std::pair<int64_t, int64_t>>& queries) const {
   RETIA_CHECK_MSG(!training(),
                   "frozen scoring requires eval mode (SetTraining(false))");
-  return ScoreRelationsImpl(states, queries, nullptr);
+  return DecodeRelations(*relation_decoder_, states,
+                         config_.time_variability_decode,
+                         config_.num_relations, queries, nullptr);
 }
 
 Tensor RetiaModel::ScoreObjectsFrozenQuantized(
@@ -343,7 +317,6 @@ Tensor RetiaModel::ScoreObjectsFrozenQuantized(
     const std::vector<std::pair<int64_t, int64_t>>& queries) const {
   RETIA_CHECK_MSG(!training(),
                   "frozen scoring requires eval mode (SetTraining(false))");
-  RETIA_CHECK(!states.empty());
   RETIA_CHECK_EQ(states.size(), qcands.size());
   RETIA_OBS_COUNTER_ADD("quant.decode.batches", 1);
   std::vector<int64_t> subj_idx;
@@ -354,94 +327,16 @@ Tensor RetiaModel::ScoreObjectsFrozenQuantized(
     subj_idx.push_back(s);
     rel_idx.push_back(r);
   }
-  return SumStateDecodes(states.size(), [&](size_t i) {
+  const auto decode = [&](size_t i) {
     const StepState& st = states[i];
     Tensor s_emb = tensor::GatherRows(st.entities, subj_idx);
     Tensor r_emb = tensor::GatherRows(st.relations, rel_idx);
     Tensor logits =
         entity_decoder_->ForwardQuantized(s_emb, r_emb, qcands[i], nullptr);
     return tensor::Softmax(logits);
-  });
-}
-
-Tensor RetiaModel::ScoreObjectsImpl(
-    const std::vector<StepState>& states,
-    const std::vector<std::pair<int64_t, int64_t>>& queries,
-    util::Rng* rng) const {
-  RETIA_CHECK(!states.empty());
-  std::vector<int64_t> subj_idx;
-  std::vector<int64_t> rel_idx;
-  subj_idx.reserve(queries.size());
-  rel_idx.reserve(queries.size());
-  for (const auto& [s, r] : queries) {
-    subj_idx.push_back(s);
-    rel_idx.push_back(r);
-  }
-  return SumStateDecodes(states.size(), [&](size_t i) {
-    const StepState& st = states[i];
-    Tensor s_emb = tensor::GatherRows(st.entities, subj_idx);
-    Tensor r_emb = tensor::GatherRows(st.relations, rel_idx);
-    Tensor logits = entity_decoder_->Forward(s_emb, r_emb, st.entities, rng);
-    return tensor::Softmax(logits);
-  });
-}
-
-Tensor RetiaModel::ScoreRelationsImpl(
-    const std::vector<StepState>& states,
-    const std::vector<std::pair<int64_t, int64_t>>& queries,
-    util::Rng* rng) const {
-  RETIA_CHECK(!states.empty());
-  const int64_t m = config_.num_relations;
-  std::vector<int64_t> subj_idx;
-  std::vector<int64_t> obj_idx;
-  subj_idx.reserve(queries.size());
-  obj_idx.reserve(queries.size());
-  for (const auto& [s, o] : queries) {
-    subj_idx.push_back(s);
-    obj_idx.push_back(o);
-  }
-  return SumStateDecodes(states.size(), [&](size_t i) {
-    const StepState& st = states[i];
-    Tensor s_emb = tensor::GatherRows(st.entities, subj_idx);
-    Tensor o_emb = tensor::GatherRows(st.entities, obj_idx);
-    // Candidates are the M forward relations (the paper's p^r is
-    // M-dimensional).
-    Tensor candidates = tensor::SliceRows(st.relations, 0, m);
-    Tensor logits = relation_decoder_->Forward(s_emb, o_emb, candidates, rng);
-    return tensor::Softmax(logits);
-  });
-}
-
-Tensor RetiaModel::SumStateDecodes(
-    size_t num_states, const std::function<Tensor(size_t)>& decode) const {
-  RETIA_OBS_TRACE_SPAN("core.decode");
-  const size_t first =
-      config_.time_variability_decode ? 0 : num_states - 1;
-  const int64_t n = static_cast<int64_t>(num_states - first);
-  // With no autograd tape to record and no RNG stream to keep ordered
-  // (dropout is a pass-through outside training), the per-state decodes
-  // are independent and fan out on the pool. The per-state math and the
-  // state-order sum are those of the serial loop below, so the result is
-  // bit-identical to it for every pool width.
-  if (n > 1 && !training() && !tensor::GradModeEnabled()) {
-    std::vector<Tensor> per_state(static_cast<size_t>(n));
-    par::ParallelShards(n, [&](int64_t j) {
-      tensor::NoGradGuard guard;  // grad mode is thread-local
-      const size_t slot = static_cast<size_t>(j);
-      per_state[slot] = decode(first + slot);
-    });
-    Tensor total = per_state[0];
-    for (size_t j = 1; j < per_state.size(); ++j) {
-      total = tensor::Add(total, per_state[j]);
-    }
-    return total;
-  }
-  Tensor total;
-  for (size_t i = first; i < num_states; ++i) {
-    Tensor p = decode(i);
-    total = total.defined() ? tensor::Add(total, p) : p;
-  }
-  return total;
+  };
+  return SumStateDecodes(*entity_decoder_, states.size(),
+                         config_.time_variability_decode, decode);
 }
 
 }  // namespace retia::core

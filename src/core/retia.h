@@ -1,7 +1,6 @@
 #ifndef RETIA_CORE_RETIA_H_
 #define RETIA_CORE_RETIA_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -154,26 +153,6 @@ class RetiaModel : public EvolutionModel {
   // zero-filled when it is null.
   void InstallEntityTypes(const std::vector<int64_t>& types,
                           int64_t num_types, util::Rng* init_rng);
-
-  // Shared decode bodies; `rng` is only touched in training mode (dropout),
-  // the frozen entry points pass nullptr.
-  tensor::Tensor ScoreObjectsImpl(
-      const std::vector<StepState>& states,
-      const std::vector<std::pair<int64_t, int64_t>>& queries,
-      util::Rng* rng) const;
-  tensor::Tensor ScoreRelationsImpl(
-      const std::vector<StepState>& states,
-      const std::vector<std::pair<int64_t, int64_t>>& queries,
-      util::Rng* rng) const;
-
-  // Sums decode(i) (softmax probabilities of state i) over the decoded
-  // states — every state under time_variability_decode, else the last —
-  // in state order. Eval-mode callers without a tape decode the states in
-  // parallel on par::ParallelShards; the others run the serial loop, so
-  // the tape and the RNG stream advance in state order (DESIGN.md §12).
-  tensor::Tensor SumStateDecodes(
-      size_t num_states,
-      const std::function<tensor::Tensor(size_t)>& decode) const;
 
   RetiaConfig config_;
   util::Rng rng_;

@@ -160,7 +160,13 @@ void ThreadPool::ParallelRun(int64_t num_shards,
       }
     }
   }
-  if (job->error) std::rethrow_exception(job->error);
+  if (job->error) {
+    // Rethrow from a local: a worker may still hold `job` and drop the
+    // last reference to it after we return, and that must not free the
+    // exception the caller is handling.
+    std::exception_ptr error = std::move(job->error);
+    std::rethrow_exception(error);
+  }
 }
 
 void ThreadPool::Submit(std::function<void()> task) {

@@ -59,9 +59,24 @@ StatsRecorder::StatsRecorder(int64_t max_batch, StatsScope scope)
   RETIA_CHECK(max_batch > 0);
 }
 
+void StatsRecorder::Samples::Add(double value) {
+  if (ring.size() < kWindow) {
+    ring.push_back(static_cast<float>(value));
+    return;
+  }
+  ring[next] = static_cast<float>(value);
+  next = (next + 1) % kWindow;
+}
+
+void StatsRecorder::Samples::Clear() {
+  ring.clear();
+  next = 0;
+}
+
 void StatsRecorder::RecordRequest(double latency_ms) {
   std::lock_guard<std::mutex> lock(mu_);
-  latencies_ms_.push_back(static_cast<float>(latency_ms));
+  ++completed_;
+  latencies_ms_.Add(latency_ms);
 }
 
 void StatsRecorder::RecordQueueWait(double wait_ms) {
@@ -72,7 +87,7 @@ void StatsRecorder::RecordQueueWait(double wait_ms) {
     RETIA_OBS_HIST_RECORD("serve.router.queue_wait.us", us);
   }
   std::lock_guard<std::mutex> lock(mu_);
-  queue_wait_ms_.push_back(static_cast<float>(wait_ms));
+  queue_wait_ms_.Add(wait_ms);
 }
 
 void StatsRecorder::RecordCompute(double compute_ms) {
@@ -83,7 +98,7 @@ void StatsRecorder::RecordCompute(double compute_ms) {
     RETIA_OBS_HIST_RECORD("serve.router.compute.us", us);
   }
   std::lock_guard<std::mutex> lock(mu_);
-  compute_ms_.push_back(static_cast<float>(compute_ms));
+  compute_ms_.Add(compute_ms);
 }
 
 void StatsRecorder::RecordBatch(int64_t batch_size) {
@@ -96,16 +111,16 @@ void StatsRecorder::RecordBatch(int64_t batch_size) {
 ServeStats StatsRecorder::Snapshot(const CacheCounters& cache) const {
   std::lock_guard<std::mutex> lock(mu_);
   ServeStats stats;
-  stats.completed = static_cast<int64_t>(latencies_ms_.size());
+  stats.completed = completed_;
   stats.wall_seconds = timer_.Seconds();
   stats.qps = stats.wall_seconds > 0.0 ? stats.completed / stats.wall_seconds
                                        : 0.0;
-  stats.p50_latency_ms = Quantile(latencies_ms_, 0.50);
-  stats.p99_latency_ms = Quantile(latencies_ms_, 0.99);
-  stats.p50_queue_wait_ms = Quantile(queue_wait_ms_, 0.50);
-  stats.p99_queue_wait_ms = Quantile(queue_wait_ms_, 0.99);
-  stats.p50_compute_ms = Quantile(compute_ms_, 0.50);
-  stats.p99_compute_ms = Quantile(compute_ms_, 0.99);
+  stats.p50_latency_ms = Quantile(latencies_ms_.ring, 0.50);
+  stats.p99_latency_ms = Quantile(latencies_ms_.ring, 0.99);
+  stats.p50_queue_wait_ms = Quantile(queue_wait_ms_.ring, 0.50);
+  stats.p99_queue_wait_ms = Quantile(queue_wait_ms_.ring, 0.99);
+  stats.p50_compute_ms = Quantile(compute_ms_.ring, 0.50);
+  stats.p99_compute_ms = Quantile(compute_ms_.ring, 0.99);
   stats.batch_size_histogram = batch_hist_;
   int64_t weighted = 0;
   for (size_t b = 1; b < batch_hist_.size(); ++b) {
@@ -122,9 +137,10 @@ ServeStats StatsRecorder::Snapshot(const CacheCounters& cache) const {
 void StatsRecorder::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   timer_.Reset();
-  latencies_ms_.clear();
-  queue_wait_ms_.clear();
-  compute_ms_.clear();
+  completed_ = 0;
+  latencies_ms_.Clear();
+  queue_wait_ms_.Clear();
+  compute_ms_.Clear();
   std::fill(batch_hist_.begin(), batch_hist_.end(), 0);
 }
 

@@ -1,6 +1,7 @@
 #ifndef RETIA_SERVE_STATS_H_
 #define RETIA_SERVE_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -13,7 +14,9 @@ namespace retia::serve {
 
 // Point-in-time view of an engine's serving behaviour since the last
 // ResetStats(). All latencies are end-to-end (submit to result, including
-// queueing and batching delay).
+// queueing and batching delay). Counts and the batch histogram cover the
+// whole window; the latency percentiles cover the most recent
+// StatsRecorder::kWindow samples of each series.
 struct ServeStats {
   int64_t completed = 0;       // requests answered
   double wall_seconds = 0.0;   // observation window
@@ -61,8 +64,13 @@ enum class StatsScope : uint8_t {
 // callers record one latency per completed request, workers record one
 // entry per decoded micro-batch (the router's "batches" are single
 // requests: wait = connection checkout, compute = replica round-trip).
+// Each latency series keeps only its kWindow most recent samples, so a
+// recorder that is never reset stays bounded in memory and Snapshot() time.
 class StatsRecorder {
  public:
+  // Samples kept per latency series.
+  static constexpr size_t kWindow = size_t{1} << 16;
+
   explicit StatsRecorder(int64_t max_batch,
                          StatsScope scope = StatsScope::kEngine);
 
@@ -82,12 +90,22 @@ class StatsRecorder {
   void Reset();
 
  private:
+  // The kWindow most recent samples of one series, in a ring.
+  struct Samples {
+    std::vector<float> ring;
+    size_t next = 0;  // slot the next sample overwrites once ring is full
+
+    void Add(double value);
+    void Clear();
+  };
+
   mutable std::mutex mu_;
   StatsScope scope_;
   util::Timer timer_;
-  std::vector<float> latencies_ms_;
-  std::vector<float> queue_wait_ms_;
-  std::vector<float> compute_ms_;
+  int64_t completed_ = 0;
+  Samples latencies_ms_;
+  Samples queue_wait_ms_;
+  Samples compute_ms_;
   std::vector<int64_t> batch_hist_;
 };
 

@@ -330,33 +330,35 @@ int64_t Trainer::FineTuneOnTimes(const std::vector<int64_t>& times) {
 eval::EvalResult Trainer::Evaluate(const std::vector<int64_t>& times,
                                    bool online,
                                    const eval::EvalOptions& options) {
-  auto evolve_eval = [this](int64_t t) {
-    model_->SetTraining(false);
-    const std::vector<int64_t> history =
-        cache_->HistoryBefore(t, model_->history_len());
-    return model_->Evolve(*cache_, history);
+  // The evaluator scores a timestamp's object queries, then its relation
+  // queries, then calls `after`; both scores share one eval-mode Evolve,
+  // which the online update invalidates.
+  std::vector<core::EvolutionModel::StepState> states;
+  int64_t states_at = -1;
+  auto evolved = [&](int64_t t) -> const auto& {
+    if (states.empty() || states_at != t) {
+      model_->SetTraining(false);
+      states = model_->Evolve(*cache_,
+                              cache_->HistoryBefore(t, model_->history_len()));
+      states_at = t;
+    }
+    return states;
   };
   eval::ObjectScoreFn object_fn =
-      [this, &evolve_eval](
-          int64_t t, const std::vector<std::pair<int64_t, int64_t>>& queries) {
+      [&](int64_t t, const std::vector<std::pair<int64_t, int64_t>>& queries) {
         tensor::NoGradGuard guard;
-        return model_->ScoreObjects(evolve_eval(t), queries);
+        return model_->ScoreObjects(evolved(t), queries);
       };
   eval::RelationScoreFn relation_fn =
-      [this, &evolve_eval](
-          int64_t t, const std::vector<std::pair<int64_t, int64_t>>& queries) {
+      [&](int64_t t, const std::vector<std::pair<int64_t, int64_t>>& queries) {
         tensor::NoGradGuard guard;
-        return model_->ScoreRelations(evolve_eval(t), queries);
+        return model_->ScoreRelations(evolved(t), queries);
       };
   eval::AfterTimestampFn after = nullptr;
   if (online) {
-    after = [this](int64_t t) {
-      const float general_lr = optimizer_.lr();
-      optimizer_.set_lr(config_.online_lr);
-      for (int64_t step = 0; step < config_.online_steps; ++step) {
-        if (StepOnTimestamp(t, nullptr)) ++online_updates_;
-      }
-      optimizer_.set_lr(general_lr);
+    after = [&](int64_t t) {
+      states.clear();
+      FineTuneOnTimes({t});
     };
   }
   eval::EvalResult result = eval::EvaluateTimes(

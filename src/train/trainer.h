@@ -86,10 +86,11 @@ class Trainer {
   // restored before returning.
   std::vector<EpochRecord> TrainGeneral();
 
-  // Evaluates the facts of `times`. With `online` true, the model is
-  // fine-tuned on each timestamp's facts after that timestamp has been
-  // evaluated (online continuous training). `result.predict_seconds`
-  // excludes the online updates.
+  // Evaluates the facts of `times`, scoring both tasks of a timestamp on
+  // one eval-mode Evolve. With `online` true, the model is fine-tuned on
+  // each timestamp's facts after that timestamp has been evaluated (online
+  // continuous training, one FineTuneOnTimes({t}) each).
+  // `result.predict_seconds` excludes the online updates.
   eval::EvalResult Evaluate(const std::vector<int64_t>& times, bool online,
                             const eval::EvalOptions& options = {});
 

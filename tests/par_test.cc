@@ -8,7 +8,8 @@
 // backward over a small ICEWS14-like graph must produce byte-identical
 // parameters and gradients at 1, 2, 4, 8, and hardware_concurrency
 // threads, and so must the two places that fan whole units of work out on
-// the pool: GraphCache::Prefetch and the per-state frozen decodes.
+// the pool: GraphCache::Prefetch and the per-state eval decodes that RETIA
+// and the RE-GCN family share.
 
 #include <chrono>
 #include <cmath>
@@ -26,6 +27,7 @@
 
 #include "baselines/regcn.h"
 #include "baselines/renet.h"
+#include "baselines/tirgn.h"
 #include "core/retia.h"
 #include "grad_check.h"
 #include "graph/graph_cache.h"
@@ -460,6 +462,61 @@ TEST(ThreadInvarianceTest, FrozenDecodeBitIdenticalAcrossPoolWidths) {
   const std::vector<std::vector<float>> frozen = {
       reference[objects_at], reference[objects_at + 1]};
   ExpectBitIdentical(frozen, serial, "frozen vs grad-recording decode");
+}
+
+// CEN (RE-GCN with the time-variability decode) and TiRGN over a CEN-style
+// local model decode through the same per-state fan-out as RETIA: in eval
+// mode without a tape, ScoreObjects / ScoreRelations must be
+// memcmp-identical at every pool width.
+TEST(ThreadInvarianceTest, CenAndTirgnEvalDecodeBitIdentical) {
+  const tkg::TkgDataset ds = tkg::GenerateSynthetic(SmallIcews14Config());
+  baselines::RegcnConfig cen;
+  cen.num_entities = ds.num_entities();
+  cen.num_relations = ds.num_relations();
+  cen.dim = 16;
+  cen.conv_kernels = 4;
+  cen.time_variability_decode = true;
+  baselines::TirgnConfig tirgn;
+  tirgn.local = cen;
+  using MakeModel = std::function<std::unique_ptr<core::EvolutionModel>()>;
+  const std::vector<std::pair<const char*, MakeModel>> models = {
+      {"cen", [&] { return std::make_unique<baselines::RegcnModel>(cen); }},
+      {"tirgn",
+       [&] {
+         auto model = std::make_unique<baselines::TirgnModel>(tirgn);
+         model->SetDataset(&ds);
+         return model;
+       }},
+  };
+  const int64_t m = ds.num_relations();
+  std::vector<std::pair<int64_t, int64_t>> object_queries, relation_queries;
+  for (int64_t i = 0; i < 8; ++i) {
+    object_queries.emplace_back((i * 7) % ds.num_entities(), i % (2 * m));
+    relation_queries.emplace_back((i * 5) % ds.num_entities(),
+                                  (i * 11 + 3) % ds.num_entities());
+  }
+  for (const auto& [name, make] : models) {
+    const std::unique_ptr<core::EvolutionModel> model = make();
+    model->SetTraining(false);
+    auto run = [&](int threads) {
+      ThreadPool pool(threads);
+      ScopedDefaultPool pool_guard(&pool);
+      tensor::NoGradGuard guard;
+      graph::GraphCache cache(&ds);
+      const auto states =
+          model->Evolve(cache, cache.HistoryBefore(8, model->history_len()));
+      EXPECT_EQ(states.size(), 3u);
+      return std::vector<std::vector<float>>{
+          model->ScoreObjects(states, object_queries).impl().data,
+          model->ScoreRelations(states, relation_queries).impl().data};
+    };
+    const std::vector<std::vector<float>> reference = run(1);
+    for (int threads : {2, 4, 8}) {
+      ExpectBitIdentical(run(threads), reference,
+                         std::string(name) +
+                             " eval decode at pool=" + std::to_string(threads));
+    }
+  }
 }
 
 // GraphCache::Prefetch builds one timestamp per shard. Afterwards the

@@ -25,6 +25,7 @@
 #include "serve/engine.h"
 #include "serve/lru_cache.h"
 #include "serve/snapshot.h"
+#include "serve/stats.h"
 #include "tensor/tensor.h"
 #include "tkg/synthetic.h"
 
@@ -594,6 +595,44 @@ TEST(TopKIndicesTest, DeterministicTieBreakByLowerIndex) {
       eval::TopKIndices(scores.data(), scores.size(), 4);
   EXPECT_EQ(top, (std::vector<int64_t>{1, 2, 3, 0}));
   EXPECT_EQ(eval::TopKIndices(scores.data(), scores.size(), 99).size(), 5u);
+}
+
+// A recorder that is never reset keeps only the last kWindow samples of
+// each latency series: the percentiles forget older samples, while the
+// request count and the batch histogram stay exact.
+TEST(ServeStatsTest, PercentilesCoverTheLastWindowAndCountsStayExact) {
+  serve::StatsRecorder recorder(/*max_batch=*/4);
+  const auto window = static_cast<int64_t>(serve::StatsRecorder::kWindow);
+  for (int64_t i = 0; i < window; ++i) {
+    recorder.RecordRequest(100.0);
+    recorder.RecordQueueWait(100.0);
+    recorder.RecordCompute(100.0);
+    recorder.RecordBatch(4);
+  }
+  for (int64_t i = 0; i < window + 5; ++i) {
+    recorder.RecordRequest(1.0);
+    recorder.RecordQueueWait(2.0);
+    recorder.RecordCompute(3.0);
+    recorder.RecordBatch(1);
+  }
+  const serve::ServeStats stats = recorder.Snapshot(CacheCounters{});
+  EXPECT_EQ(stats.completed, 2 * window + 5);
+  EXPECT_EQ(stats.p50_latency_ms, 1.0);
+  EXPECT_EQ(stats.p99_latency_ms, 1.0);
+  EXPECT_EQ(stats.p50_queue_wait_ms, 2.0);
+  EXPECT_EQ(stats.p99_queue_wait_ms, 2.0);
+  EXPECT_EQ(stats.p50_compute_ms, 3.0);
+  EXPECT_EQ(stats.p99_compute_ms, 3.0);
+  EXPECT_EQ(stats.batches, 2 * window + 5);
+  EXPECT_EQ(stats.batch_size_histogram[4], window);
+  EXPECT_EQ(stats.batch_size_histogram[1], window + 5);
+
+  recorder.Reset();
+  recorder.RecordRequest(7.0);
+  const serve::ServeStats fresh = recorder.Snapshot(CacheCounters{});
+  EXPECT_EQ(fresh.completed, 1);
+  EXPECT_EQ(fresh.p99_latency_ms, 7.0);
+  EXPECT_EQ(fresh.batches, 0);
 }
 
 }  // namespace

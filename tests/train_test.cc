@@ -149,6 +149,44 @@ TEST(TrainerTest, RecordsValidationMrrPerEpoch) {
   }
 }
 
+// RE-GCN that counts its Evolve calls.
+class CountingRegcn : public baselines::RegcnModel {
+ public:
+  using RegcnModel::RegcnModel;
+  std::vector<StepState> Evolve(graph::GraphCache& cache,
+                                const std::vector<int64_t>& history) override {
+    ++evolves;
+    return RegcnModel::Evolve(cache, history);
+  }
+  int64_t evolves = 0;
+};
+
+// The object and relation scores of one timestamp share one evolution;
+// online, each fine-tune step evolves once more.
+TEST(TrainerTest, EvaluateEvolvesEachTimestampOnce) {
+  tkg::TkgDataset ds = SmallDataset();
+  baselines::RegcnConfig config;
+  config.num_entities = ds.num_entities();
+  config.num_relations = ds.num_relations();
+  config.dim = 8;
+  config.conv_kernels = 4;
+  config.time_variability_decode = true;
+  CountingRegcn model(config);
+  graph::GraphCache cache(&ds);
+  Trainer trainer(&model, &cache, TrainConfig{});
+  int64_t evaluated = 0;
+  for (int64_t t : ds.test_times()) evaluated += !ds.FactsAt(t).empty();
+  ASSERT_GT(evaluated, 0);
+
+  trainer.Evaluate(ds.test_times(), /*online=*/false);
+  EXPECT_EQ(model.evolves, evaluated);
+
+  model.evolves = 0;
+  trainer.Evaluate(ds.test_times(), /*online=*/true);
+  EXPECT_GT(trainer.online_updates(), 0);
+  EXPECT_EQ(model.evolves, evaluated + trainer.online_updates());
+}
+
 // Integration check of the paper's central claims on a dataset where
 // relation structure matters: full RETIA must beat the "wo. RAM" ablation
 // on relation forecasting after identical training budgets (Table VI).

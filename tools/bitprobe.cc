@@ -11,7 +11,12 @@
 //     widths 1 and 4, so a change to its numerics shows on its own line;
 //   - the baselines built on the same ops, at pool widths 1 and 4: a
 //     12-timestamp Trainer::FineTuneOnTimes of RE-GCN, of RE-GCN with
-//     CEN's time-variability decode, and of RE-NET.
+//     CEN's time-variability decode, and of RE-NET;
+//   - the evaluation paths, at pool widths 1 and 4 (`eval`): eval-mode
+//     ScoreObjects / ScoreRelations at t = 8 of RETIA, RE-GCN, CEN-style
+//     RE-GCN, TiRGN over a CEN-style local model and RE-NET, a fine-tune
+//     of that TiRGN, and a CEN-style online Trainer::Evaluate of the test
+//     split.
 // Build this file against two trees (e.g. a parent checkout and the
 // current one, each also under RETIA_SIMD=scalar) and diff the output:
 // identical hashes prove the change kept every result bit-exact. Within
@@ -19,14 +24,17 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/regcn.h"
 #include "baselines/renet.h"
+#include "baselines/tirgn.h"
 #include "core/retia.h"
 #include "core/rgcn.h"
+#include "eval/metrics.h"
 #include "graph/graph_cache.h"
 #include "nn/optimizer.h"
 #include "par/thread_pool.h"
@@ -218,6 +226,79 @@ void BaselineSections(const retia::tkg::TkgDataset& ds, int threads) {
     renet.dim = 16;
     retia::baselines::RenetModel model(renet);
     HashFineTune(model, ds);
+  });
+}
+
+void HashMetrics(const retia::eval::Metrics& metrics) {
+  const int64_t count = metrics.count();
+  const double values[] = {metrics.Mrr(), metrics.Hits1(), metrics.Hits3(),
+                           metrics.Hits10()};
+  HashBytes(&count, sizeof(count));
+  HashBytes(values, sizeof(values));
+}
+
+// Eval-mode decodes of every evolution model, a fine-tune of TiRGN and a
+// CEN-style online evaluation, on the model battery's dataset.
+void EvalSections(const retia::tkg::TkgDataset& ds, int threads) {
+  using retia::core::EvolutionModel;
+  retia::par::ThreadPool pool(threads);
+  retia::par::ScopedDefaultPool scoped(&pool);
+  WidthSection("eval", threads, [&] {
+    retia::baselines::RegcnConfig regcn;
+    regcn.num_entities = ds.num_entities();
+    regcn.num_relations = ds.num_relations();
+    regcn.dim = 16;
+    regcn.conv_kernels = 4;
+    retia::baselines::RegcnConfig cen = regcn;
+    cen.time_variability_decode = true;
+    retia::baselines::TirgnConfig tirgn;
+    tirgn.local = cen;
+    retia::baselines::RenetConfig renet;
+    renet.num_entities = ds.num_entities();
+    renet.num_relations = ds.num_relations();
+    renet.dim = 16;
+
+    std::vector<std::unique_ptr<EvolutionModel>> models;
+    models.push_back(
+        std::make_unique<retia::core::RetiaModel>(ProbeModelConfig(ds)));
+    models.push_back(std::make_unique<retia::baselines::RegcnModel>(regcn));
+    models.push_back(std::make_unique<retia::baselines::RegcnModel>(cen));
+    auto gated = std::make_unique<retia::baselines::TirgnModel>(tirgn);
+    gated->SetDataset(&ds);
+    models.push_back(std::move(gated));
+    models.push_back(std::make_unique<retia::baselines::RenetModel>(renet));
+    const int64_t m = ds.num_relations();
+    std::vector<std::pair<int64_t, int64_t>> object_queries, relation_queries;
+    for (int64_t i = 0; i < 8; ++i) {
+      object_queries.emplace_back((i * 7) % ds.num_entities(), i % (2 * m));
+      relation_queries.emplace_back((i * 5) % ds.num_entities(),
+                                    (i * 11 + 3) % ds.num_entities());
+    }
+    for (const auto& model : models) {
+      model->SetTraining(false);
+      retia::tensor::NoGradGuard guard;
+      retia::graph::GraphCache cache(&ds);
+      const auto states =
+          model->Evolve(cache, cache.HistoryBefore(8, model->history_len()));
+      HashFloats(model->ScoreObjects(states, object_queries).impl().data);
+      HashFloats(model->ScoreRelations(states, relation_queries).impl().data);
+    }
+
+    retia::baselines::TirgnModel tuned(tirgn);
+    tuned.SetDataset(&ds);
+    HashFineTune(tuned, ds);
+
+    retia::baselines::RegcnModel online(cen);
+    retia::graph::GraphCache cache(&ds);
+    retia::train::TrainConfig config;
+    config.online_steps = 1;
+    config.online_lr = 1e-2f;
+    retia::train::Trainer trainer(&online, &cache, config);
+    const retia::eval::EvalResult result =
+        trainer.Evaluate(ds.test_times(), /*online=*/true);
+    HashMetrics(result.entity);
+    HashMetrics(result.relation);
+    for (const Tensor& p : online.Parameters()) HashFloats(p.impl().data);
   });
 }
 
@@ -424,6 +505,9 @@ int main() {
 
   for (int threads : {1, 4}) BaselineSections(ds, threads);
   Section("baselines");
+
+  for (int threads : {1, 4}) EvalSections(ds, threads);
+  Section("eval");
 
   std::printf("final        %016llx\n", static_cast<unsigned long long>(g_hash));
   return 0;
