@@ -162,7 +162,7 @@ struct LoadFlags {
   int64_t clients = 4;
   int64_t k = 5;
   // Client-side batch: each client assembles this many queries and ships
-  // them through Router::RouteBatch (1 = the per-query Route path).
+  // them through Router::RouteBatch (1 = one query per frame).
   int64_t batch = 1;
   double alpha = 1.1;
   int64_t timeout_ms = 5000;
@@ -230,8 +230,7 @@ int Load(const std::string& dir, const std::string& sockets_csv,
       util::Rng rng(static_cast<uint64_t>(1000 + c));
       for (int64_t i = 0; i < per_client;) {
         // Assemble up to `batch` queries and ship them in one RouteBatch
-        // (one coalesced wire frame per shard group); batch == 1 keeps
-        // the historical per-query Route path.
+        // (one wire frame per shard group).
         const int64_t group = std::min(flags.batch, per_client - i);
         std::vector<serve::Query> queries;
         queries.reserve(group);
@@ -242,12 +241,8 @@ int Load(const std::string& dir, const std::string& sockets_csv,
           queries.push_back(serve::Query::Entity(s, r, t, flags.k));
         }
         util::Timer timer;
-        std::vector<serve::Result<serve::QueryResult>> results;
-        if (flags.batch > 1) {
-          results = router.RouteBatch(queries);
-        } else {
-          results.push_back(router.Route(queries.front()));
-        }
+        const std::vector<serve::Result<serve::QueryResult>> results =
+            router.RouteBatch(queries);
         // Every query in the group experienced the group's latency.
         const double ms = timer.Millis();
         std::lock_guard<std::mutex> lock(mu);

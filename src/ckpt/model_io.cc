@@ -118,6 +118,16 @@ Result DecodeParamHeader(ByteReader* r, const std::string& expected_name,
   return Result::Ok();
 }
 
+// Installs decoded values, one per NamedParameters() entry; only called
+// once every entry has validated.
+void InstallParams(nn::Module* module,
+                   std::vector<std::vector<float>> values) {
+  auto named = module->NamedParameters();
+  for (size_t i = 0; i < named.size(); ++i) {
+    named[i].second.impl().data = std::move(values[i]);
+  }
+}
+
 // The sections every model artifact opens with, f32 or quantized: meta
 // (artifact kind, dataset name, RetiaConfig) and, for a static-constraint
 // model, the SetEntityTypes() table.
@@ -153,32 +163,40 @@ std::string EncodeParams(const nn::Module& module) {
   return w.Take();
 }
 
-Result DecodeParamsInto(nn::Module* module, std::string_view payload) {
+Result DecodeParams(const nn::Module& module, std::string_view payload,
+                    std::vector<std::vector<float>>* values) {
   ByteReader r(payload, kSectionParams);
   uint64_t count = 0;
   RETIA_CKPT_RETURN_IF_ERROR(r.U64(&count));
-  auto named = module->NamedParameters();
+  const auto named = module.NamedParameters();
   if (count != named.size()) {
     return Result::Error(ErrorCode::kSchemaMismatch,
                          "artifact has " + std::to_string(count) +
                              " parameters, model has " +
                              std::to_string(named.size()));
   }
+  std::vector<std::vector<float>> decoded(count);
   for (uint64_t i = 0; i < count; ++i) {
-    const std::string& name = named[i].first;
-    tensor::Tensor& t = named[i].second;
+    const auto& [name, t] = named[i];
     RETIA_CKPT_RETURN_IF_ERROR(
         DecodeParamHeader(&r, name, t.Shape(), kSectionParams));
-    std::vector<float> values;
-    RETIA_CKPT_RETURN_IF_ERROR(r.FloatArray(&values));
-    if (static_cast<int64_t>(values.size()) != t.NumElements()) {
+    RETIA_CKPT_RETURN_IF_ERROR(r.FloatArray(&decoded[i]));
+    if (static_cast<int64_t>(decoded[i].size()) != t.NumElements()) {
       return Result::Error(ErrorCode::kCorrupt,
                            "element count mismatch for parameter '" + name +
                                "'");
     }
-    t.impl().data = std::move(values);
   }
-  return r.ExpectEnd();
+  RETIA_CKPT_RETURN_IF_ERROR(r.ExpectEnd());
+  *values = std::move(decoded);
+  return Result::Ok();
+}
+
+Result DecodeParamsInto(nn::Module* module, std::string_view payload) {
+  std::vector<std::vector<float>> values;
+  RETIA_CKPT_RETURN_IF_ERROR(DecodeParams(*module, payload, &values));
+  InstallParams(module, std::move(values));
+  return Result::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -228,9 +246,6 @@ Result SaveQuantizedModelArtifact(const core::RetiaModel& model,
   return writer.WriteFile(path);
 }
 
-namespace {
-
-// Decodes the q8 + f16 section pair into the module's f32 parameters.
 // Routing mirrors the saver: each parameter's section is a pure function
 // of its shape, so both readers are walked in NamedParameters order and
 // must end exactly when the parameter list does.
@@ -239,7 +254,7 @@ Result DecodeQuantizedParamsInto(nn::Module* module,
                                  std::string_view f16_payload) {
   ByteReader q8(q8_payload, kSectionParamsQ8);
   ByteReader f16(f16_payload, kSectionParamsF16);
-  auto named = module->NamedParameters();
+  const auto named = module->NamedParameters();
   uint64_t q8_count = 0, f16_count = 0;
   RETIA_CKPT_RETURN_IF_ERROR(q8.U64(&q8_count));
   RETIA_CKPT_RETURN_IF_ERROR(f16.U64(&f16_count));
@@ -251,7 +266,9 @@ Result DecodeQuantizedParamsInto(nn::Module* module,
                              std::to_string(named.size()));
   }
   uint64_t q8_seen = 0, f16_seen = 0;
-  for (auto& [name, t] : named) {
+  std::vector<std::vector<float>> values;
+  values.reserve(named.size());
+  for (const auto& [name, t] : named) {
     if (QuantizesAsInt8(t.Shape())) {
       if (++q8_seen > q8_count) {
         return Result::Error(ErrorCode::kSchemaMismatch,
@@ -280,9 +297,8 @@ Result DecodeQuantizedParamsInto(nn::Module* module,
       }
       q.data.resize(static_cast<size_t>(nbytes));
       RETIA_CKPT_RETURN_IF_ERROR(q8.Raw(q.data.data(), q.data.size()));
-      std::vector<float> values(static_cast<size_t>(t.NumElements()));
-      quant::DequantizeInto(q, values.data());
-      t.impl().data = std::move(values);
+      values.emplace_back(static_cast<size_t>(t.NumElements()));
+      quant::DequantizeInto(q, values.back().data());
     } else {
       if (++f16_seen > f16_count) {
         return Result::Error(ErrorCode::kSchemaMismatch,
@@ -301,7 +317,7 @@ Result DecodeQuantizedParamsInto(nn::Module* module,
       std::vector<uint16_t> h(static_cast<size_t>(count));
       RETIA_CKPT_RETURN_IF_ERROR(
           f16.Raw(h.data(), h.size() * sizeof(uint16_t)));
-      t.impl().data = quant::DecodeF16(h.data(), t.NumElements());
+      values.push_back(quant::DecodeF16(h.data(), t.NumElements()));
     }
   }
   if (q8_seen != q8_count || f16_seen != f16_count) {
@@ -310,10 +326,10 @@ Result DecodeQuantizedParamsInto(nn::Module* module,
                          "the model's parameter shapes");
   }
   RETIA_CKPT_RETURN_IF_ERROR(q8.ExpectEnd());
-  return f16.ExpectEnd();
+  RETIA_CKPT_RETURN_IF_ERROR(f16.ExpectEnd());
+  InstallParams(module, std::move(values));
+  return Result::Ok();
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Meta.

@@ -41,7 +41,14 @@ Result MetaLookup(const Meta& meta, const std::string& key, std::string* out);
 // ---- Section payloads ----------------------------------------------------
 
 // Named parameters of a module: names, shapes, float payloads.
+// DecodeParams validates a payload against `module` (count, order, names,
+// shapes, sizes, trailing bytes) and returns its values in
+// NamedParameters() order without touching the module. DecodeParamsInto
+// installs them only once all of that passed, so a failed decode leaves
+// every parameter as it was.
 std::string EncodeParams(const nn::Module& module);
+Result DecodeParams(const nn::Module& module, std::string_view payload,
+                    std::vector<std::vector<float>>* values);
 Result DecodeParamsInto(nn::Module* module, std::string_view payload);
 
 std::string EncodeMeta(const Meta& meta);
@@ -86,6 +93,12 @@ Result SaveQuantizedModelArtifact(const core::RetiaModel& model,
 // docs/QUANTIZATION.md): rank >= 2 with at least 16 trailing elements per
 // leading row quantizes to int8; everything else stores f16.
 bool QuantizesAsInt8(const std::vector<int64_t>& shape);
+
+// Dequantizes the q8 + f16 section pair into `module`'s f32 parameters,
+// all or nothing like DecodeParamsInto.
+Result DecodeQuantizedParamsInto(nn::Module* module,
+                                 std::string_view q8_payload,
+                                 std::string_view f16_payload);
 
 // Rebuilds the model from a v2 artifact; on any error (a v1 RETIACKPT1
 // file is kBadMagic) `out` is untouched. Accepts both f32 (model.params) and

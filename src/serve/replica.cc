@@ -9,17 +9,27 @@
 #include <unistd.h>
 
 #include "obs/obs.h"
-#include "util/check.h"
 
 namespace retia::serve {
 
+namespace {
+
+// Counts a request the replica cannot parse and answers it with a
+// kQueryReply error frame; false when that write failed.
+bool ReplyProtocolError(int fd, StatusCode code, const std::string& detail) {
+  RETIA_OBS_COUNTER_ADD("serve.replica.protocol_errors", 1);
+  return wire::WriteFrame(
+             fd, wire::MsgType::kQueryReply,
+             wire::EncodeQueryReply(Result<QueryResult>::Error(code, detail)))
+      .ok();
+}
+
+}  // namespace
+
 ReplicaServer::ReplicaServer(ServeEngine* engine, SnapshotLoader loader,
                              std::string socket_path)
-    : engine_(engine),
-      loader_(std::move(loader)),
-      socket_path_(std::move(socket_path)) {
-  RETIA_CHECK(engine_ != nullptr);
-}
+    : channel_(engine, std::move(loader)),
+      socket_path_(std::move(socket_path)) {}
 
 ReplicaServer::~ReplicaServer() { Stop(); }
 
@@ -83,12 +93,8 @@ void ReplicaServer::HandleConnection(int fd) {
     Result<wire::Frame> frame = wire::ReadFrame(fd);
     if (!frame.ok()) {
       if (frame.code() == StatusCode::kProtocolError) {
-        RETIA_OBS_COUNTER_ADD("serve.replica.protocol_errors", 1);
         // Framing is lost — tell the peer why, then drop the connection.
-        (void)wire::WriteFrame(
-            fd, wire::MsgType::kQueryReply,
-            wire::EncodeQueryReply(Result<QueryResult>::Error(
-                StatusCode::kProtocolError, frame.detail())));
+        (void)ReplyProtocolError(fd, frame.code(), frame.detail());
       }
       break;  // EOF / io error / unframable stream
     }
@@ -107,18 +113,6 @@ void ReplicaServer::HandleConnection(int fd) {
 
 bool ReplicaServer::HandleFrame(int fd, const wire::Frame& frame) {
   switch (frame.type) {
-    case wire::MsgType::kQuery: {
-      Result<Query> query = wire::DecodeQuery(frame.body);
-      Result<QueryResult> reply =
-          query.ok() ? engine_->Submit(query.value())
-                     : Result<QueryResult>::Error(query.code(), query.detail());
-      if (!query.ok()) {
-        RETIA_OBS_COUNTER_ADD("serve.replica.protocol_errors", 1);
-      }
-      return wire::WriteFrame(fd, wire::MsgType::kQueryReply,
-                              wire::EncodeQueryReply(reply))
-          .ok();
-    }
     case wire::MsgType::kQueryBatch: {
       Result<std::vector<Query>> queries = wire::DecodeQueryBatch(frame.body);
       if (!queries.ok()) {
@@ -127,48 +121,35 @@ bool ReplicaServer::HandleFrame(int fd, const wire::Frame& frame) {
         // the router surfaces an unexpected-reply-type protocol error to
         // every query of the batch. Per-query failures never land here;
         // they ride inside the ResultBatch entries below.
-        RETIA_OBS_COUNTER_ADD("serve.replica.protocol_errors", 1);
-        return wire::WriteFrame(fd, wire::MsgType::kQueryReply,
-                                wire::EncodeQueryReply(
-                                    Result<QueryResult>::Error(
-                                        queries.code(), queries.detail())))
-            .ok();
+        return ReplyProtocolError(fd, queries.code(), queries.detail());
       }
-      const std::vector<Result<QueryResult>> replies =
-          engine_->SubmitBatch(queries.value());
-      return wire::WriteFrame(fd, wire::MsgType::kResultBatch,
-                              wire::EncodeResultBatch(replies))
+      return wire::WriteFrame(
+                 fd, wire::MsgType::kResultBatch,
+                 wire::EncodeResultBatch(channel_.SubmitBatch(queries.value())))
           .ok();
     }
     case wire::MsgType::kStats:
       return wire::WriteFrame(fd, wire::MsgType::kStatsReply,
-                              wire::EncodeString(engine_->Stats().ToJson()))
+                              wire::EncodeString(channel_.StatsJson().value()))
           .ok();
     case wire::MsgType::kSwap: {
       Result<std::string> prefix = wire::DecodeSwap(frame.body);
-      std::vector<uint8_t> body;
       if (!prefix.ok()) {
         RETIA_OBS_COUNTER_ADD("serve.replica.protocol_errors", 1);
-        body = wire::EncodeSwapReply(prefix.code(), -1, prefix.detail());
-      } else if (!loader_) {
-        body = wire::EncodeSwapReply(StatusCode::kInternal, -1,
-                                     "replica has no snapshot loader");
-      } else {
-        std::lock_guard<std::mutex> lock(swap_mu_);
-        Result<EngineSnapshot> snapshot = loader_(prefix.value());
-        if (!snapshot.ok()) {
-          body = wire::EncodeSwapReply(snapshot.code(), -1, snapshot.detail());
-        } else {
-          engine_->SwapSnapshot(snapshot.take());
-          body = wire::EncodeSwapReply(StatusCode::kOk,
-                                       engine_->snapshot_swaps(), "");
-        }
       }
-      return wire::WriteFrame(fd, wire::MsgType::kSwapReply, body).ok();
+      const Result<int64_t> epoch =
+          prefix.ok() ? channel_.Swap(prefix.value())
+                      : Result<int64_t>::Error(prefix.code(), prefix.detail());
+      return wire::WriteFrame(
+                 fd, wire::MsgType::kSwapReply,
+                 wire::EncodeSwapReply(epoch.code(),
+                                       epoch.ok() ? epoch.value() : -1,
+                                       epoch.detail()))
+          .ok();
     }
     case wire::MsgType::kPing:
       return wire::WriteFrame(fd, wire::MsgType::kPong,
-                              wire::EncodePong(engine_->snapshot_swaps()))
+                              wire::EncodePong(channel_.Ping().value()))
           .ok();
     case wire::MsgType::kShutdown: {
       (void)wire::WriteFrame(fd, wire::MsgType::kShutdownReply, {});
@@ -180,13 +161,8 @@ bool ReplicaServer::HandleFrame(int fd, const wire::Frame& frame) {
     default:
       // A reply type arriving at the server is a peer bug; answer with a
       // protocol error and keep the connection (framing is intact).
-      RETIA_OBS_COUNTER_ADD("serve.replica.protocol_errors", 1);
-      return wire::WriteFrame(
-                 fd, wire::MsgType::kQueryReply,
-                 wire::EncodeQueryReply(Result<QueryResult>::Error(
-                     StatusCode::kProtocolError,
-                     "unexpected message type at server")))
-          .ok();
+      return ReplyProtocolError(fd, StatusCode::kProtocolError,
+                                "unexpected message type at server");
   }
 }
 

@@ -3,11 +3,10 @@
 
 // retia::serve::ReplicaServer — one model replica's wire-protocol
 // endpoint (docs/SERVING_TOPOLOGY.md). Listens on an AF_UNIX stream
-// socket, decodes serve::wire frames, and answers them against a
-// ServeEngine the host owns: queries go through ServeEngine::Submit (the
-// typed, never-CHECK-failing entry point), swap requests run the host's
-// SnapshotLoader and ServeEngine::SwapSnapshot, stats and ping report the
-// engine's counters and epoch.
+// socket and is a frame codec in front of one LocalChannel it owns over
+// the host's ServeEngine: query batches, swaps, stats and pings decode
+// onto that channel and its answers encode back, so a socket replica
+// answers every request with the code an in-process replica runs.
 //
 // Robustness contract: nothing a peer can put on the socket crashes the
 // process. Malformed frames are answered with a kProtocolError reply
@@ -17,7 +16,6 @@
 // the thread count stays small and requests on separate connections batch
 // together inside the engine as usual.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -29,6 +27,7 @@
 
 #include "serve/engine.h"
 #include "serve/query.h"
+#include "serve/router.h"
 #include "serve/wire.h"
 
 namespace retia::serve {
@@ -66,8 +65,7 @@ class ReplicaServer {
   // should close (shutdown frame or unframable stream).
   bool HandleFrame(int fd, const wire::Frame& frame);
 
-  ServeEngine* engine_;
-  SnapshotLoader loader_;
+  LocalChannel channel_;
   std::string socket_path_;
 
   int listen_fd_ = -1;
@@ -78,7 +76,6 @@ class ReplicaServer {
   // stopping_ is set, Stop() owns (shuts down, joins, closes) the rest.
   std::map<int, std::thread> conns_;
   std::vector<std::thread> finished_;
-  std::mutex swap_mu_;  // serializes loader + SwapSnapshot pairs
   bool stopping_ = false;
   bool shutdown_requested_ = false;
   std::condition_variable shutdown_cv_;

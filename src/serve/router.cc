@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -21,10 +22,6 @@ namespace retia::serve {
 LocalChannel::LocalChannel(ServeEngine* engine, SnapshotLoader loader)
     : engine_(engine), loader_(std::move(loader)) {
   RETIA_CHECK(engine_ != nullptr);
-}
-
-Result<QueryResult> LocalChannel::Submit(const Query& query) {
-  return engine_->Submit(query);
 }
 
 std::vector<Result<QueryResult>> LocalChannel::SubmitBatch(
@@ -160,15 +157,6 @@ Result<wire::Frame> SocketChannel::RoundTrip(wire::MsgType type,
   return reply;
 }
 
-Result<QueryResult> SocketChannel::Submit(const Query& query) {
-  Result<wire::Frame> reply = RoundTrip(
-      wire::MsgType::kQuery, wire::EncodeQuery(query), wire::MsgType::kQueryReply);
-  if (!reply.ok()) {
-    return Result<QueryResult>::Error(reply.code(), reply.detail());
-  }
-  return wire::DecodeQueryReply(reply.value().body);
-}
-
 std::vector<Result<QueryResult>> SocketChannel::SubmitBatch(
     const std::vector<Query>& queries) {
   if (queries.empty()) return {};
@@ -262,49 +250,31 @@ Result<QueryResult> Router::Route(const Query& query) {
   // the engine uses keeps the accounting split defined in exactly one
   // place (stats.cc).
   stats_.RecordQueueWait(timer.Millis());
-  util::Timer channel_timer;
-  Result<QueryResult> result = replicas_[shard]->Submit(query);
-  stats_.RecordCompute(channel_timer.Millis());
+  std::vector<Result<QueryResult>> answer = ShipToShard(shard, {query});
   stats_.RecordRequest(timer.Millis());
-  stats_.RecordBatch(1);
-  if (!result.ok()) {
-    if (result.code() == StatusCode::kShardUnavailable) {
-      RETIA_OBS_COUNTER_ADD("serve.router.unavailable", 1);
-    }
-    return result;
-  }
-  result.value().shard = shard;
-  return result;
+  return std::move(answer.front());
 }
 
-void Router::ShipToShard(int64_t shard, const std::vector<Query>& queries,
-                         const std::vector<size_t>& slots,
-                         std::vector<std::optional<Result<QueryResult>>>* out) {
-  for (size_t begin = 0; begin < queries.size(); begin += kRouteBatchChunk) {
-    const size_t end = std::min(queries.size(), begin + kRouteBatchChunk);
-    const std::vector<Query> chunk(queries.begin() + begin,
-                                   queries.begin() + end);
-    RETIA_OBS_COUNTER_ADD("serve.router.batch.frames", 1);
-    RETIA_OBS_COUNTER_ADD("serve.router.batch.queries",
-                          static_cast<int64_t>(chunk.size()));
-    RETIA_OBS_HIST_RECORD("serve.router.batch.size",
-                          static_cast<int64_t>(chunk.size()));
-    util::Timer channel_timer;
-    std::vector<Result<QueryResult>> replies =
-        replicas_[shard]->SubmitBatch(chunk);
-    stats_.RecordCompute(channel_timer.Millis());
-    stats_.RecordBatch(static_cast<int64_t>(chunk.size()));
-    RETIA_CHECK_EQ(replies.size(), chunk.size());
-    for (size_t i = 0; i < replies.size(); ++i) {
-      Result<QueryResult>& reply = replies[i];
-      if (reply.ok()) {
-        reply.value().shard = shard;
-      } else if (reply.code() == StatusCode::kShardUnavailable) {
-        RETIA_OBS_COUNTER_ADD("serve.router.unavailable", 1);
-      }
-      (*out)[slots[begin + i]] = std::move(reply);
+std::vector<Result<QueryResult>> Router::ShipToShard(
+    int64_t shard, const std::vector<Query>& frame) {
+  const auto size = static_cast<int64_t>(frame.size());
+  RETIA_OBS_COUNTER_ADD("serve.router.batch.frames", 1);
+  RETIA_OBS_COUNTER_ADD("serve.router.batch.queries", size);
+  RETIA_OBS_HIST_RECORD("serve.router.batch.size", size);
+  util::Timer channel_timer;
+  std::vector<Result<QueryResult>> replies =
+      replicas_[shard]->SubmitBatch(frame);
+  stats_.RecordCompute(channel_timer.Millis());
+  stats_.RecordBatch(size);
+  RETIA_CHECK_EQ(replies.size(), frame.size());
+  for (Result<QueryResult>& reply : replies) {
+    if (reply.ok()) {
+      reply.value().shard = shard;
+    } else if (reply.code() == StatusCode::kShardUnavailable) {
+      RETIA_OBS_COUNTER_ADD("serve.router.unavailable", 1);
     }
   }
+  return replies;
 }
 
 std::vector<Result<QueryResult>> Router::RouteBatch(
@@ -323,9 +293,17 @@ std::vector<Result<QueryResult>> Router::RouteBatch(
   }
   stats_.RecordQueueWait(timer.Millis());
   for (size_t shard = 0; shard < by_shard.size(); ++shard) {
-    if (by_shard[shard].empty()) continue;
-    ShipToShard(static_cast<int64_t>(shard), by_shard[shard], slots[shard],
-                &answers);
+    const std::vector<Query>& group = by_shard[shard];
+    for (size_t begin = 0; begin < group.size(); begin += kRouteBatchChunk) {
+      const size_t end = std::min(group.size(), begin + kRouteBatchChunk);
+      std::vector<Result<QueryResult>> replies =
+          ShipToShard(static_cast<int64_t>(shard),
+                      std::vector<Query>(group.begin() + begin,
+                                         group.begin() + end));
+      for (size_t i = 0; i < replies.size(); ++i) {
+        answers[slots[shard][begin + i]] = std::move(replies[i]);
+      }
+    }
   }
   std::vector<Result<QueryResult>> results;
   results.reserve(answers.size());

@@ -10,9 +10,14 @@
 // Channels come in two flavours with identical semantics: LocalChannel
 // calls a ServeEngine in-process (the unit-test and single-process path),
 // SocketChannel speaks the serve::wire binary protocol over an AF_UNIX
-// stream socket to a ReplicaServer in another process. The router treats
-// them uniformly; serve_router_test pins that the two answer bit-identical
-// results for the same snapshot.
+// stream socket to a ReplicaServer in another process, which answers
+// through a LocalChannel of its own. The router treats them uniformly;
+// serve_router_test pins that the two answer bit-identical results for
+// the same snapshot.
+//
+// One query path: Route ships its query as a one-query QueryBatch frame
+// through the same per-shard code RouteBatch uses, so every query the
+// router forwards rides ReplicaChannel::SubmitBatch.
 //
 // Failure model: a replica that cannot be reached (connect/io/timeout
 // failure) degrades its arc of the ring to kShardUnavailable. The router
@@ -29,7 +34,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,9 +64,6 @@ class ReplicaChannel {
  public:
   virtual ~ReplicaChannel() = default;
 
-  // Answers one typed query on this replica.
-  virtual Result<QueryResult> Submit(const Query& query) = 0;
-
   // Answers a batch of typed queries in one exchange; results align with
   // `queries` by index, and per-query failures degrade only their own
   // slot (a whole-channel failure replicates its error into every slot).
@@ -88,7 +89,6 @@ class LocalChannel : public ReplicaChannel {
  public:
   LocalChannel(ServeEngine* engine, SnapshotLoader loader = nullptr);
 
-  Result<QueryResult> Submit(const Query& query) override;
   std::vector<Result<QueryResult>> SubmitBatch(
       const std::vector<Query>& queries) override;
   Result<int64_t> Swap(const std::string& prefix) override;
@@ -114,7 +114,6 @@ class SocketChannel : public ReplicaChannel {
   SocketChannel(const SocketChannel&) = delete;
   SocketChannel& operator=(const SocketChannel&) = delete;
 
-  Result<QueryResult> Submit(const Query& query) override;
   // One kQueryBatch round-trip over a pooled connection; the replica's
   // kResultBatch reply carries per-query statuses. A channel failure (or
   // a reply whose entry count mismatches) degrades every slot.
@@ -156,10 +155,10 @@ class Router {
   Router(std::vector<std::unique_ptr<ReplicaChannel>> replicas,
          const RouterConfig& config);
 
-  // Routes the query to ShardFor(query.s) and returns that replica's
-  // answer with QueryResult::shard stamped. Validation errors come back
-  // from the replica's engine with the usual taxonomy; channel failures
-  // surface as kShardUnavailable.
+  // Routes the query to ShardFor(query.s) as a one-query frame and
+  // returns that replica's answer with QueryResult::shard stamped.
+  // Validation errors come back from the replica's engine with the usual
+  // taxonomy; channel failures surface as kShardUnavailable.
   Result<QueryResult> Route(const Query& query);
 
   // Routes a caller-assembled batch: queries are grouped by shard, each
@@ -191,11 +190,11 @@ class Router {
   }
 
  private:
-  // Ships one shard's queries in frames of at most 64 queries and stamps
-  // the shard on ok results. `out[slots[i]]` receives query i's answer.
-  void ShipToShard(int64_t shard, const std::vector<Query>& queries,
-                   const std::vector<size_t>& slots,
-                   std::vector<std::optional<Result<QueryResult>>>* out);
+  // Ships one QueryBatch frame (at most 64 queries, all owned by `shard`)
+  // and returns its answers aligned with `frame`, the shard stamped on ok
+  // ones. The router's per-frame accounting lives here alone.
+  std::vector<Result<QueryResult>> ShipToShard(
+      int64_t shard, const std::vector<Query>& frame);
 
   std::vector<std::unique_ptr<ReplicaChannel>> replicas_;
   ShardMap shard_map_;

@@ -119,6 +119,33 @@ Result<T> Malformed(const std::string& what) {
   return Result<T>::Error(StatusCode::kProtocolError, what);
 }
 
+// The Query record (u8 kind + four i64 fields) behind EncodeQuery,
+// DecodeQuery and both batch codecs.
+constexpr size_t kQueryRecordBytes = 33;
+
+void PutQuery(const Query& query, std::vector<uint8_t>* out) {
+  PutU8(static_cast<uint8_t>(query.kind), out);
+  PutI64(query.s, out);
+  PutI64(query.r_or_o, out);
+  PutI64(query.t, out);
+  PutI64(query.k, out);
+}
+
+Result<Query> ReadQuery(Reader* reader) {
+  uint8_t kind = 0;
+  Query query;
+  if (!reader->ReadU8(&kind) || !reader->ReadI64(&query.s) ||
+      !reader->ReadI64(&query.r_or_o) || !reader->ReadI64(&query.t) ||
+      !reader->ReadI64(&query.k)) {
+    return Malformed<Query>("truncated query record");
+  }
+  if (kind > static_cast<uint8_t>(QueryKind::kRelation)) {
+    return Malformed<Query>("unknown query kind");
+  }
+  query.kind = static_cast<QueryKind>(kind);
+  return query;
+}
+
 }  // namespace
 
 // ---- Frame layer -----------------------------------------------------------
@@ -154,7 +181,7 @@ DecodeStatus DecodeFrame(const uint8_t* data, size_t size, Frame* frame,
     return DecodeStatus::kError;
   }
   const uint8_t type = data[5];
-  if (type < static_cast<uint8_t>(MsgType::kQuery) ||
+  if (type < static_cast<uint8_t>(MsgType::kQueryReply) ||
       type > static_cast<uint8_t>(MsgType::kResultBatch)) {
     if (detail) *detail = "unknown message type";
     return DecodeStatus::kError;
@@ -169,28 +196,17 @@ DecodeStatus DecodeFrame(const uint8_t* data, size_t size, Frame* frame,
 
 std::vector<uint8_t> EncodeQuery(const Query& query) {
   std::vector<uint8_t> body;
-  PutU8(static_cast<uint8_t>(query.kind), &body);
-  PutI64(query.s, &body);
-  PutI64(query.r_or_o, &body);
-  PutI64(query.t, &body);
-  PutI64(query.k, &body);
+  body.reserve(kQueryRecordBytes);
+  PutQuery(query, &body);
   return body;
 }
 
 Result<Query> DecodeQuery(const std::vector<uint8_t>& body) {
   Reader reader(body.data(), body.size());
-  uint8_t kind = 0;
-  Query query;
-  if (!reader.ReadU8(&kind) || !reader.ReadI64(&query.s) ||
-      !reader.ReadI64(&query.r_or_o) || !reader.ReadI64(&query.t) ||
-      !reader.ReadI64(&query.k)) {
-    return Malformed<Query>("truncated query body");
+  Result<Query> query = ReadQuery(&reader);
+  if (query.ok() && !reader.AtEnd()) {
+    return Malformed<Query>("trailing bytes after query");
   }
-  if (kind > static_cast<uint8_t>(QueryKind::kRelation)) {
-    return Malformed<Query>("unknown query kind");
-  }
-  if (!reader.AtEnd()) return Malformed<Query>("trailing bytes after query");
-  query.kind = static_cast<QueryKind>(kind);
   return query;
 }
 
@@ -264,15 +280,9 @@ std::vector<uint8_t> EncodeQueryBatch(const std::vector<Query>& queries) {
   RETIA_CHECK(!queries.empty());
   RETIA_CHECK(queries.size() <= kMaxWireBatch);
   std::vector<uint8_t> body;
-  body.reserve(2 + queries.size() * 33);
+  body.reserve(2 + queries.size() * kQueryRecordBytes);
   PutU16(static_cast<uint16_t>(queries.size()), &body);
-  for (const Query& query : queries) {
-    PutU8(static_cast<uint8_t>(query.kind), &body);
-    PutI64(query.s, &body);
-    PutI64(query.r_or_o, &body);
-    PutI64(query.t, &body);
-    PutI64(query.k, &body);
-  }
+  for (const Query& query : queries) PutQuery(query, &body);
   return body;
 }
 
@@ -285,26 +295,16 @@ Result<std::vector<Query>> DecodeQueryBatch(const std::vector<uint8_t>& body) {
   }
   if (count == 0) return Malformed<Out>("empty query batch");
   if (count > kMaxWireBatch) return Malformed<Out>("query batch too large");
-  // Each query record is 33 bytes (u8 kind + four i64 fields); reject
-  // counts the body cannot hold before reserving.
-  if (reader.Remaining() != static_cast<size_t>(count) * 33) {
+  // Reject counts the body cannot hold before reserving.
+  if (reader.Remaining() != static_cast<size_t>(count) * kQueryRecordBytes) {
     return Malformed<Out>("query count mismatches body size");
   }
   Out queries;
   queries.reserve(count);
   for (uint16_t i = 0; i < count; ++i) {
-    uint8_t kind = 0;
-    Query query;
-    if (!reader.ReadU8(&kind) || !reader.ReadI64(&query.s) ||
-        !reader.ReadI64(&query.r_or_o) || !reader.ReadI64(&query.t) ||
-        !reader.ReadI64(&query.k)) {
-      return Malformed<Out>("truncated query batch record");
-    }
-    if (kind > static_cast<uint8_t>(QueryKind::kRelation)) {
-      return Malformed<Out>("unknown query kind in batch");
-    }
-    query.kind = static_cast<QueryKind>(kind);
-    queries.push_back(query);
+    Result<Query> query = ReadQuery(&reader);
+    if (!query.ok()) return Malformed<Out>(query.detail());
+    queries.push_back(query.value());
   }
   return queries;
 }

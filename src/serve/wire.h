@@ -8,10 +8,11 @@
 //
 // where payload_len counts the version byte, the type byte, and the body
 // (so payload_len >= 2), and is capped at kMaxFrameBytes. All integers
-// are little-endian fixed-width; floats are IEEE-754 bit patterns. The
-// unit serialized for a query frame is exactly serve::Query, and a reply
-// frame carries serve::Result<QueryResult> — the typed API and the wire
-// speak the same structs.
+// are little-endian fixed-width; floats are IEEE-754 bit patterns. Every
+// query travels in a kQueryBatch frame, a single one as a batch of one:
+// its records are exactly serve::Query, and each reply entry carries
+// serve::Result<QueryResult> — the typed API and the wire speak the same
+// structs.
 //
 // Every decoder is total: malformed, truncated, wrong-version, or
 // oversized bytes come back as StatusCode::kProtocolError with a detail
@@ -31,9 +32,11 @@ inline constexpr uint8_t kVersion = 1;
 // candidates is tiny; stats JSON is the largest legitimate payload.
 inline constexpr uint32_t kMaxFrameBytes = 1u << 20;
 
+// Type 1 was a single-query frame; it is retired, never reused, and
+// DecodeFrame rejects it.
 enum class MsgType : uint8_t {
-  kQuery = 1,          // body: Query
-  kQueryReply = 2,     // body: Result<QueryResult>
+  kQueryReply = 2,     // body: Result<QueryResult>; a kResultBatch entry,
+                       // and the replica's error frame
   kStats = 3,          // body: empty
   kStatsReply = 4,     // body: u32 len + JSON bytes
   kSwap = 5,           // body: u16 len + snapshot-prefix bytes
@@ -49,7 +52,7 @@ enum class MsgType : uint8_t {
 // One parsed frame: the type byte plus the raw body bytes (payload minus
 // the version/type header).
 struct Frame {
-  MsgType type = MsgType::kQuery;
+  MsgType type = MsgType::kQueryBatch;
   std::vector<uint8_t> body;
 };
 
@@ -73,6 +76,9 @@ DecodeStatus DecodeFrame(const uint8_t* data, size_t size, Frame* frame,
 
 // ---- Body codecs -----------------------------------------------------------
 
+// One fixed 33-byte Query record (u8 kind + four i64 fields), the unit a
+// QueryBatch body carries `count` of; the batch codecs write and read each
+// record through the same code.
 std::vector<uint8_t> EncodeQuery(const Query& query);
 Result<Query> DecodeQuery(const std::vector<uint8_t>& body);
 
@@ -83,10 +89,10 @@ Result<Query> DecodeQuery(const std::vector<uint8_t>& body);
 std::vector<uint8_t> EncodeQueryReply(const Result<QueryResult>& result);
 Result<QueryResult> DecodeQueryReply(const std::vector<uint8_t>& body);
 
-// Coalesced query batch: u16 count (1..kMaxWireBatch) followed by `count`
-// fixed 33-byte Query records (the EncodeQuery body). The decoder
-// cross-checks count against the body size before reserving, so a hostile
-// count can neither balloon memory nor smuggle trailing bytes.
+// Query batch: u16 count (1..kMaxWireBatch) followed by `count` Query
+// records (the EncodeQuery body). The decoder cross-checks count against
+// the body size before reserving, so a hostile count can neither balloon
+// memory nor smuggle trailing bytes.
 inline constexpr size_t kMaxWireBatch = 4096;
 std::vector<uint8_t> EncodeQueryBatch(const std::vector<Query>& queries);
 Result<std::vector<Query>> DecodeQueryBatch(const std::vector<uint8_t>& body);

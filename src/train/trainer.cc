@@ -234,6 +234,9 @@ ckpt::Result Trainer::ResumeState(const std::string& path) {
   std::string_view params_bytes;
   RETIA_CKPT_RETURN_IF_ERROR(
       reader.Section(ckpt::kSectionParams, &params_bytes));
+  std::vector<std::vector<float>> params;
+  RETIA_CKPT_RETURN_IF_ERROR(
+      ckpt::DecodeParams(*model_, params_bytes, &params));
 
   std::string_view cursor_bytes;
   RETIA_CKPT_RETURN_IF_ERROR(
@@ -284,23 +287,23 @@ ckpt::Result Trainer::ResumeState(const std::string& path) {
       reader.Section(ckpt::kSectionRecords, &records_bytes));
   RETIA_CKPT_RETURN_IF_ERROR(DecodeRecords(records_bytes, &records));
 
-  // All fallible decoding into model/optimizer state comes last; the
-  // schema checks above make the remaining failures (shape or name
-  // mismatches) the only ones that could leave partial state, and
-  // DecodeParamsInto validates every name and shape before writing.
-  RETIA_CKPT_RETURN_IF_ERROR(ckpt::DecodeParamsInto(model_, params_bytes));
-
+  // The RNG state decodes into a scratch engine, so the Adam decode is the
+  // one fallible step that writes trainer state, and it validates every
+  // moment before restoring any.
+  util::Rng* rng = model_->MutableRng();
+  const bool restore_rng = rng != nullptr && reader.Has(ckpt::kSectionRng);
+  util::Rng decoded_rng;
+  if (restore_rng) {
+    std::string_view rng_bytes;
+    RETIA_CKPT_RETURN_IF_ERROR(reader.Section(ckpt::kSectionRng, &rng_bytes));
+    RETIA_CKPT_RETURN_IF_ERROR(ckpt::DecodeRngInto(&decoded_rng, rng_bytes));
+  }
   std::string_view adam_bytes;
   RETIA_CKPT_RETURN_IF_ERROR(reader.Section(ckpt::kSectionAdam, &adam_bytes));
   RETIA_CKPT_RETURN_IF_ERROR(ckpt::DecodeAdamInto(&optimizer_, adam_bytes));
 
-  if (util::Rng* rng = model_->MutableRng();
-      rng != nullptr && reader.Has(ckpt::kSectionRng)) {
-    std::string_view rng_bytes;
-    RETIA_CKPT_RETURN_IF_ERROR(reader.Section(ckpt::kSectionRng, &rng_bytes));
-    RETIA_CKPT_RETURN_IF_ERROR(ckpt::DecodeRngInto(rng, rng_bytes));
-  }
-
+  RestoreParams(params);
+  if (restore_rng) rng->engine() = decoded_rng.engine();
   next_epoch_ = next_epoch;
   best_mrr_ = best_mrr;
   below_best_ = below_best;

@@ -117,7 +117,8 @@ class Trainer {
   // Restores a SaveState artifact into this trainer. The trainer must
   // wrap a model of the same architecture (parameter names and shapes are
   // validated; mismatches return kSchemaMismatch). On success the next
-  // TrainGeneral() call continues exactly where the saved run stopped.
+  // TrainGeneral() call continues exactly where the saved run stopped; on
+  // any error the trainer, its model and its optimizer are untouched.
   [[nodiscard]] ckpt::Result ResumeState(const std::string& path);
 
   // Epoch the next TrainGeneral() call starts at (== epochs completed).

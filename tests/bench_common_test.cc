@@ -7,10 +7,15 @@
 namespace retia::bench {
 namespace {
 
+// One directory per test: ctest runs each case as its own process, in
+// parallel, so a shared directory let one case's cleanup delete the
+// files of another mid-test.
 class ResultsCacheTest : public ::testing::Test {
  protected:
   ResultsCacheTest()
-      : dir_(::testing::TempDir() + "/retia_cache_test"), cache_(dir_) {}
+      : dir_(::testing::TempDir() + "/retia_cache_test_" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name()),
+        cache_(dir_) {}
   ~ResultsCacheTest() override { std::filesystem::remove_all(dir_); }
 
   std::string dir_;

@@ -1,13 +1,15 @@
 // Tests for retia::ckpt — the RETIACKPT2 artifact container, the typed
 // section codecs, v1 file rejection, trainer SaveState/ResumeState
-// resume-exactness, and the retia::fail fault-injection hooks. Registered
-// under the ctest label `ckpt` so `ctest -L ckpt` runs just these,
-// typically in a -DRETIA_SANITIZE=address build (scripts/check.sh).
+// resume-exactness, all-or-nothing parameter decodes, and the retia::fail
+// fault-injection hooks. Registered under the ctest label `ckpt` so
+// `ctest -L ckpt` runs just these, typically in a
+// -DRETIA_SANITIZE=address build (scripts/check.sh).
 
 #include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -649,6 +651,128 @@ TEST(TrainerResumeTest, ArchitectureMismatchLeavesTrainerUsable) {
             ErrorCode::kSchemaMismatch);
   // The mismatch was detected before any state mutation.
   EXPECT_EQ(other_trainer.next_epoch(), 0);
+}
+
+std::vector<std::vector<float>> ParamValues(const nn::Module& module) {
+  std::vector<std::vector<float>> values;
+  for (const auto& [name, t] : module.NamedParameters()) {
+    values.push_back(t.impl().data);
+  }
+  return values;
+}
+
+// Names of the parameters whose bytes differ from `before`.
+std::vector<std::string> ChangedParams(
+    const nn::Module& module, const std::vector<std::vector<float>>& before) {
+  std::vector<std::string> changed;
+  const auto named = module.NamedParameters();
+  for (size_t i = 0; i < named.size(); ++i) {
+    const std::vector<float>& now = named[i].second.impl().data;
+    if (now.size() != before[i].size() ||
+        std::memcmp(now.data(), before[i].data(),
+                    now.size() * sizeof(float)) != 0) {
+      changed.push_back(named[i].first);
+    }
+  }
+  return changed;
+}
+
+TEST(TrainerResumeTest, FailedDecodesLeaveParametersAndCursorUntouched) {
+  // A conv_kernels = 4 model's sections against a conv_kernels = 8 model:
+  // the parameter lists have the same length and the same q8/f16 split,
+  // and the first shape mismatch (entity_decoder.conv_weight) comes after
+  // dozens of matching entries, so a decode that wrote each entry as it
+  // validated would fail with those already overwritten.
+  const tkg::TkgDataset dataset = tkg::GenerateSynthetic(SmokeDataConfig());
+  core::RetiaConfig source_config = QuantSmokeModelConfig(dataset);
+  source_config.conv_kernels = 4;
+  core::RetiaConfig target_config = source_config;
+  target_config.conv_kernels = 8;
+  train::TrainConfig tc;
+  tc.max_epochs = 1;
+  tc.patience = 99;
+
+  // The source saves before training, as a fine-tune-only trainer does:
+  // with no best-params section, whose size checks would otherwise see
+  // the mismatch first, ResumeState meets it in the params section.
+  core::RetiaModel source(source_config);
+  graph::GraphCache source_cache(&dataset);
+  train::Trainer source_trainer(&source, &source_cache, tc);
+  const std::string mismatch_path = TempPath("untouched_mismatch.ckpt");
+  ASSERT_TRUE(source_trainer.SaveState(mismatch_path).ok());
+  const std::string quant_path = TempPath("untouched_quant.ckpt");
+  ASSERT_TRUE(
+      ckpt::SaveQuantizedModelArtifact(source, quant_path, dataset.name())
+          .ok());
+
+  // A same-architecture trainer state with other parameters whose RNG
+  // section is not an engine state: its params and Adam sections decode,
+  // so the RNG is the last thing that can fail.
+  core::RetiaConfig sibling_config = target_config;
+  sibling_config.seed = 99;
+  core::RetiaModel sibling(sibling_config);
+  graph::GraphCache sibling_cache(&dataset);
+  train::Trainer sibling_trainer(&sibling, &sibling_cache, tc);
+  sibling_trainer.TrainGeneral();
+  const std::string sibling_path = TempPath("untouched_sibling.ckpt");
+  ASSERT_TRUE(sibling_trainer.SaveState(sibling_path).ok());
+  ArtifactReader sibling_reader;
+  ASSERT_TRUE(ArtifactReader::Open(sibling_path, &sibling_reader).ok());
+  ArtifactWriter bad_rng;
+  for (const std::string& name : sibling_reader.SectionNames()) {
+    std::string_view payload;
+    ASSERT_TRUE(sibling_reader.Section(name, &payload).ok());
+    ckpt::ByteWriter garbage;
+    garbage.Str("not an engine state");
+    bad_rng.AddSection(name, name == ckpt::kSectionRng ? garbage.Take()
+                                                       : std::string(payload));
+  }
+  const std::string bad_rng_path = TempPath("untouched_bad_rng.ckpt");
+  ASSERT_TRUE(bad_rng.WriteFile(bad_rng_path).ok());
+
+  core::RetiaModel target(target_config);
+  graph::GraphCache target_cache(&dataset);
+  train::Trainer target_trainer(&target, &target_cache, tc);
+  target_trainer.TrainGeneral();
+  const std::vector<train::EpochRecord> records = target_trainer.records();
+  const std::string rng_state = target.MutableRng()->SaveStateString();
+  ASSERT_EQ(target_trainer.next_epoch(), 1);
+  ASSERT_EQ(records.size(), 1u);
+
+  // Each failed decode, on its own, must leave every parameter's bytes as
+  // they were before it.
+  const auto expect_untouched = [&target](const char* what, ErrorCode code,
+                                          const auto& decode) {
+    const std::vector<std::vector<float>> before = ParamValues(target);
+    EXPECT_EQ(decode().code(), code) << what;
+    EXPECT_EQ(ChangedParams(target, before), std::vector<std::string>{})
+        << what;
+  };
+  expect_untouched("f32 section", ErrorCode::kSchemaMismatch, [&] {
+    return ckpt::DecodeParamsInto(&target, ckpt::EncodeParams(source));
+  });
+  ArtifactReader reader;
+  ASSERT_TRUE(ArtifactReader::Open(quant_path, &reader).ok());
+  std::string_view q8, f16;
+  ASSERT_TRUE(reader.Section(ckpt::kSectionParamsQ8, &q8).ok());
+  ASSERT_TRUE(reader.Section(ckpt::kSectionParamsF16, &f16).ok());
+  expect_untouched("q8/f16 sections", ErrorCode::kSchemaMismatch, [&] {
+    return ckpt::DecodeQuantizedParamsInto(&target, q8, f16);
+  });
+  expect_untouched("mismatching trainer state", ErrorCode::kSchemaMismatch,
+                   [&] { return target_trainer.ResumeState(mismatch_path); });
+  expect_untouched("trainer state with a bad RNG section", ErrorCode::kCorrupt,
+                   [&] { return target_trainer.ResumeState(bad_rng_path); });
+
+  EXPECT_EQ(target_trainer.next_epoch(), 1);
+  EXPECT_EQ(target.MutableRng()->SaveStateString(), rng_state);
+  ASSERT_EQ(target_trainer.records().size(), records.size());
+  const train::EpochRecord& kept = target_trainer.records().front();
+  EXPECT_EQ(kept.joint_loss, records[0].joint_loss);
+  EXPECT_EQ(kept.entity_loss, records[0].entity_loss);
+  EXPECT_EQ(kept.relation_loss, records[0].relation_loss);
+  EXPECT_EQ(kept.valid_entity_mrr, records[0].valid_entity_mrr);
+  EXPECT_EQ(kept.seconds, records[0].seconds);
 }
 
 // ---------------------------------------------------------------------------

@@ -128,9 +128,11 @@ TEST(ShardMapTest, KeysSpreadAcrossReplicas) {
 // ---- Wire protocol ----------------------------------------------------------
 
 TEST(WireTest, QueryRoundTrips) {
+  // A single query travels as a one-query batch frame.
   const Query query = Query::Relation(123456789, -7, 42, 10);
   std::vector<uint8_t> frame;
-  wire::AppendFrame(wire::MsgType::kQuery, wire::EncodeQuery(query), &frame);
+  wire::AppendFrame(wire::MsgType::kQueryBatch, wire::EncodeQueryBatch({query}),
+                    &frame);
 
   wire::Frame decoded;
   size_t consumed = 0;
@@ -140,10 +142,11 @@ TEST(WireTest, QueryRoundTrips) {
             wire::DecodeStatus::kFrame)
       << detail;
   EXPECT_EQ(consumed, frame.size());
-  EXPECT_EQ(decoded.type, wire::MsgType::kQuery);
-  const Result<Query> round = wire::DecodeQuery(decoded.body);
+  EXPECT_EQ(decoded.type, wire::MsgType::kQueryBatch);
+  const Result<std::vector<Query>> round =
+      wire::DecodeQueryBatch(decoded.body);
   ASSERT_TRUE(round.ok()) << round.ToString();
-  EXPECT_EQ(round.value(), query);
+  EXPECT_EQ(round.value(), std::vector<Query>{query});
 }
 
 TEST(WireTest, QueryReplyRoundTripsOkAndError) {
@@ -228,11 +231,13 @@ TEST(WireTest, MalformedFramesAndBodiesNeverCrash) {
     (void)wire::DecodeString(bytes);
   }
 
-  // Targeted malformations of a valid frame: bad version, bad type, and a
-  // length that overruns the cap must all be kError with a reason.
+  // Targeted malformations of a valid frame: bad version, bad type, the
+  // retired single-query type 1, and a length that overruns the cap must
+  // all be kError with a reason.
   std::vector<uint8_t> good;
-  wire::AppendFrame(wire::MsgType::kQuery,
-                    wire::EncodeQuery(Query::Entity(1, 2, 3, 4)), &good);
+  wire::AppendFrame(wire::MsgType::kQueryBatch,
+                    wire::EncodeQueryBatch({Query::Entity(1, 2, 3, 4)}),
+                    &good);
   wire::Frame frame;
   size_t consumed = 0;
   std::string detail;
@@ -248,6 +253,12 @@ TEST(WireTest, MalformedFramesAndBodiesNeverCrash) {
   bad_type[5] = 0;
   EXPECT_EQ(wire::DecodeFrame(bad_type.data(), bad_type.size(), &frame,
                               &consumed, &detail),
+            wire::DecodeStatus::kError);
+
+  std::vector<uint8_t> retired_type = good;
+  retired_type[5] = 1;
+  EXPECT_EQ(wire::DecodeFrame(retired_type.data(), retired_type.size(),
+                              &frame, &consumed, &detail),
             wire::DecodeStatus::kError);
 
   std::vector<uint8_t> huge = good;
@@ -498,10 +509,6 @@ TEST(RouterTest, LocalChannelsAnswerBitIdenticalToDirectEngine) {
 // A channel that always fails, standing in for a dead replica.
 class DeadChannel : public ReplicaChannel {
  public:
-  Result<QueryResult> Submit(const Query&) override {
-    return Result<QueryResult>::Error(StatusCode::kShardUnavailable,
-                                      "replica down");
-  }
   std::vector<Result<QueryResult>> SubmitBatch(
       const std::vector<Query>& queries) override {
     std::vector<Result<QueryResult>> out;
@@ -576,24 +583,29 @@ TEST(ReplicaServerTest, SocketChannelEndToEndMatchesInProcess) {
   RouterConfig config;
   config.timeout_ms = 10000;
   SocketChannel channel(path, config);
+  // One query per frame, as Route ships it.
+  const auto submit = [&channel](const Query& query) {
+    std::vector<Result<QueryResult>> replies = channel.SubmitBatch({query});
+    EXPECT_EQ(replies.size(), 1u);
+    return std::move(replies.at(0));
+  };
   // Queries over the socket must be bit-identical to in-process answers,
   // and engine-level errors must keep their taxonomy across the wire.
   for (int64_t s = 0; s < 8; ++s) {
     const Query query = Query::Entity(s, s % 10, t, 5);
     Result<QueryResult> direct = reference.Submit(query);
-    Result<QueryResult> remote = channel.Submit(query);
+    Result<QueryResult> remote = submit(query);
     ASSERT_TRUE(direct.ok()) << direct.ToString();
     ASSERT_TRUE(remote.ok()) << remote.ToString();
     EXPECT_EQ(remote.value().candidates, direct.value().candidates);
   }
-  Result<QueryResult> bad_entity =
-      channel.Submit(Query::Entity(1 << 20, 0, t, 3));
+  Result<QueryResult> bad_entity = submit(Query::Entity(1 << 20, 0, t, 3));
   ASSERT_FALSE(bad_entity.ok());
   EXPECT_EQ(bad_entity.code(), StatusCode::kUnknownEntity);
-  Result<QueryResult> bad_time = channel.Submit(Query::Entity(0, 0, -1, 3));
+  Result<QueryResult> bad_time = submit(Query::Entity(0, 0, -1, 3));
   ASSERT_FALSE(bad_time.ok());
   EXPECT_EQ(bad_time.code(), StatusCode::kBadTimestamp);
-  Result<QueryResult> bad_k = channel.Submit(Query::Entity(0, 0, t, 0));
+  Result<QueryResult> bad_k = submit(Query::Entity(0, 0, t, 0));
   ASSERT_FALSE(bad_k.ok());
   EXPECT_EQ(bad_k.code(), StatusCode::kInvalidArgument);
 
@@ -610,7 +622,7 @@ TEST(ReplicaServerTest, SocketChannelEndToEndMatchesInProcess) {
 
   server.Stop();
   // After Stop, the channel reports the shard as unavailable.
-  Result<QueryResult> down = channel.Submit(Query::Entity(0, 0, t, 3));
+  Result<QueryResult> down = submit(Query::Entity(0, 0, t, 3));
   ASSERT_FALSE(down.ok());
   EXPECT_EQ(down.code(), StatusCode::kShardUnavailable);
 }
@@ -627,10 +639,11 @@ TEST(ReplicaServerTest, MalformedBytesOnSocketAreReportedNotFatal) {
   config.timeout_ms = 10000;
 
   // Raw unix-socket connections pushing byte soup, oversized lengths,
-  // bad versions, and well-framed-but-truncated query bodies at the
-  // server. Every connection must end with a typed protocol-error reply
-  // or a clean close — never a server crash — and the replica must keep
-  // serving well-formed queries afterwards.
+  // bad versions, the retired single-query frame type, and
+  // well-framed-but-truncated query bodies at the server. Every connection
+  // must end with a typed protocol-error reply or a clean close — never a
+  // server crash — and the replica must keep serving well-formed queries
+  // afterwards.
   auto attack = [&path](const std::vector<uint8_t>& bytes) {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     ASSERT_GE(fd, 0);
@@ -662,12 +675,11 @@ TEST(ReplicaServerTest, MalformedBytesOnSocketAreReportedNotFatal) {
     attack({0xff, 0xff, 0xff, 0x7f, 1, 1});
     // Wrong version.
     attack({2, 0, 0, 0, 99, 1});
-    // Valid frame header, truncated query body.
-    std::vector<uint8_t> frame;
-    wire::AppendFrame(wire::MsgType::kQuery, {1, 2, 3}, &frame);
-    attack(frame);
+    // The retired single-query type 1, raw: payload 5 = version + type +
+    // three body bytes.
+    attack({5, 0, 0, 0, wire::kVersion, 1, 1, 2, 3});
     // Reply type sent at the server.
-    frame.clear();
+    std::vector<uint8_t> frame;
     wire::AppendFrame(wire::MsgType::kPong, wire::EncodePong(1), &frame);
     attack(frame);
     // Valid frame header, truncated query-batch body.
@@ -690,8 +702,10 @@ TEST(ReplicaServerTest, MalformedBytesOnSocketAreReportedNotFatal) {
   }
   const int64_t t = dataset.test_times().front();
   SocketChannel channel(path, config);
-  Result<QueryResult> alive = channel.Submit(Query::Entity(0, 0, t, 3));
-  ASSERT_TRUE(alive.ok()) << alive.ToString();
+  const std::vector<Result<QueryResult>> alive =
+      channel.SubmitBatch({Query::Entity(0, 0, t, 3)});
+  ASSERT_EQ(alive.size(), 1u);
+  ASSERT_TRUE(alive.front().ok()) << alive.front().ToString();
   server.Stop();
 }
 

@@ -16,7 +16,14 @@
 //     ScoreObjects / ScoreRelations at t = 8 of RETIA, RE-GCN, CEN-style
 //     RE-GCN, TiRGN over a CEN-style local model and RE-NET, a fine-tune
 //     of that TiRGN, and a CEN-style online Trainer::Evaluate of the test
-//     split.
+//     split;
+//   - the serving tier, at pool widths 1 and 4 (`serve`): routers over two
+//     LocalChannels and over two SocketChannels to in-process
+//     ReplicaServers (temporary AF_UNIX paths), all on one RETIA snapshot,
+//     send a fixed mix of entity and relation queries plus one of each
+//     validation error through Route and through RouteBatch, cold and then
+//     warm; each answer hashes its status code, detail bytes, candidate
+//     ids and score bits, epoch, shard and cache_hit.
 // Build this file against two trees (e.g. a parent checkout and the
 // current one, each also under RETIA_SIMD=scalar) and diff the output:
 // identical hashes prove the change kept every result bit-exact. Within
@@ -24,6 +31,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -39,6 +48,9 @@
 #include "nn/optimizer.h"
 #include "par/thread_pool.h"
 #include "quant/quant.h"
+#include "serve/engine.h"
+#include "serve/replica.h"
+#include "serve/router.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "tkg/synthetic.h"
@@ -343,6 +355,101 @@ void RamSections(const char* name, int64_t entities, int64_t relations,
   }
 }
 
+void HashAnswer(
+    const retia::serve::Result<retia::serve::QueryResult>& answer) {
+  const auto code = static_cast<uint8_t>(answer.code());
+  HashBytes(&code, sizeof(code));
+  HashBytes(answer.detail().data(), answer.detail().size());
+  if (!answer.ok()) return;
+  const retia::serve::QueryResult& value = answer.value();
+  const uint64_t count = value.candidates.size();
+  HashBytes(&count, sizeof(count));
+  for (const retia::serve::ScoredCandidate& c : value.candidates) {
+    HashBytes(&c.id, sizeof(c.id));
+    HashBytes(&c.score, sizeof(c.score));
+  }
+  const uint8_t hit = value.cache_hit ? 1 : 0;
+  HashBytes(&value.epoch, sizeof(value.epoch));
+  HashBytes(&value.shard, sizeof(value.shard));
+  HashBytes(&hit, sizeof(hit));
+}
+
+// Routers over fresh two-replica fleets (in-process, then over sockets),
+// each answering the query mix through Route or through RouteBatch twice:
+// cold caches, then warm. Every engine borrows the same frozen model.
+void ServeSections(const retia::tkg::TkgDataset& ds, int threads) {
+  namespace serve = retia::serve;
+  retia::par::ThreadPool pool(threads);
+  retia::par::ScopedDefaultPool scoped(&pool);
+  retia::core::RetiaModel model(ProbeModelConfig(ds));
+  retia::graph::GraphCache cache(&ds);
+  const int64_t n = ds.num_entities();
+  const int64_t m = ds.num_relations();
+  std::vector<serve::Query> queries;
+  for (int64_t i = 0; i < 12; ++i) {
+    const int64_t s = (i * 13) % n;
+    const int64_t t = 8 + i % 3;
+    const int64_t k = 1 + i % 10;
+    queries.push_back(i % 3 == 2
+                          ? serve::Query::Relation(s, (i * 29 + 5) % n, t, k)
+                          : serve::Query::Entity(s, i % (2 * m), t, k));
+  }
+  queries.push_back(queries[0]);  // a repeat, answered from cache by Route
+  queries.push_back(serve::Query::Entity(1, 0, 8, 0));       // k = 0
+  queries.push_back(serve::Query::Entity(1, 0, -1, 5));      // t < 0
+  queries.push_back(serve::Query::Entity(n, 0, 8, 5));       // subject
+  queries.push_back(serve::Query::Entity(1, 2 * m, 8, 5));   // relation
+
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "bitprobe-XXXXXX").string();
+  if (::mkdtemp(dir.data()) == nullptr) {
+    std::perror("bitprobe: mkdtemp");
+    std::exit(1);
+  }
+  WidthSection("serve", threads, [&] {
+    for (const bool socket : {false, true}) {
+      for (const bool batch : {false, true}) {
+        std::vector<std::unique_ptr<serve::ServeEngine>> engines;
+        std::vector<std::unique_ptr<serve::ReplicaServer>> servers;
+        std::vector<std::unique_ptr<serve::ReplicaChannel>> channels;
+        for (int r = 0; r < 2; ++r) {
+          engines.push_back(std::make_unique<serve::ServeEngine>(
+              &model, &cache, serve::ServeConfig{}));
+          if (!socket) {
+            channels.push_back(
+                std::make_unique<serve::LocalChannel>(engines.back().get()));
+            continue;
+          }
+          const std::string path = dir + "/r" + std::to_string(r) + ".sock";
+          servers.push_back(std::make_unique<serve::ReplicaServer>(
+              engines.back().get(), nullptr, path));
+          const serve::Result<bool> started = servers.back()->Start();
+          if (!started.ok()) {
+            std::fprintf(stderr, "bitprobe: %s\n",
+                         started.ToString().c_str());
+            std::exit(1);
+          }
+          channels.push_back(std::make_unique<serve::SocketChannel>(
+              path, serve::RouterConfig{}));
+        }
+        serve::Router router(std::move(channels), serve::RouterConfig{});
+        for (int pass = 0; pass < 2; ++pass) {
+          if (batch) {
+            for (const auto& answer : router.RouteBatch(queries)) {
+              HashAnswer(answer);
+            }
+          } else {
+            for (const serve::Query& query : queries) {
+              HashAnswer(router.Route(query));
+            }
+          }
+        }
+      }
+    }
+  });
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 
 int main() {
@@ -508,6 +615,9 @@ int main() {
 
   for (int threads : {1, 4}) EvalSections(ds, threads);
   Section("eval");
+
+  for (int threads : {1, 4}) ServeSections(ds, threads);
+  Section("serve");
 
   std::printf("final        %016llx\n", static_cast<unsigned long long>(g_hash));
   return 0;
