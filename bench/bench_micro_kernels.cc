@@ -416,7 +416,7 @@ void RunThreadSweep(benchmark::State& state, const std::string& name,
                     const std::function<Tensor()>& kernel) {
   const int threads = static_cast<int>(state.range(0));
   retia::tensor::NoGradGuard guard;
-  std::vector<float> reference;
+  retia::tensor::FloatBuffer reference;
   {
     retia::par::ThreadPool pool(1);
     retia::par::ScopedDefaultPool scoped(&pool);
@@ -424,7 +424,7 @@ void RunThreadSweep(benchmark::State& state, const std::string& name,
   }
   retia::par::ThreadPool pool(threads);
   retia::par::ScopedDefaultPool scoped(&pool);
-  const std::vector<float> check = kernel().impl().data;
+  const retia::tensor::FloatBuffer check = kernel().impl().data;
   RETIA_CHECK_EQ(check.size(), reference.size());
   RETIA_CHECK_MSG(std::memcmp(check.data(), reference.data(),
                               check.size() * sizeof(float)) == 0,

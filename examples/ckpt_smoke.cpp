@@ -57,7 +57,7 @@ bool DumpParams(const retia::core::RetiaModel& model,
   if (f == nullptr) return false;
   for (const retia::tensor::Tensor& p :
        const_cast<retia::core::RetiaModel&>(model).Parameters()) {
-    const std::vector<float>& data = p.impl().data;
+    const retia::tensor::FloatBuffer& data = p.impl().data;
     if (std::fwrite(data.data(), sizeof(float), data.size(), f) !=
         data.size()) {
       std::fclose(f);

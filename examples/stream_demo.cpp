@@ -89,7 +89,7 @@ bool DumpParams(const core::RetiaModel& model, const std::string& path) {
   if (f == nullptr) return false;
   for (const tensor::Tensor& p :
        const_cast<core::RetiaModel&>(model).Parameters()) {
-    const std::vector<float>& data = p.impl().data;
+    const tensor::FloatBuffer& data = p.impl().data;
     if (std::fwrite(data.data(), sizeof(float), data.size(), f) !=
         data.size()) {
       std::fclose(f);

@@ -19,22 +19,27 @@
 #    and snapshot hot-swap epoch pinning, the obs hot paths
 #    (relaxed-atomic metrics, per-thread trace rings), and the GemmNTQuant
 #    thread sweep must be data-race-free, not just bit-identical.
-# 3. ASan ckpt+stream+par+quant+serve+core+graph suites: builds
-#    ckpt_test, stream_test, par_test, par_task_graph_test, quant_test,
-#    serve_test, serve_router_test, serve_batch_test, core_test,
-#    graph_test, and the ckpt_smoke / stream_demo examples with
+# 3. ASan ckpt+stream+par+quant+serve+core+graph+tensor+baselines suites:
+#    builds ckpt_test, stream_test, par_test, par_task_graph_test,
+#    quant_test, serve_test, serve_router_test, serve_batch_test,
+#    core_test, graph_test, tensor_test, tensor_property_test,
+#    baselines_test, and the ckpt_smoke / stream_demo examples with
 #    -fsanitize=address into build-asan/, runs the ckpt-, stream-, par-,
-#    quant- and serve-labelled ctest suites, then core_test and
-#    graph_test. The artifact parser is fed corrupt and truncated bytes on
-#    purpose (including the quantized q8/f16 sections), the wire decoders
-#    parse fuzzed and hostile socket bytes and carry every routed query,
-#    the thread-pool and task-graph tests throw through shards and skipped
-#    dependents, the parallel snapshot builds hand cache entries across
-#    threads, the quant harness walks randomized shapes that straddle
-#    every vector-strip boundary, and the AggregateRows plans that
-#    Subgraph and HyperSubgraph build are shared into backward closures
-#    that may outlive the GraphCache (core_test), so all of it runs under
-#    ASan to prove the bounds checks and lifetimes hold.
+#    quant- and serve-labelled ctest suites, then core_test, graph_test,
+#    tensor_test, tensor_property_test and baselines_test. Under ASan every
+#    fresh tensor buffer (tensor::FloatBuffer) starts as quiet NaNs, so an
+#    op or kernel that reads an output or gradient element before writing
+#    it poisons a result those suites check. The artifact parser is fed
+#    corrupt and truncated bytes on purpose (including the quantized
+#    q8/f16 sections), the wire decoders parse fuzzed and hostile socket
+#    bytes and carry every routed query, the thread-pool and task-graph
+#    tests throw through shards and skipped dependents, the parallel
+#    snapshot builds hand cache entries across threads, the quant harness
+#    walks randomized shapes that straddle every vector-strip boundary,
+#    and the AggregateRows plans that Subgraph and HyperSubgraph build are
+#    shared into backward closures that may outlive the GraphCache
+#    (core_test), so all of it runs under ASan to prove the bounds checks
+#    and lifetimes hold.
 # 3b. Bench-gate cross-check: validates the committed BENCH_kernels.json
 #    thread-sweep and quant blocks against their own host record — a
 #    multi-core pin must have the thread-sweep gate enforced with > 1x
@@ -172,7 +177,10 @@ echo "check.sh: par|serve|obs|stream|quant suites clean under ThreadSanitizer"
 # suites hand the wire decoders hostile socket bytes; AddressSanitizer
 # turns any missed bounds check into a hard failure instead of a lucky read.
 # core_test and graph_test carry no ctest label, so they run directly: the
-# per-snapshot AggregateRows plans and their shared_ptr lifetimes.
+# per-snapshot AggregateRows plans and their shared_ptr lifetimes. So do
+# tensor_test, tensor_property_test and baselines_test, whose ops write
+# into NaN-filled fresh buffers under ASan (tensor/tensor.h): an op that
+# reads before it writes fails them.
 cmake -B "${BUILD_ASAN}" -S "${ROOT}" \
   -DCMAKE_BUILD_TYPE=Release \
   -DRETIA_SANITIZE=address
@@ -180,18 +188,20 @@ cmake -B "${BUILD_ASAN}" -S "${ROOT}" \
 cmake --build "${BUILD_ASAN}" -j "${JOBS}" \
   --target ckpt_test stream_test par_test par_task_graph_test quant_test \
            serve_test serve_router_test serve_batch_test core_test \
-           graph_test ckpt_smoke stream_demo
+           graph_test tensor_test tensor_property_test baselines_test \
+           ckpt_smoke stream_demo
 
 ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+:${ASAN_OPTIONS}}" \
   ctest --test-dir "${BUILD_ASAN}" -L "ckpt|stream|par|quant|serve" \
     --output-on-failure
-for suite in core_test graph_test; do
+for suite in core_test graph_test tensor_test tensor_property_test \
+             baselines_test; do
   ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+:${ASAN_OPTIONS}}" \
     "${BUILD_ASAN}/tests/${suite}"
 done
 
-echo "check.sh: ckpt, stream, par, quant, serve, core and graph suites clean" \
-     "under AddressSanitizer"
+echo "check.sh: ckpt, stream, par, quant, serve, core, graph, tensor and" \
+     "baselines suites clean under AddressSanitizer"
 
 # ---------------------------------------------------------------------------
 # Bench-gate cross-check: the committed thread-sweep gate must be

@@ -124,7 +124,7 @@ void InstallParams(nn::Module* module,
                    std::vector<std::vector<float>> values) {
   auto named = module->NamedParameters();
   for (size_t i = 0; i < named.size(); ++i) {
-    named[i].second.impl().data = std::move(values[i]);
+    named[i].second.impl().data.assign(values[i].begin(), values[i].end());
   }
 }
 

@@ -80,7 +80,7 @@ float ClipGradNorm(std::vector<tensor::Tensor>& params, float max_norm) {
   double total = 0.0;
   for (tensor::Tensor& p : params) {
     if (!p.HasGrad()) continue;
-    const std::vector<float>& grad = p.impl().grad;
+    const tensor::FloatBuffer& grad = p.impl().grad;
     const int64_t n = static_cast<int64_t>(grad.size());
     total = par::DeterministicReduce<double>(
         n, kElementGrain, total,
@@ -95,7 +95,7 @@ float ClipGradNorm(std::vector<tensor::Tensor>& params, float max_norm) {
     const float scale = max_norm / norm;
     for (tensor::Tensor& p : params) {
       if (!p.HasGrad()) continue;
-      std::vector<float>& grad = p.impl().grad;
+      tensor::FloatBuffer& grad = p.impl().grad;
       par::ParallelFor(static_cast<int64_t>(grad.size()), kElementGrain,
                        [&](int64_t j0, int64_t j1) {
                          simd::Kernels().scale(grad.data() + j0, scale,

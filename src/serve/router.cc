@@ -121,7 +121,6 @@ void SocketChannel::Return(int fd, bool healthy) {
   std::lock_guard<std::mutex> lock(mu_);
   if (healthy &&
       static_cast<int64_t>(idle_.size()) < config_.connections_per_replica) {
-    SetRecvTimeout(fd, config_.timeout_ms);  // restore after untimed swaps
     idle_.push_back(fd);
   } else {
     ::close(fd);
@@ -153,6 +152,8 @@ Result<wire::Frame> SocketChannel::RoundTrip(wire::MsgType type,
     return Result<wire::Frame>::Error(StatusCode::kProtocolError,
                                       "unexpected reply type");
   }
+  // A pooled connection always carries the per-query timeout.
+  if (!timed) SetRecvTimeout(fd, config_.timeout_ms);
   Return(fd, true);
   return reply;
 }

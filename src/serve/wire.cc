@@ -105,6 +105,14 @@ class Reader {
     return true;
   }
 
+  // A reader over the next n bytes, which this one skips.
+  bool ReadSub(size_t n, Reader* sub) {
+    if (pos_ + n > size_) return false;
+    *sub = Reader(data_ + pos_, n);
+    pos_ += n;
+    return true;
+  }
+
   bool AtEnd() const { return pos_ == size_; }
   size_t Remaining() const { return size_ - pos_; }
 
@@ -144,6 +152,71 @@ Result<Query> ReadQuery(Reader* reader) {
   }
   query.kind = static_cast<QueryKind>(kind);
   return query;
+}
+
+// The QueryReply record behind EncodeQueryReply, DecodeQueryReply and the
+// entries of a result batch. Its reader spans exactly one record.
+void PutQueryReply(const Result<QueryResult>& result,
+                   std::vector<uint8_t>* out) {
+  PutU8(static_cast<uint8_t>(result.code()), out);
+  if (result.ok()) {
+    const QueryResult& value = result.value();
+    PutI64(value.epoch, out);
+    PutU8(value.cache_hit ? 1 : 0, out);
+    PutU16(static_cast<uint16_t>(value.candidates.size()), out);
+    for (const ScoredCandidate& candidate : value.candidates) {
+      PutI64(candidate.id, out);
+      PutF32(candidate.score, out);
+    }
+  } else {
+    const std::string& detail = result.detail();
+    const auto len =
+        static_cast<uint16_t>(std::min<size_t>(detail.size(), 0xffff));
+    PutU16(len, out);
+    out->insert(out->end(), detail.begin(), detail.begin() + len);
+  }
+}
+
+Result<QueryResult> ReadQueryReply(Reader* reader) {
+  uint8_t code = 0;
+  if (!reader->ReadU8(&code)) {
+    return Malformed<QueryResult>("empty query reply");
+  }
+  if (code > static_cast<uint8_t>(StatusCode::kInternal)) {
+    return Malformed<QueryResult>("unknown status code in reply");
+  }
+  const auto status = static_cast<StatusCode>(code);
+  if (status != StatusCode::kOk) {
+    uint16_t len = 0;
+    std::string detail;
+    if (!reader->ReadU16(&len) || !reader->ReadBytes(len, &detail)) {
+      return Malformed<QueryResult>("truncated error detail in reply");
+    }
+    return Result<QueryResult>::Error(status, detail);
+  }
+  QueryResult value;
+  uint8_t cache_hit = 0;
+  uint16_t count = 0;
+  if (!reader->ReadI64(&value.epoch) || !reader->ReadU8(&cache_hit) ||
+      !reader->ReadU16(&count)) {
+    return Malformed<QueryResult>("truncated query reply header");
+  }
+  // Each candidate is 12 bytes; reject counts the body cannot hold before
+  // reserving, so a hostile count cannot balloon memory.
+  if (reader->Remaining() != static_cast<size_t>(count) * 12) {
+    return Malformed<QueryResult>("candidate count mismatches body size");
+  }
+  value.cache_hit = cache_hit != 0;
+  value.candidates.reserve(count);
+  for (uint16_t i = 0; i < count; ++i) {
+    ScoredCandidate candidate;
+    if (!reader->ReadI64(&candidate.id) ||
+        !reader->ReadF32(&candidate.score)) {
+      return Malformed<QueryResult>("truncated candidate list");
+    }
+    value.candidates.push_back(candidate);
+  }
+  return value;
 }
 
 }  // namespace
@@ -212,66 +285,13 @@ Result<Query> DecodeQuery(const std::vector<uint8_t>& body) {
 
 std::vector<uint8_t> EncodeQueryReply(const Result<QueryResult>& result) {
   std::vector<uint8_t> body;
-  PutU8(static_cast<uint8_t>(result.code()), &body);
-  if (result.ok()) {
-    const QueryResult& value = result.value();
-    PutI64(value.epoch, &body);
-    PutU8(value.cache_hit ? 1 : 0, &body);
-    PutU16(static_cast<uint16_t>(value.candidates.size()), &body);
-    for (const ScoredCandidate& candidate : value.candidates) {
-      PutI64(candidate.id, &body);
-      PutF32(candidate.score, &body);
-    }
-  } else {
-    const std::string& detail = result.detail();
-    const auto len =
-        static_cast<uint16_t>(std::min<size_t>(detail.size(), 0xffff));
-    PutU16(len, &body);
-    body.insert(body.end(), detail.begin(), detail.begin() + len);
-  }
+  PutQueryReply(result, &body);
   return body;
 }
 
 Result<QueryResult> DecodeQueryReply(const std::vector<uint8_t>& body) {
   Reader reader(body.data(), body.size());
-  uint8_t code = 0;
-  if (!reader.ReadU8(&code)) {
-    return Malformed<QueryResult>("empty query reply");
-  }
-  if (code > static_cast<uint8_t>(StatusCode::kInternal)) {
-    return Malformed<QueryResult>("unknown status code in reply");
-  }
-  const auto status = static_cast<StatusCode>(code);
-  if (status != StatusCode::kOk) {
-    uint16_t len = 0;
-    std::string detail;
-    if (!reader.ReadU16(&len) || !reader.ReadBytes(len, &detail)) {
-      return Malformed<QueryResult>("truncated error detail in reply");
-    }
-    return Result<QueryResult>::Error(status, detail);
-  }
-  QueryResult value;
-  uint8_t cache_hit = 0;
-  uint16_t count = 0;
-  if (!reader.ReadI64(&value.epoch) || !reader.ReadU8(&cache_hit) ||
-      !reader.ReadU16(&count)) {
-    return Malformed<QueryResult>("truncated query reply header");
-  }
-  // Each candidate is 12 bytes; reject counts the body cannot hold before
-  // reserving, so a hostile count cannot balloon memory.
-  if (reader.Remaining() != static_cast<size_t>(count) * 12) {
-    return Malformed<QueryResult>("candidate count mismatches body size");
-  }
-  value.cache_hit = cache_hit != 0;
-  value.candidates.reserve(count);
-  for (uint16_t i = 0; i < count; ++i) {
-    ScoredCandidate candidate;
-    if (!reader.ReadI64(&candidate.id) || !reader.ReadF32(&candidate.score)) {
-      return Malformed<QueryResult>("truncated candidate list");
-    }
-    value.candidates.push_back(candidate);
-  }
-  return value;
+  return ReadQueryReply(&reader);
 }
 
 std::vector<uint8_t> EncodeQueryBatch(const std::vector<Query>& queries) {
@@ -316,9 +336,14 @@ std::vector<uint8_t> EncodeResultBatch(
   std::vector<uint8_t> body;
   PutU16(static_cast<uint16_t>(results.size()), &body);
   for (const Result<QueryResult>& result : results) {
-    const std::vector<uint8_t> reply = EncodeQueryReply(result);
-    PutU32(static_cast<uint32_t>(reply.size()), &body);
-    body.insert(body.end(), reply.begin(), reply.end());
+    // u32 entry length, patched once the record is written after it.
+    const size_t at = body.size();
+    PutU32(0, &body);
+    PutQueryReply(result, &body);
+    const auto len = static_cast<uint32_t>(body.size() - at - 4);
+    for (int i = 0; i < 4; ++i) {
+      body[at + i] = static_cast<uint8_t>(len >> (8 * i));
+    }
   }
   return body;
 }
@@ -340,15 +365,13 @@ Result<std::vector<Result<QueryResult>>> DecodeResultBatch(
     if (!reader.ReadU32(&len)) {
       return Malformed<Out>("truncated result batch entry header");
     }
-    if (len > reader.Remaining()) {
+    Reader entry(nullptr, 0);
+    if (!reader.ReadSub(len, &entry)) {
       return Malformed<Out>("result batch entry overruns body");
     }
-    std::string slice;
-    reader.ReadBytes(len, &slice);
-    const std::vector<uint8_t> reply(slice.begin(), slice.end());
-    // DecodeQueryReply returns the embedded Result verbatim; a malformed
-    // entry body becomes a kProtocolError entry, degrading only itself.
-    results.push_back(DecodeQueryReply(reply));
+    // The entry's Result comes back verbatim; a malformed entry body
+    // becomes a kProtocolError entry, degrading only itself.
+    results.push_back(ReadQueryReply(&entry));
   }
   if (!reader.AtEnd()) {
     return Malformed<Out>("trailing bytes after result batch");

@@ -4,8 +4,9 @@
 // density probe that routes one-hot-like A matrices to the zero-skipping
 // sparse kernel (RETIA's relation/entity one-hot selector matmuls).
 
+#include <algorithm>
 #include <cstring>
-#include <vector>
+#include <memory>
 
 #include "par/parallel_for.h"
 #include "simd/simd.h"
@@ -40,12 +41,14 @@ bool IsOneHotLike(const float* a, int64_t m, int64_t k, int64_t n) {
 // strip s stores B[p][s*S + c] at bp[(s*k + p)*S + c], so the NN and TN
 // inner loops read two consecutive vectors per k step instead of striding
 // by n. Column remainders (n % S) are read from B directly by the scalar
-// tail loops and are not packed.
-void PackB(const float* b, int64_t k, int64_t n, int64_t strip,
-           std::vector<float>* packed) {
+// tail loops and are not packed. The panels are allocated unset: every
+// element is copied in.
+std::unique_ptr<float[]> PackB(const float* b, int64_t k, int64_t n,
+                               int64_t strip) {
   const int64_t nstrips = n / strip;
-  packed->resize(static_cast<size_t>(nstrips * k * strip));
-  float* dst = packed->data();
+  auto packed = std::make_unique_for_overwrite<float[]>(
+      static_cast<size_t>(nstrips * k * strip));
+  float* dst = packed.get();
   for (int64_t s = 0; s < nstrips; ++s) {
     const float* src = b + s * strip;
     for (int64_t p = 0; p < k; ++p) {
@@ -53,13 +56,18 @@ void PackB(const float* b, int64_t k, int64_t n, int64_t strip,
       dst += strip;
     }
   }
+  return packed;
 }
 
 }  // namespace
 
 void GemmNN(const float* a, const float* b, float* out, int64_t m, int64_t k,
             int64_t n) {
-  if (m <= 0 || n <= 0 || k <= 0) return;
+  if (m <= 0 || n <= 0) return;
+  if (k <= 0) {
+    std::fill_n(out, m * n, 0.0f);
+    return;
+  }
   const KernelTable& t = Kernels();
   if (IsOneHotLike(a, m, k, n)) {
     par::ParallelForTiled(
@@ -67,11 +75,11 @@ void GemmNN(const float* a, const float* b, float* out, int64_t m, int64_t k,
         [&](int64_t i0, int64_t i1) { t.gemm_nn_sparse(a, b, out, i0, i1, k, n); });
     return;
   }
-  std::vector<float> packed;
+  std::unique_ptr<float[]> packed;
   const float* bp = b;
   if (t.needs_packed_b && n >= t.gemm_strip) {
-    PackB(b, k, n, t.gemm_strip, &packed);
-    bp = packed.data();
+    packed = PackB(b, k, n, t.gemm_strip);
+    bp = packed.get();
   }
   par::ParallelForTiled(
       m, kRowTile, par::GrainRows(k * n),
@@ -80,7 +88,11 @@ void GemmNN(const float* a, const float* b, float* out, int64_t m, int64_t k,
 
 void GemmNT(const float* a, const float* b, float* out, int64_t m, int64_t k,
             int64_t n) {
-  if (m <= 0 || n <= 0 || k <= 0) return;
+  if (m <= 0 || n <= 0) return;
+  if (k <= 0) {
+    std::fill_n(out, m * n, 0.0f);
+    return;
+  }
   const KernelTable& t = Kernels();
   par::ParallelForTiled(
       m, kRowTile, par::GrainRows(k * n),
@@ -89,7 +101,11 @@ void GemmNT(const float* a, const float* b, float* out, int64_t m, int64_t k,
 
 void GemmTN(const float* a, const float* g, float* out, int64_t m, int64_t k,
             int64_t n) {
-  if (m <= 0 || n <= 0 || k <= 0) return;
+  if (k <= 0 || n <= 0) return;
+  if (m <= 0) {
+    std::fill_n(out, k * n, 0.0f);
+    return;
+  }
   const KernelTable& t = Kernels();
   par::ParallelForTiled(
       k, kRowTile, par::GrainRows(m * n),

@@ -36,6 +36,11 @@ struct Avx2Traits {
   static Vec Max(Vec a, Vec b) { return _mm256_max_ps(a, b); }
   static Vec Min(Vec a, Vec b) { return _mm256_min_ps(a, b); }
   static Vec Sqrt(Vec a) { return _mm256_sqrt_ps(a); }
+  static Vec Gt(Vec a, Vec b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
+  static Vec Ge(Vec a, Vec b) { return _mm256_cmp_ps(a, b, _CMP_GE_OQ); }
+  static Vec Select(Vec mask, Vec a, Vec b) {
+    return _mm256_blendv_ps(b, a, mask);
+  }
   static Vec RoundNearest(Vec v) {
     return _mm256_round_ps(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
   }

@@ -19,6 +19,8 @@
 //   Vec  Add(Vec, Vec); Vec Sub(Vec, Vec); Vec Mul(Vec, Vec); Vec Div(Vec, Vec);
 //   Vec  Madd(Vec a, Vec b, Vec c);   // a*b + c
 //   Vec  Max(Vec, Vec); Vec Min(Vec, Vec); Vec Sqrt(Vec);
+//   Vec  Gt(Vec a, Vec b); Vec Ge(Vec a, Vec b);  // lane mask, false on NaN
+//   Vec  Select(Vec mask, Vec a, Vec b);          // mask ? a : b per lane
 //   Vec  RoundNearest(Vec);           // round-to-nearest-even, float-valued
 //   Vec  PowTwo(Vec n);               // 2^int(n) for integral n in [-126,127]
 //   DVec DZero(); DVec DAdd(DVec, DVec); DVec DMul(DVec, DVec);
@@ -102,6 +104,101 @@ struct Gen {
     for (; i + W <= n; i += W)
       V::Store(y + i, V::Add(V::Load(y + i), V::Load(x + i)));
     for (; i < n; ++i) y[i] += x[i];
+  }
+
+  // ---- Activations and elementwise backward --------------------------------
+  //
+  // Compare and select, never Max: x86's max happens to return
+  // x > 0 ? x : 0, but NEON's returns NaN for a NaN input.
+
+  static void ReluK(const float* x, float* y, int64_t n) {
+    const Vec zero = V::Zero();
+    int64_t i = 0;
+    for (; i + W <= n; i += W) {
+      const Vec v = V::Load(x + i);
+      V::Store(y + i, V::Select(V::Gt(v, zero), v, zero));
+    }
+    for (; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+  }
+
+  static void RReluEvalK(const float* x, float slope, float* y, int64_t n) {
+    const Vec zero = V::Zero();
+    const Vec sv = V::Set1(slope);
+    int64_t i = 0;
+    for (; i + W <= n; i += W) {
+      const Vec v = V::Load(x + i);
+      V::Store(y + i, V::Select(V::Ge(v, zero), v, V::Mul(v, sv)));
+    }
+    for (; i < n; ++i) y[i] = x[i] >= 0.0f ? x[i] : x[i] * slope;
+  }
+
+  // y = base + term(i) with base = y when `add`, else +0 (simd.h).
+  template <typename VecTerm, typename ScalarTerm>
+  static void AddTerms(float* y, int64_t n, bool add, VecTerm vterm,
+                       ScalarTerm sterm) {
+    int64_t i = 0;
+    if (add) {
+      for (; i + W <= n; i += W)
+        V::Store(y + i, V::Add(V::Load(y + i), vterm(i)));
+      for (; i < n; ++i) y[i] = y[i] + sterm(i);
+    } else {
+      const Vec zero = V::Zero();
+      for (; i + W <= n; i += W) V::Store(y + i, V::Add(zero, vterm(i)));
+      for (; i < n; ++i) y[i] = 0.0f + sterm(i);
+    }
+  }
+
+  static void ReluBackwardK(const float* y, const float* dy, float* dx,
+                            int64_t n, bool add) {
+    const Vec zero = V::Zero();
+    const Vec one = V::Set1(1.0f);
+    AddTerms(
+        dx, n, add,
+        [&](int64_t i) {
+          const Vec d = V::Select(V::Gt(V::Load(y + i), zero), one, zero);
+          return V::Mul(V::Load(dy + i), d);
+        },
+        [&](int64_t i) { return dy[i] * (y[i] > 0.0f ? 1.0f : 0.0f); });
+  }
+
+  static void SigmoidBackwardK(const float* y, const float* dy, float* dx,
+                               int64_t n, bool add) {
+    const Vec one = V::Set1(1.0f);
+    AddTerms(
+        dx, n, add,
+        [&](int64_t i) {
+          const Vec yv = V::Load(y + i);
+          return V::Mul(V::Load(dy + i), V::Mul(yv, V::Sub(one, yv)));
+        },
+        [&](int64_t i) { return dy[i] * (y[i] * (1.0f - y[i])); });
+  }
+
+  static void TanhBackwardK(const float* y, const float* dy, float* dx,
+                            int64_t n, bool add) {
+    const Vec one = V::Set1(1.0f);
+    AddTerms(
+        dx, n, add,
+        [&](int64_t i) {
+          const Vec yv = V::Load(y + i);
+          return V::Mul(V::Load(dy + i), V::Sub(one, V::Mul(yv, yv)));
+        },
+        [&](int64_t i) { return dy[i] * (1.0f - y[i] * y[i]); });
+  }
+
+  static void MulAddK(const float* a, const float* b, float* y, int64_t n,
+                      bool add) {
+    AddTerms(
+        y, n, add,
+        [&](int64_t i) { return V::Mul(V::Load(a + i), V::Load(b + i)); },
+        [&](int64_t i) { return a[i] * b[i]; });
+  }
+
+  static void ScaleAddK(const float* x, float s, float* y, int64_t n,
+                        bool add) {
+    const Vec sv = V::Set1(s);
+    AddTerms(
+        y, n, add, [&](int64_t i) { return V::Mul(V::Load(x + i), sv); },
+        [&](int64_t i) { return x[i] * s; });
   }
 
   // ---- Reductions ----------------------------------------------------------
@@ -316,6 +413,7 @@ struct Gen {
     for (int64_t i = i0; i < i1; ++i) {
       const float* arow = a + i * k;
       float* orow = out + i * n;
+      std::fill_n(orow, n, 0.0f);
       for (int64_t p = 0; p < k; ++p) {
         const float av = arow[p];
         if (av == 0.0f) continue;
@@ -713,6 +811,13 @@ const KernelTable* MakeGenericTable(const char* name) {
       &Gen<V>::AddScalarK,
       &Gen<V>::AxpyK,
       &Gen<V>::AccumulateK,
+      &Gen<V>::ReluK,
+      &Gen<V>::RReluEvalK,
+      &Gen<V>::ReluBackwardK,
+      &Gen<V>::SigmoidBackwardK,
+      &Gen<V>::TanhBackwardK,
+      &Gen<V>::MulAddK,
+      &Gen<V>::ScaleAddK,
       &Gen<V>::ReduceMaxK,
       &Gen<V>::DotF64K,
       &Gen<V>::SumSquaresF64K,

@@ -36,6 +36,15 @@ struct NeonTraits {
   static Vec Max(Vec a, Vec b) { return vmaxq_f32(a, b); }
   static Vec Min(Vec a, Vec b) { return vminq_f32(a, b); }
   static Vec Sqrt(Vec a) { return vsqrtq_f32(a); }
+  static Vec Gt(Vec a, Vec b) {
+    return vreinterpretq_f32_u32(vcgtq_f32(a, b));
+  }
+  static Vec Ge(Vec a, Vec b) {
+    return vreinterpretq_f32_u32(vcgeq_f32(a, b));
+  }
+  static Vec Select(Vec mask, Vec a, Vec b) {
+    return vbslq_f32(vreinterpretq_u32_f32(mask), a, b);
+  }
   static Vec RoundNearest(Vec v) { return vrndnq_f32(v); }
   static Vec PowTwo(Vec nf) {
     int32x4_t n = vcvtnq_s32_f32(nf);

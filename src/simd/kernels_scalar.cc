@@ -45,6 +45,52 @@ void AccumulateK(const float* x, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += x[i];
 }
 
+void ReluK(const float* x, float* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+}
+
+void RReluEvalK(const float* x, float slope, float* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = x[i] >= 0.0f ? x[i] : x[i] * slope;
+}
+
+void ReluBackwardK(const float* y, const float* dy, float* dx, int64_t n,
+                   bool add) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float base = add ? dx[i] : 0.0f;
+    dx[i] = base + dy[i] * (y[i] > 0.0f ? 1.0f : 0.0f);
+  }
+}
+
+void SigmoidBackwardK(const float* y, const float* dy, float* dx, int64_t n,
+                      bool add) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float base = add ? dx[i] : 0.0f;
+    dx[i] = base + dy[i] * (y[i] * (1.0f - y[i]));
+  }
+}
+
+void TanhBackwardK(const float* y, const float* dy, float* dx, int64_t n,
+                   bool add) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float base = add ? dx[i] : 0.0f;
+    dx[i] = base + dy[i] * (1.0f - y[i] * y[i]);
+  }
+}
+
+void MulAddK(const float* a, const float* b, float* y, int64_t n, bool add) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float base = add ? y[i] : 0.0f;
+    y[i] = base + a[i] * b[i];
+  }
+}
+
+void ScaleAddK(const float* x, float s, float* y, int64_t n, bool add) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float base = add ? y[i] : 0.0f;
+    y[i] = base + x[i] * s;
+  }
+}
+
 float ReduceMaxK(const float* x, int64_t n) {
   float mx = x[0];
   for (int64_t i = 1; i < n; ++i) mx = std::max(mx, x[i]);
@@ -101,13 +147,14 @@ void GemmNNK(const float* a, const float* b, const float* /*bp_unused*/,
   }
 }
 
-// The historical zero-skipping kernel, for one-hot-like A. Accumulates
-// into a zero-initialized out.
+// The historical zero-skipping kernel, for one-hot-like A: zeroes each
+// output row, then accumulates into it.
 void GemmNNSparseK(const float* a, const float* b, float* out, int64_t i0,
                    int64_t i1, int64_t k, int64_t n) {
   for (int64_t i = i0; i < i1; ++i) {
     const float* arow = a + i * k;
     float* orow = out + i * n;
+    std::fill_n(orow, n, 0.0f);
     for (int64_t p = 0; p < k; ++p) {
       const float av = arow[p];
       if (av == 0.0f) continue;
@@ -165,6 +212,8 @@ void AdamK(float* w, const float* g, float* m, float* v, int64_t n, float lr,
 }
 
 // The historical Conv1d loops of tensor::Conv1d, one shard body each.
+// Each zeroes its output range (or sets it to the bias) before it
+// accumulates into it.
 void Conv1dForwardK(const float* x, const float* w, const float* bias,
                     float* out, int64_t map0, int64_t map1, int64_t cin,
                     int64_t length, int64_t cout, int64_t ksize, int64_t pad) {
@@ -173,10 +222,7 @@ void Conv1dForwardK(const float* x, const float* w, const float* bias,
     const int64_t b = map / cout;
     const int64_t co = map % cout;
     float* orow = out + map * lout;
-    if (bias != nullptr) {
-      const float bv = bias[co];
-      for (int64_t l = 0; l < lout; ++l) orow[l] = bv;
-    }
+    std::fill_n(orow, lout, bias != nullptr ? bias[co] : 0.0f);
     for (int64_t ci = 0; ci < cin; ++ci) {
       const float* xrow = x + (b * cin + ci) * length;
       const float* wrow = w + (co * cin + ci) * ksize;
@@ -196,6 +242,7 @@ void Conv1dInputGradK(const float* g, const float* w, float* gx, int64_t b0,
                       int64_t b1, int64_t cin, int64_t length, int64_t cout,
                       int64_t ksize, int64_t pad) {
   const int64_t lout = length + 2 * pad - ksize + 1;
+  std::fill(gx + b0 * cin * length, gx + b1 * cin * length, 0.0f);
   for (int64_t b = b0; b < b1; ++b)
     for (int64_t co = 0; co < cout; ++co) {
       const float* grow = g + (b * cout + co) * lout;
@@ -215,6 +262,9 @@ void Conv1dWeightGradK(const float* g, const float* x, float* gw, int64_t ci0,
                        int64_t ci1, int64_t batch, int64_t cin, int64_t length,
                        int64_t cout, int64_t ksize, int64_t pad) {
   const int64_t lout = length + 2 * pad - ksize + 1;
+  for (int64_t co = 0; co < cout; ++co)
+    std::fill(gw + (co * cin + ci0) * ksize, gw + (co * cin + ci1) * ksize,
+              0.0f);
   for (int64_t b = 0; b < batch; ++b)
     for (int64_t co = 0; co < cout; ++co)
       for (int64_t ci = ci0; ci < ci1; ++ci) {
@@ -268,6 +318,13 @@ const KernelTable kScalarTable = {
     AddScalarK,
     AxpyK,
     AccumulateK,
+    ReluK,
+    RReluEvalK,
+    ReluBackwardK,
+    SigmoidBackwardK,
+    TanhBackwardK,
+    MulAddK,
+    ScaleAddK,
     ReduceMaxK,
     DotF64K,
     SumSquaresF64K,

@@ -38,6 +38,11 @@ struct Sse2Traits {
   static Vec Max(Vec a, Vec b) { return _mm_max_ps(a, b); }
   static Vec Min(Vec a, Vec b) { return _mm_min_ps(a, b); }
   static Vec Sqrt(Vec a) { return _mm_sqrt_ps(a); }
+  static Vec Gt(Vec a, Vec b) { return _mm_cmpgt_ps(a, b); }
+  static Vec Ge(Vec a, Vec b) { return _mm_cmpge_ps(a, b); }
+  static Vec Select(Vec mask, Vec a, Vec b) {
+    return _mm_or_ps(_mm_and_ps(mask, a), _mm_andnot_ps(mask, b));
+  }
   // cvtps_epi32 rounds per MXCSR, which retia never changes from its
   // power-on default of round-to-nearest-even.
   static Vec RoundNearest(Vec v) {

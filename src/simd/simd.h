@@ -20,7 +20,9 @@ namespace retia::simd {
 //    lane-tree order (pairwise within 128-bit halves, then across halves,
 //    then the scalar tail in index order), never in arrival order.
 //  * Bit-exact across ALL backends: elementwise add/sub/mul/scale/axpy/
-//    accumulate (one correctly-rounded op per element), reduce_max
+//    accumulate (one correctly-rounded op per element), the activation
+//    and elementwise-backward kernels (compare-and-select, unfused
+//    arithmetic in the scalar expressions' order), reduce_max
 //    (max is order-insensitive for non-NaN data), the Conv1d family
 //    (unfused products summed in the scalar loops' order, see below), and
 //    the whole quantized family quantize_rows_i8 / gemm_nt_i8 /
@@ -51,6 +53,35 @@ struct KernelTable {
   // y += x.
   void (*accumulate)(const float* x, float* y, int64_t n);
 
+  // ---- Activations and elementwise backward --------------------------------
+  // Branch-free compare-and-select forms of the scalar expressions below,
+  // bit-exact across backends for every input, NaN, ±0, ±Inf and denormals
+  // included (NaN payloads aside).
+  //
+  // y = x > 0 ? x : 0 (NaN and -0 give +0). y may alias x.
+  void (*relu)(const float* x, float* y, int64_t n);
+  // y = x >= 0 ? x : x * slope, eval-mode RRelu (-0 stays -0). y may
+  // alias x.
+  void (*rrelu_eval)(const float* x, float slope, float* y, int64_t n);
+  // The backward kernels write dx = base + term per element, where base is
+  // dx itself when `add` is set and +0 when it is not (dx is then a fresh,
+  // unset gradient, see tensor/tensor.h). The term is rounded as written,
+  // one op at a time (multiply, then add; never fused). dx aliases no input.
+  //   relu_backward     term = dy * (y > 0 ? 1 : 0), y = Relu's output;
+  //   sigmoid_backward  term = dy * (y * (1 - y)),   y = Sigmoid's output;
+  //   tanh_backward     term = dy * (1 - y * y),     y = Tanh's output.
+  void (*relu_backward)(const float* y, const float* dy, float* dx, int64_t n,
+                        bool add);
+  void (*sigmoid_backward)(const float* y, const float* dy, float* dx,
+                           int64_t n, bool add);
+  void (*tanh_backward)(const float* y, const float* dy, float* dx, int64_t n,
+                        bool add);
+  // term = a * b: Mul's backward and the RRelu and Dropout mask multiply.
+  void (*mul_add)(const float* a, const float* b, float* y, int64_t n,
+                  bool add);
+  // term = x * s.
+  void (*scale_add)(const float* x, float s, float* y, int64_t n, bool add);
+
   // ---- Reductions (fixed lane-tree fold order) ----------------------------
   // Max element; n must be >= 1.
   float (*reduce_max)(const float* x, int64_t n);
@@ -71,8 +102,8 @@ struct KernelTable {
 
   // ---- GEMM micro-kernels -------------------------------------------------
   // All operate on a row range of the OUTPUT and fully overwrite it
-  // (compute-and-store; no dependence on prior output contents), except
-  // gemm_nn_sparse which accumulates into a zero-initialized output. Every
+  // (compute-and-store; no dependence on prior output contents);
+  // gemm_nn_sparse zeroes its row range and then accumulates into it. Every
   // output element always receives its k (resp. m) contributions in
   // increasing index order, so results never depend on sharding.
   //
@@ -81,9 +112,10 @@ struct KernelTable {
   // (otherwise null and the kernel reads the row-major `b` directly).
   void (*gemm_nn)(const float* a, const float* b, const float* bp, float* out,
                   int64_t i0, int64_t i1, int64_t k, int64_t n);
-  // NN over a mostly-zero A: skips zero A elements (exact no-ops under
-  // both plain and fused multiply-add), accumulating into a
-  // zero-initialized out. Bit-identical to gemm_nn for finite inputs.
+  // NN over a mostly-zero A: zeroes out's rows, then adds the products of
+  // the nonzero A elements only (skipping a zero one is an exact no-op
+  // under both plain and fused multiply-add). Bit-identical to gemm_nn for
+  // finite inputs.
   void (*gemm_nn_sparse)(const float* a, const float* b, float* out,
                          int64_t i0, int64_t i1, int64_t k, int64_t n);
   // NT: out[i,j] = sum_p A[i,p] B[j,p] for i in [i0,i1); B is [n,k].
@@ -105,10 +137,10 @@ struct KernelTable {
   // Input x is [batch, cin, length], weight w is [cout, cin, ksize], the
   // output (and its gradient g) is [batch, cout, lout] with
   // lout = length + 2*pad - ksize + 1. Taps that fall on the zero padding
-  // are skipped, never multiplied. Each kernel accumulates into a
-  // ZERO-INITIALIZED output range and is BIT-EXACT across backends: every
-  // output element receives the scalar loops' unfused products, summed in
-  // their order —
+  // are skipped, never multiplied. Each kernel writes every element of its
+  // output range, whatever it held before, and is BIT-EXACT across
+  // backends: every output element receives the scalar loops' unfused
+  // products, summed in their order —
   //   forward      out[b,co,l] = bias[co] (0 when bias is null), then per
   //                ci the tap sum acc = 0 + w*x + ... (kk ascending) added
   //                as one term;
@@ -227,9 +259,9 @@ class ScopedBackend {
 // Shard the output rows over par::DefaultPool() (fixed problem-size-derived
 // shards, see par/parallel_for.h), pack B when the active backend wants
 // packed panels, and route one-hot-like A matrices (density <= 1/8,
-// decided by an O(mk) scan) to the zero-skipping sparse kernel. All three
-// fully overwrite `out` except the sparse path, which requires `out`
-// zero-initialized — callers pass freshly allocated buffers.
+// decided by an O(mk) scan) to the zero-skipping sparse kernel. Every path
+// fully overwrites `out`, whatever it held (an empty reduction writes
+// zeros), so callers may pass unset buffers.
 
 // out[m,n] = A[m,k] * B[k,n].
 void GemmNN(const float* a, const float* b, float* out, int64_t m, int64_t k,

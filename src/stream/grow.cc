@@ -40,8 +40,8 @@ std::unique_ptr<core::RetiaModel> GrowEntityVocab(
                     "grown model parameter '" << name
                                               << "' missing in the source");
     const tensor::Tensor& src = it->second;
-    std::vector<float>& dst_data = dst.impl().data;
-    const std::vector<float>& src_data = src.impl().data;
+    tensor::FloatBuffer& dst_data = dst.impl().data;
+    const tensor::FloatBuffer& src_data = src.impl().data;
     if (name == "entity_init.table") {
       // [N, d] row-major: the old rows carry over, the new tail keeps the
       // grown model's fresh Xavier init.

@@ -42,7 +42,9 @@ Tensor Sin(const Tensor& a);
 Tensor RRelu(const Tensor& a, float lo, float hi, bool training,
              util::Rng* rng);
 
-// Inverted dropout with keep-prob (1-p); identity in eval mode.
+// Inverted dropout with keep-prob (1-p). In eval mode or at p = 0 it
+// returns `a` itself, which adds no tape node; its gradient then lands in
+// `a` bit-unchanged provided the result is `a`'s only use.
 Tensor Dropout(const Tensor& a, float p, bool training, util::Rng* rng);
 
 // ---- Reductions ------------------------------------------------------------

@@ -18,7 +18,7 @@ void CheckSameShape(const Tensor& a, const Tensor& b) {
 Tensor Add(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b);
   const int64_t n = a.NumElements();
-  std::vector<float> out(n);
+  FloatBuffer out(n);
   simd::Kernels().add(a.Data(), b.Data(), out.data(), n);
   return MakeOpResult(a.Shape(), std::move(out), {a, b},
                       [a, b](TensorImpl& self) mutable {
@@ -33,43 +33,40 @@ Tensor Add(const Tensor& a, const Tensor& b) {
 Tensor Sub(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b);
   const int64_t n = a.NumElements();
-  std::vector<float> out(n);
+  FloatBuffer out(n);
   simd::Kernels().sub(a.Data(), b.Data(), out.data(), n);
-  return MakeOpResult(a.Shape(), std::move(out), {a, b},
-                      [a, b](TensorImpl& self) mutable {
-                        const int64_t n = self.NumElements();
-                        if (a.RequiresGrad())
-                          a.impl().AccumulateGrad(self.grad.data(), n);
-                        if (b.RequiresGrad()) {
-                          std::vector<float> gb(n);
-                          // -g == -1.0f * g exactly (sign flip).
-                          simd::Kernels().scale(self.grad.data(), -1.0f,
-                                                gb.data(), n);
-                          b.impl().AccumulateGrad(gb.data(), n);
-                        }
-                      });
+  return MakeOpResult(
+      a.Shape(), std::move(out), {a, b}, [a, b](TensorImpl& self) mutable {
+        const int64_t n = self.NumElements();
+        if (a.RequiresGrad()) a.impl().AccumulateGrad(self.grad.data(), n);
+        if (b.RequiresGrad()) {
+          // -g == g * -1.0f exactly (sign flip).
+          b.impl().AddIntoGrad([&](float* dx, bool add) {
+            simd::Kernels().scale_add(self.grad.data(), -1.0f, dx, n, add);
+          });
+        }
+      });
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b);
   const int64_t n = a.NumElements();
-  std::vector<float> out(n);
+  FloatBuffer out(n);
   simd::Kernels().mul(a.Data(), b.Data(), out.data(), n);
-  return MakeOpResult(a.Shape(), std::move(out), {a, b},
-                      [a, b](TensorImpl& self) mutable {
-                        const int64_t n = self.NumElements();
-                        std::vector<float> g(n);
-                        if (a.RequiresGrad()) {
-                          simd::Kernels().mul(self.grad.data(), b.Data(),
-                                              g.data(), n);
-                          a.impl().AccumulateGrad(g.data(), n);
-                        }
-                        if (b.RequiresGrad()) {
-                          simd::Kernels().mul(self.grad.data(), a.Data(),
-                                              g.data(), n);
-                          b.impl().AccumulateGrad(g.data(), n);
-                        }
-                      });
+  return MakeOpResult(
+      a.Shape(), std::move(out), {a, b}, [a, b](TensorImpl& self) mutable {
+        const int64_t n = self.NumElements();
+        if (a.RequiresGrad()) {
+          a.impl().AddIntoGrad([&](float* dx, bool add) {
+            simd::Kernels().mul_add(self.grad.data(), b.Data(), dx, n, add);
+          });
+        }
+        if (b.RequiresGrad()) {
+          b.impl().AddIntoGrad([&](float* dx, bool add) {
+            simd::Kernels().mul_add(self.grad.data(), a.Data(), dx, n, add);
+          });
+        }
+      });
 }
 
 Tensor AddRowBroadcast(const Tensor& a, const Tensor& bias) {
@@ -78,7 +75,7 @@ Tensor AddRowBroadcast(const Tensor& a, const Tensor& bias) {
   RETIA_CHECK_EQ(a.Dim(1), bias.Dim(0));
   const int64_t m = a.Dim(0);
   const int64_t n = a.Dim(1);
-  std::vector<float> out(m * n);
+  FloatBuffer out(m * n);
   const float* pa = a.Data();
   const float* pb = bias.Data();
   for (int64_t i = 0; i < m; ++i)
@@ -89,7 +86,7 @@ Tensor AddRowBroadcast(const Tensor& a, const Tensor& bias) {
         if (a.RequiresGrad())
           a.impl().AccumulateGrad(self.grad.data(), m * n);
         if (bias.RequiresGrad()) {
-          std::vector<float> gb(n, 0.0f);
+          FloatBuffer gb(n, 0.0f);
           for (int64_t i = 0; i < m; ++i)
             simd::Kernels().accumulate(self.grad.data() + i * n, gb.data(), n);
           bias.impl().AccumulateGrad(gb.data(), n);
@@ -99,76 +96,83 @@ Tensor AddRowBroadcast(const Tensor& a, const Tensor& bias) {
 
 Tensor Scale(const Tensor& a, float s) {
   const int64_t n = a.NumElements();
-  std::vector<float> out(n);
+  FloatBuffer out(n);
   simd::Kernels().scale(a.Data(), s, out.data(), n);
-  return MakeOpResult(a.Shape(), std::move(out), {a},
-                      [a, s](TensorImpl& self) mutable {
-                        if (!a.RequiresGrad()) return;
-                        const int64_t n = self.NumElements();
-                        std::vector<float> g(n);
-                        simd::Kernels().scale(self.grad.data(), s, g.data(), n);
-                        a.impl().AccumulateGrad(g.data(), n);
-                      });
+  return MakeOpResult(
+      a.Shape(), std::move(out), {a}, [a, s](TensorImpl& self) mutable {
+        if (!a.RequiresGrad()) return;
+        const int64_t n = self.NumElements();
+        a.impl().AddIntoGrad([&](float* dx, bool add) {
+          simd::Kernels().scale_add(self.grad.data(), s, dx, n, add);
+        });
+      });
 }
 
 Tensor Neg(const Tensor& a) { return Scale(a, -1.0f); }
 
 namespace {
 
-// Shared scaffold for unary elementwise ops whose gradient depends only on
-// the output value: out = f(x), dx = g(out) * dout.
-template <typename Fwd, typename BwdFromOut>
-Tensor UnaryFromOutput(const Tensor& a, Fwd fwd, BwdFromOut bwd) {
-  const int64_t n = a.NumElements();
-  std::vector<float> out(n);
-  const float* pa = a.Data();
-  for (int64_t i = 0; i < n; ++i) out[i] = fwd(pa[i]);
-  return MakeOpResult(a.Shape(), std::move(out), {a},
-                      [a, bwd](TensorImpl& self) mutable {
-                        if (!a.RequiresGrad()) return;
-                        const int64_t n = self.NumElements();
-                        std::vector<float> g(n);
-                        for (int64_t i = 0; i < n; ++i)
-                          g[i] = self.grad[i] * bwd(self.data[i]);
-                        a.impl().AccumulateGrad(g.data(), n);
-                      });
+// An elementwise op's result whose gradient is a function of its output,
+// dx += dy * f'(y), added by the kernel table's `backward` entry (looked
+// up when the backward runs).
+using OutputBackward = void (*simd::KernelTable::*)(const float*, const float*,
+                                                    float*, int64_t, bool);
+
+Tensor FromOutput(const Tensor& a, FloatBuffer out, OutputBackward backward) {
+  return MakeOpResult(
+      a.Shape(), std::move(out), {a}, [a, backward](TensorImpl& self) mutable {
+        if (!a.RequiresGrad()) return;
+        const int64_t n = self.NumElements();
+        a.impl().AddIntoGrad([&](float* dx, bool add) {
+          (simd::Kernels().*backward)(self.data.data(), self.grad.data(), dx,
+                                      n, add);
+        });
+      });
 }
 
 // Unary op whose gradient depends on the input value.
 template <typename Fwd, typename BwdFromIn>
 Tensor UnaryFromInput(const Tensor& a, Fwd fwd, BwdFromIn bwd) {
   const int64_t n = a.NumElements();
-  std::vector<float> out(n);
+  FloatBuffer out(n);
   const float* pa = a.Data();
   for (int64_t i = 0; i < n; ++i) out[i] = fwd(pa[i]);
-  return MakeOpResult(a.Shape(), std::move(out), {a},
-                      [a, bwd](TensorImpl& self) mutable {
-                        if (!a.RequiresGrad()) return;
-                        const int64_t n = self.NumElements();
-                        std::vector<float> g(n);
-                        const float* pa = a.Data();
-                        for (int64_t i = 0; i < n; ++i)
-                          g[i] = self.grad[i] * bwd(pa[i]);
-                        a.impl().AccumulateGrad(g.data(), n);
-                      });
+  return MakeOpResult(
+      a.Shape(), std::move(out), {a}, [a, bwd](TensorImpl& self) mutable {
+        if (!a.RequiresGrad()) return;
+        const int64_t n = self.NumElements();
+        const float* pa = a.Data();
+        const float* dy = self.grad.data();
+        a.impl().AddIntoGrad([&](float* dx, bool add) {
+          for (int64_t i = 0; i < n; ++i)
+            dx[i] = (add ? dx[i] : 0.0f) + dy[i] * bwd(pa[i]);
+        });
+      });
 }
 
 }  // namespace
 
 Tensor Sigmoid(const Tensor& a) {
-  return UnaryFromOutput(
-      a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
-      [](float y) { return y * (1.0f - y); });
+  const int64_t n = a.NumElements();
+  FloatBuffer out(n);
+  const float* pa = a.Data();
+  for (int64_t i = 0; i < n; ++i) out[i] = 1.0f / (1.0f + std::exp(-pa[i]));
+  return FromOutput(a, std::move(out), &simd::KernelTable::sigmoid_backward);
 }
 
 Tensor Tanh(const Tensor& a) {
-  return UnaryFromOutput(a, [](float x) { return std::tanh(x); },
-                         [](float y) { return 1.0f - y * y; });
+  const int64_t n = a.NumElements();
+  FloatBuffer out(n);
+  const float* pa = a.Data();
+  for (int64_t i = 0; i < n; ++i) out[i] = std::tanh(pa[i]);
+  return FromOutput(a, std::move(out), &simd::KernelTable::tanh_backward);
 }
 
 Tensor Relu(const Tensor& a) {
-  return UnaryFromOutput(a, [](float x) { return x > 0.0f ? x : 0.0f; },
-                         [](float y) { return y > 0.0f ? 1.0f : 0.0f; });
+  const int64_t n = a.NumElements();
+  FloatBuffer out(n);
+  simd::Kernels().relu(a.Data(), out.data(), n);
+  return FromOutput(a, std::move(out), &simd::KernelTable::relu_backward);
 }
 
 Tensor Cos(const Tensor& a) {
@@ -181,67 +185,74 @@ Tensor Sin(const Tensor& a) {
                         [](float x) { return std::cos(x); });
 }
 
+namespace {
+
+// Result of an op that multiplies its input by a per-element factor:
+// dx += dy * factor.
+Tensor WithFactorBackward(const Tensor& a, FloatBuffer out,
+                          std::shared_ptr<const FloatBuffer> factor) {
+  return MakeOpResult(
+      a.Shape(), std::move(out), {a}, [a, factor](TensorImpl& self) mutable {
+        if (!a.RequiresGrad()) return;
+        const int64_t n = self.NumElements();
+        a.impl().AddIntoGrad([&](float* dx, bool add) {
+          simd::Kernels().mul_add(self.grad.data(), factor->data(), dx, n,
+                                  add);
+        });
+      });
+}
+
+}  // namespace
+
 Tensor RRelu(const Tensor& a, float lo, float hi, bool training,
              util::Rng* rng) {
   RETIA_CHECK_LE(lo, hi);
   const int64_t n = a.NumElements();
   const float* pa = a.Data();
-  std::vector<float> out(n);
-  // Per-element slope for negative inputs (1.0 for non-negative inputs),
-  // captured by the backward lambda.
-  auto slopes = std::make_shared<std::vector<float>>(n, 1.0f);
+  FloatBuffer out(n);
   const float eval_slope = 0.5f * (lo + hi);
-  for (int64_t i = 0; i < n; ++i) {
-    if (pa[i] >= 0.0f) {
-      out[i] = pa[i];
-    } else {
-      float s = eval_slope;
-      if (training) {
-        RETIA_CHECK_MSG(rng != nullptr, "RRelu training mode needs an Rng");
-        s = rng->Uniform(lo, hi);
-      }
-      (*slopes)[i] = s;
-      out[i] = pa[i] * s;
+  if (!training) {
+    simd::Kernels().rrelu_eval(pa, eval_slope, out.data(), n);
+    if (!GradModeEnabled() || !a.RequiresGrad()) {
+      return MakeOpResult(a.Shape(), std::move(out), {}, nullptr);
     }
   }
-  return MakeOpResult(a.Shape(), std::move(out), {a},
-                      [a, slopes](TensorImpl& self) mutable {
-                        if (!a.RequiresGrad()) return;
-                        const int64_t n = self.NumElements();
-                        std::vector<float> g(n);
-                        for (int64_t i = 0; i < n; ++i)
-                          g[i] = self.grad[i] * (*slopes)[i];
-                        a.impl().AccumulateGrad(g.data(), n);
-                      });
+  // The backward's per-element slope: 1 for non-negative inputs, else the
+  // drawn slope in training and the mean one in eval mode.
+  auto slopes = std::make_shared<FloatBuffer>(n);
+  for (int64_t i = 0; i < n; ++i) {
+    if (pa[i] >= 0.0f) {
+      (*slopes)[i] = 1.0f;
+      if (training) out[i] = pa[i];
+    } else if (training) {
+      RETIA_CHECK_MSG(rng != nullptr, "RRelu training mode needs an Rng");
+      const float s = rng->Uniform(lo, hi);
+      (*slopes)[i] = s;
+      out[i] = pa[i] * s;
+    } else {
+      (*slopes)[i] = eval_slope;
+    }
+  }
+  return WithFactorBackward(a, std::move(out), std::move(slopes));
 }
 
 Tensor Dropout(const Tensor& a, float p, bool training, util::Rng* rng) {
-  if (!training || p <= 0.0f) {
-    // Identity with gradient pass-through.
-    return Scale(a, 1.0f);
-  }
+  // The identity: a gradient flowing back through a pass-through node
+  // would reach `a` bit-unchanged (it starts at +0 and only adds), so the
+  // node is left out. This relies on the output being a's only use.
+  if (!training || p <= 0.0f) return a;
   RETIA_CHECK_MSG(rng != nullptr, "Dropout training mode needs an Rng");
   RETIA_CHECK_LT(p, 1.0f);
   const int64_t n = a.NumElements();
   const float keep = 1.0f - p;
   const float inv_keep = 1.0f / keep;
-  const float* pa = a.Data();
-  std::vector<float> out(n);
-  auto mask = std::make_shared<std::vector<float>>(n);
+  auto mask = std::make_shared<FloatBuffer>(n);
   for (int64_t i = 0; i < n; ++i) {
-    const float m = rng->Bernoulli(keep) ? inv_keep : 0.0f;
-    (*mask)[i] = m;
-    out[i] = pa[i] * m;
+    (*mask)[i] = rng->Bernoulli(keep) ? inv_keep : 0.0f;
   }
-  return MakeOpResult(a.Shape(), std::move(out), {a},
-                      [a, mask](TensorImpl& self) mutable {
-                        if (!a.RequiresGrad()) return;
-                        const int64_t n = self.NumElements();
-                        std::vector<float> g(n);
-                        for (int64_t i = 0; i < n; ++i)
-                          g[i] = self.grad[i] * (*mask)[i];
-                        a.impl().AccumulateGrad(g.data(), n);
-                      });
+  FloatBuffer out(n);
+  simd::Kernels().mul(a.Data(), mask->data(), out.data(), n);
+  return WithFactorBackward(a, std::move(out), std::move(mask));
 }
 
 Tensor Sum(const Tensor& a) {
@@ -252,8 +263,14 @@ Tensor Sum(const Tensor& a) {
   return MakeOpResult({1}, {static_cast<float>(acc)}, {a},
                       [a, n](TensorImpl& self) mutable {
                         if (!a.RequiresGrad()) return;
-                        std::vector<float> g(n, self.grad[0]);
-                        a.impl().AccumulateGrad(g.data(), n);
+                        const float g = self.grad[0];
+                        a.impl().AddIntoGrad([&](float* dx, bool add) {
+                          if (add) {
+                            simd::Kernels().add_scalar(dx, g, dx, n);
+                          } else {
+                            std::fill_n(dx, n, 0.0f + g);
+                          }
+                        });
                       });
 }
 

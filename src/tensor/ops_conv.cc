@@ -38,7 +38,7 @@ Tensor Conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
     RETIA_CHECK_EQ(bias.Dim(0), cout);
   }
 
-  std::vector<float> out(batch * cout * lout, 0.0f);
+  FloatBuffer out(batch * cout * lout);
   const simd::KernelTable& kernels = simd::Kernels();
   const float* pbias = bias.defined() ? bias.Data() : nullptr;
   par::ParallelFor(
@@ -55,28 +55,28 @@ Tensor Conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
         const simd::KernelTable& kernels = simd::Kernels();
         const float* g = self.grad.data();
         if (input.RequiresGrad()) {
-          std::vector<float> gx(batch * cin * length, 0.0f);
-          par::ParallelFor(
-              batch, par::GrainRows(cout * cin * lout * ksize),
-              [&](int64_t b0, int64_t b1) {
-                kernels.conv1d_input_grad(g, weight.Data(), gx.data(), b0, b1,
-                                          cin, length, cout, ksize, pad);
-              });
-          input.impl().AccumulateGrad(gx.data(), batch * cin * length);
+          input.impl().AccumulateGradFrom([&](float* gx) {
+            par::ParallelFor(
+                batch, par::GrainRows(cout * cin * lout * ksize),
+                [&](int64_t b0, int64_t b1) {
+                  kernels.conv1d_input_grad(g, weight.Data(), gx, b0, b1, cin,
+                                            length, cout, ksize, pad);
+                });
+          });
         }
         if (weight.RequiresGrad()) {
-          std::vector<float> gw(cout * cin * ksize, 0.0f);
-          par::ParallelFor(
-              cin, par::GrainRows(batch * cout * lout * ksize),
-              [&](int64_t ci0, int64_t ci1) {
-                kernels.conv1d_weight_grad(g, input.Data(), gw.data(), ci0,
-                                           ci1, batch, cin, length, cout,
-                                           ksize, pad);
-              });
-          weight.impl().AccumulateGrad(gw.data(), cout * cin * ksize);
+          weight.impl().AccumulateGradFrom([&](float* gw) {
+            par::ParallelFor(
+                cin, par::GrainRows(batch * cout * lout * ksize),
+                [&](int64_t ci0, int64_t ci1) {
+                  kernels.conv1d_weight_grad(g, input.Data(), gw, ci0, ci1,
+                                             batch, cin, length, cout, ksize,
+                                             pad);
+                });
+          });
         }
         if (bias.defined() && bias.RequiresGrad()) {
-          std::vector<float> gb(cout, 0.0f);
+          FloatBuffer gb(cout, 0.0f);
           par::ParallelFor(
               cout, par::GrainRows(batch * lout),
               [&](int64_t co0, int64_t co1) {
@@ -112,7 +112,7 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
     RETIA_CHECK_EQ(bias.Dim(0), cout);
   }
 
-  std::vector<float> out(batch * cout * ho * wo, 0.0f);
+  FloatBuffer out(batch * cout * ho * wo, 0.0f);
   const float* px = input.Data();
   const float* pw = weight.Data();
   par::ParallelFor(
@@ -154,7 +154,7 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
         const float* px = input.Data();
         const float* pw = weight.Data();
         if (input.RequiresGrad()) {
-          std::vector<float> gx(batch * cin * h * w, 0.0f);
+          FloatBuffer gx(batch * cin * h * w, 0.0f);
           par::ParallelFor(
               batch, par::GrainRows(cout * cin * ho * wo * kh * kw),
               [&](int64_t b0, int64_t b1) {
@@ -184,7 +184,7 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
           input.impl().AccumulateGrad(gx.data(), batch * cin * h * w);
         }
         if (weight.RequiresGrad()) {
-          std::vector<float> gw(cout * cin * kh * kw, 0.0f);
+          FloatBuffer gw(cout * cin * kh * kw, 0.0f);
           par::ParallelFor(
               cout * cin, par::GrainRows(batch * ho * wo * kh * kw),
               [&](int64_t plane0, int64_t plane1) {
@@ -214,7 +214,7 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
           weight.impl().AccumulateGrad(gw.data(), cout * cin * kh * kw);
         }
         if (bias.defined() && bias.RequiresGrad()) {
-          std::vector<float> gb(cout, 0.0f);
+          FloatBuffer gb(cout, 0.0f);
           par::ParallelFor(
               cout, par::GrainRows(batch * ho * wo),
               [&](int64_t co0, int64_t co1) {

@@ -13,18 +13,19 @@ namespace {
 
 // GatherRows' backward: scatter-add of `k` source rows into `rows`
 // destination rows ("owner computes"). Each fixed shard owns a contiguous
-// destination-row range and scans the whole index list, accumulating only
-// the rows it owns. Writes are disjoint across shards and every
-// destination row receives its contributions in index order — exactly the
-// serial accumulation, so the result is bit-identical for every thread
-// count. Duplicate indices (one table row looked up several times) are
-// therefore race-free by construction.
+// destination-row range, zeroes it, and scans the whole index list,
+// accumulating only the rows it owns. Writes are disjoint across shards
+// and every destination row receives its contributions in index order —
+// exactly the serial accumulation, so the result is bit-identical for
+// every thread count. Duplicate indices (one table row looked up several
+// times) are therefore race-free by construction.
 void ScatterAddRowsKernel(const float* src, const int64_t* idx, int64_t k,
                           int64_t n, int64_t rows, float* out) {
   const int64_t shards =
       std::min(par::NumShards(k * n, par::kTargetShardWork), rows);
   par::ParallelShards(shards, [&](int64_t shard) {
     const par::Range owned = par::ShardRange(rows, shards, shard);
+    std::fill(out + owned.begin * n, out + owned.end * n, 0.0f);
     for (int64_t e = 0; e < k; ++e) {
       const int64_t d = idx[e];
       if (d < owned.begin || d >= owned.end) continue;
@@ -34,10 +35,11 @@ void ScatterAddRowsKernel(const float* src, const int64_t* idx, int64_t k,
 }
 
 // out[g] = sum over j in [begin[g], begin[g + 1]) of weight[j] * in[at[j]]
-// for every group g in [0, groups), each n wide and summed in entry order.
-// Fixed shards own contiguous group ranges, so writes are disjoint and every
-// group's sum is the serial one at any thread count. AggregateRows runs it
-// by slot forward and by source row backward.
+// for every group g in [0, groups), each n wide and summed in entry order
+// from zero (an empty group is zero). Fixed shards own contiguous group
+// ranges, so writes are disjoint and every group's sum is the serial one at
+// any thread count. AggregateRows runs it by slot forward and by source row
+// backward.
 void SegmentedAxpyKernel(const int64_t* begin, const int64_t* at,
                          const float* weight, const float* in, int64_t groups,
                          int64_t n, float* out) {
@@ -46,9 +48,18 @@ void SegmentedAxpyKernel(const int64_t* begin, const int64_t* at,
       par::NumShards(begin[groups] * n, par::kTargetShardWork), groups);
   par::ParallelShards(shards, [&](int64_t shard) {
     const par::Range owned = par::ShardRange(groups, shards, shard);
+    const simd::KernelTable& t = simd::Kernels();
     for (int64_t g = owned.begin; g < owned.end; ++g) {
-      for (int64_t j = begin[g]; j < begin[g + 1]; ++j) {
-        simd::Kernels().axpy(weight[j], in + at[j] * n, out + g * n, n);
+      float* row = out + g * n;
+      const int64_t j0 = begin[g];
+      if (j0 == begin[g + 1]) {
+        std::fill_n(row, n, 0.0f);
+        continue;
+      }
+      // 0 + weight * in, exactly an axpy into a zeroed row.
+      t.scale_add(in + at[j0] * n, weight[j0], row, n, /*add=*/false);
+      for (int64_t j = j0 + 1; j < begin[g + 1]; ++j) {
+        t.axpy(weight[j], in + at[j] * n, row, n);
       }
     }
   });
@@ -77,7 +88,7 @@ Tensor GatherRows(const Tensor& a, const std::vector<int64_t>& idx) {
   const int64_t n = a.Dim(1);
   const int64_t rows = a.Dim(0);
   const int64_t k = static_cast<int64_t>(idx.size());
-  std::vector<float> out(k * n);
+  FloatBuffer out(k * n);
   const float* pa = a.Data();
   for (int64_t e = 0; e < k; ++e) {
     RETIA_CHECK_LT(idx[e], rows);
@@ -94,11 +105,11 @@ Tensor GatherRows(const Tensor& a, const std::vector<int64_t>& idx) {
                         if (!a.RequiresGrad()) return;
                         // Adjoint of a gather is a (duplicate-index)
                         // scatter-add of the output grads.
-                        std::vector<float> ga(rows * n, 0.0f);
-                        ScatterAddRowsKernel(self.grad.data(),
-                                             idx_copy->data(), k, n, rows,
-                                             ga.data());
-                        a.impl().AccumulateGrad(ga.data(), rows * n);
+                        a.impl().AccumulateGradFrom([&](float* ga) {
+                          ScatterAddRowsKernel(self.grad.data(),
+                                               idx_copy->data(), k, n, rows,
+                                               ga);
+                        });
                       });
 }
 
@@ -148,7 +159,7 @@ Tensor AggregateRows(const Tensor& table,
   RETIA_CHECK_EQ(table.Dim(0), plan->table_rows);
   const int64_t n = table.Dim(1);
   const int64_t num_slots = plan->rows * plan->blocks;
-  std::vector<float> out(num_slots * n, 0.0f);
+  FloatBuffer out(num_slots * n);
   SegmentedAxpyKernel(plan->slot_begin.data(), plan->slot_src.data(),
                       plan->slot_weight.data(), table.Data(), num_slots, n,
                       out.data());
@@ -158,11 +169,11 @@ Tensor AggregateRows(const Tensor& table,
         if (!table.RequiresGrad()) return;
         // Adjoint: table row i gathers weight * grad from the slots its
         // entries feed, in entry order.
-        std::vector<float> g(plan->table_rows * n, 0.0f);
-        SegmentedAxpyKernel(plan->src_begin.data(), plan->src_slot.data(),
-                            plan->src_weight.data(), self.grad.data(),
-                            plan->table_rows, n, g.data());
-        table.impl().AccumulateGrad(g.data(), plan->table_rows * n);
+        table.impl().AccumulateGradFrom([&](float* g) {
+          SegmentedAxpyKernel(plan->src_begin.data(), plan->src_slot.data(),
+                              plan->src_weight.data(), self.grad.data(),
+                              plan->table_rows, n, g);
+        });
       });
 }
 
@@ -173,7 +184,7 @@ Tensor MulColBroadcast(const Tensor& a, const Tensor& s) {
   RETIA_CHECK_EQ(a.Dim(0), s.Dim(0));
   const int64_t m = a.Dim(0);
   const int64_t n = a.Dim(1);
-  std::vector<float> out(m * n);
+  FloatBuffer out(m * n);
   const float* pa = a.Data();
   const float* ps = s.Data();
   for (int64_t i = 0; i < m; ++i)
@@ -182,15 +193,15 @@ Tensor MulColBroadcast(const Tensor& a, const Tensor& s) {
       a.Shape(), std::move(out), {a, s},
       [a, s, m, n](TensorImpl& self) mutable {
         if (a.RequiresGrad()) {
-          std::vector<float> ga(m * n);
           const float* ps = s.Data();
-          for (int64_t i = 0; i < m; ++i)
-            simd::Kernels().scale(self.grad.data() + i * n, ps[i],
-                                  ga.data() + i * n, n);
-          a.impl().AccumulateGrad(ga.data(), m * n);
+          a.impl().AddIntoGrad([&](float* ga, bool add) {
+            for (int64_t i = 0; i < m; ++i)
+              simd::Kernels().scale_add(self.grad.data() + i * n, ps[i],
+                                        ga + i * n, n, add);
+          });
         }
         if (s.RequiresGrad()) {
-          std::vector<float> gs(m, 0.0f);
+          FloatBuffer gs(m, 0.0f);
           const float* pa = a.Data();
           for (int64_t i = 0; i < m; ++i)
             for (int64_t j = 0; j < n; ++j)
@@ -205,16 +216,18 @@ Tensor SliceRows(const Tensor& a, int64_t start, int64_t len) {
   RETIA_CHECK_LE(start + len, a.Dim(0));
   RETIA_CHECK_LE(0, start);
   const int64_t n = a.Dim(1);
-  std::vector<float> out(len * n);
+  FloatBuffer out(len * n);
   std::memcpy(out.data(), a.Data() + start * n, len * n * sizeof(float));
   return MakeOpResult({len, n}, std::move(out), {a},
                       [a, start, len, n](TensorImpl& self) mutable {
                         if (!a.RequiresGrad()) return;
-                        const int64_t rows = a.Dim(0);
-                        std::vector<float> ga(rows * n, 0.0f);
-                        std::memcpy(ga.data() + start * n, self.grad.data(),
-                                    len * n * sizeof(float));
-                        a.impl().AccumulateGrad(ga.data(), rows * n);
+                        // Only the window is added: a +0 term would change
+                        // no bit of a gradient (tensor.h).
+                        TensorImpl& parent = a.impl();
+                        parent.EnsureGrad();
+                        simd::Kernels().accumulate(
+                            self.grad.data(), parent.grad.data() + start * n,
+                            len * n);
                       });
 }
 
@@ -233,7 +246,7 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
     offset.push_back(width);
     width += part.Dim(1);
   }
-  std::vector<float> out(m * width);
+  FloatBuffer out(m * width);
   for (size_t p = 0; p < parts.size(); ++p) {
     const int64_t q = parts[p].Dim(1);
     const float* src = parts[p].Data();
@@ -244,15 +257,20 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
   return MakeOpResult(
       {m, width}, std::move(out), parts,
       [parts, offset, m, width](TensorImpl& self) mutable {
+        const simd::KernelTable& t = simd::Kernels();
         for (size_t p = 0; p < parts.size(); ++p) {
           if (!parts[p].RequiresGrad()) continue;
           const int64_t q = parts[p].Dim(1);
-          std::vector<float> g(m * q);
-          for (int64_t i = 0; i < m; ++i)
-            std::memcpy(g.data() + i * q,
-                        self.grad.data() + i * width + offset[p],
-                        q * sizeof(float));
-          parts[p].impl().AccumulateGrad(g.data(), m * q);
+          parts[p].impl().AddIntoGrad([&](float* dx, bool add) {
+            for (int64_t i = 0; i < m; ++i) {
+              const float* g = self.grad.data() + i * width + offset[p];
+              if (add) {
+                t.accumulate(g, dx + i * q, q);
+              } else {
+                t.add_scalar(g, 0.0f, dx + i * q, q);
+              }
+            }
+          });
         }
       });
 }
@@ -264,7 +282,7 @@ Tensor ConcatRows(const Tensor& a, const Tensor& b) {
   const int64_t p = a.Dim(0);
   const int64_t q = b.Dim(0);
   const int64_t n = a.Dim(1);
-  std::vector<float> out((p + q) * n);
+  FloatBuffer out((p + q) * n);
   std::memcpy(out.data(), a.Data(), p * n * sizeof(float));
   std::memcpy(out.data() + p * n, b.Data(), q * n * sizeof(float));
   return MakeOpResult(
@@ -282,20 +300,22 @@ Tensor SliceCols(const Tensor& a, int64_t start, int64_t len) {
   RETIA_CHECK_LE(0, start);
   const int64_t m = a.Dim(0);
   const int64_t n = a.Dim(1);
-  std::vector<float> out(m * len);
+  FloatBuffer out(m * len);
   const float* pa = a.Data();
   for (int64_t i = 0; i < m; ++i)
     std::memcpy(out.data() + i * len, pa + i * n + start, len * sizeof(float));
   return MakeOpResult({m, len}, std::move(out), {a},
                       [a, start, len, m, n](TensorImpl& self) mutable {
                         if (!a.RequiresGrad()) return;
-                        std::vector<float> ga(m * n, 0.0f);
+                        // Only the window is added: a +0 term would change
+                        // no bit of a gradient (tensor.h).
+                        TensorImpl& parent = a.impl();
+                        parent.EnsureGrad();
                         for (int64_t i = 0; i < m; ++i) {
-                          const float* g = self.grad.data() + i * len;
-                          float* dst = ga.data() + i * n + start;
-                          for (int64_t j = 0; j < len; ++j) dst[j] += g[j];
+                          simd::Kernels().accumulate(
+                              self.grad.data() + i * len,
+                              parent.grad.data() + i * n + start, len);
                         }
-                        a.impl().AccumulateGrad(ga.data(), m * n);
                       });
 }
 
@@ -303,7 +323,8 @@ Tensor Reshape(const Tensor& a, std::vector<int64_t> shape) {
   int64_t n = 1;
   for (int64_t d : shape) n *= d;
   RETIA_CHECK_EQ(n, a.NumElements());
-  std::vector<float> out(a.Data(), a.Data() + n);
+  FloatBuffer out(n);
+  std::memcpy(out.data(), a.Data(), n * sizeof(float));
   return MakeOpResult(std::move(shape), std::move(out), {a},
                       [a](TensorImpl& self) mutable {
                         if (!a.RequiresGrad()) return;

@@ -10,10 +10,10 @@ namespace retia::tensor {
 // contiguous range of OUTPUT rows and every output element accumulates its
 // contributions in a fixed index order, so results are bit-identical for
 // every thread count (see simd/simd.h for the backend determinism
-// contract). The kernels fully overwrite their row range — the
-// std::vector zero fill below is the allocator's only touch of the buffer
-// — except the one-hot-like fast path inside GemmNN, which accumulates
-// into it.
+// contract). The drivers write every element of `out` (GemmNN's
+// one-hot-like path zeroes its rows before it accumulates), so outputs and
+// gradient contributions are unset FloatBuffers, and a first gradient
+// contribution is written straight into the parent's gradient.
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   RETIA_OBS_TIMED_SCOPE("tensor.gemm.us");
@@ -23,21 +23,21 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const int64_t m = a.Dim(0);
   const int64_t k = a.Dim(1);
   const int64_t n = b.Dim(1);
-  std::vector<float> out(m * n);
+  FloatBuffer out(m * n);
   simd::GemmNN(a.Data(), b.Data(), out.data(), m, k, n);
   return MakeOpResult(
       {m, n}, std::move(out), {a, b}, [a, b, m, k, n](TensorImpl& self) mutable {
         // dA = dC * B^T ; dB = A^T * dC.
         RETIA_OBS_TIMED_SCOPE("tensor.gemm_bwd.us");
         if (a.RequiresGrad()) {
-          std::vector<float> ga(m * k);
-          simd::GemmNT(self.grad.data(), b.Data(), ga.data(), m, n, k);
-          a.impl().AccumulateGrad(ga.data(), m * k);
+          a.impl().AccumulateGradFrom([&](float* ga) {
+            simd::GemmNT(self.grad.data(), b.Data(), ga, m, n, k);
+          });
         }
         if (b.RequiresGrad()) {
-          std::vector<float> gb(k * n);
-          simd::GemmTN(a.Data(), self.grad.data(), gb.data(), m, k, n);
-          b.impl().AccumulateGrad(gb.data(), k * n);
+          b.impl().AccumulateGradFrom([&](float* gb) {
+            simd::GemmTN(a.Data(), self.grad.data(), gb, m, k, n);
+          });
         }
       });
 }
@@ -50,22 +50,22 @@ Tensor MatMulTransposeB(const Tensor& a, const Tensor& b) {
   const int64_t m = a.Dim(0);
   const int64_t k = a.Dim(1);
   const int64_t n = b.Dim(0);
-  std::vector<float> out(m * n);
+  FloatBuffer out(m * n);
   simd::GemmNT(a.Data(), b.Data(), out.data(), m, k, n);
   return MakeOpResult(
       {m, n}, std::move(out), {a, b}, [a, b, m, k, n](TensorImpl& self) mutable {
         // C = A B^T: dA = dC * B ; dB = dC^T * A.
         RETIA_OBS_TIMED_SCOPE("tensor.gemm_bwd.us");
         if (a.RequiresGrad()) {
-          std::vector<float> ga(m * k);
-          simd::GemmNN(self.grad.data(), b.Data(), ga.data(), m, n, k);
-          a.impl().AccumulateGrad(ga.data(), m * k);
+          a.impl().AccumulateGradFrom([&](float* ga) {
+            simd::GemmNN(self.grad.data(), b.Data(), ga, m, n, k);
+          });
         }
         if (b.RequiresGrad()) {
           // dB[j,p] = sum_i dC[i,j] A[i,p] == dC^T * A.
-          std::vector<float> gb(n * k);
-          simd::GemmTN(self.grad.data(), a.Data(), gb.data(), m, n, k);
-          b.impl().AccumulateGrad(gb.data(), n * k);
+          b.impl().AccumulateGradFrom([&](float* gb) {
+            simd::GemmTN(self.grad.data(), a.Data(), gb, m, n, k);
+          });
         }
       });
 }

@@ -17,10 +17,10 @@ Tensor LayerNormRows(const Tensor& a, const Tensor& gamma, const Tensor& beta,
   const float* pa = a.Data();
   const float* pg = gamma.Data();
   const float* pb = beta.Data();
-  std::vector<float> out(m * n);
+  FloatBuffer out(m * n);
   // Cache the normalised activations and inverse stddevs for backward.
-  auto xhat = std::make_shared<std::vector<float>>(m * n);
-  auto inv_std = std::make_shared<std::vector<float>>(m);
+  auto xhat = std::make_shared<FloatBuffer>(m * n);
+  auto inv_std = std::make_shared<FloatBuffer>(m);
   for (int64_t i = 0; i < m; ++i) {
     double mean = 0.0;
     for (int64_t j = 0; j < n; ++j) mean += pa[i * n + j];
@@ -45,14 +45,14 @@ Tensor LayerNormRows(const Tensor& a, const Tensor& gamma, const Tensor& beta,
         const float* g = self.grad.data();
         const float* pg = gamma.Data();
         if (gamma.RequiresGrad()) {
-          std::vector<float> gg(n, 0.0f);
+          FloatBuffer gg(n, 0.0f);
           for (int64_t i = 0; i < m; ++i)
             for (int64_t j = 0; j < n; ++j)
               gg[j] += g[i * n + j] * (*xhat)[i * n + j];
           gamma.impl().AccumulateGrad(gg.data(), n);
         }
         if (beta.RequiresGrad()) {
-          std::vector<float> gb(n, 0.0f);
+          FloatBuffer gb(n, 0.0f);
           for (int64_t i = 0; i < m; ++i)
             for (int64_t j = 0; j < n; ++j) gb[j] += g[i * n + j];
           beta.impl().AccumulateGrad(gb.data(), n);
@@ -60,7 +60,7 @@ Tensor LayerNormRows(const Tensor& a, const Tensor& gamma, const Tensor& beta,
         if (a.RequiresGrad()) {
           // dx = (1/N) * inv_std * (N*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat))
           // with dxhat = dy * gamma, per row.
-          std::vector<float> ga(m * n);
+          FloatBuffer ga(m * n);
           for (int64_t i = 0; i < m; ++i) {
             double sum_dxhat = 0.0;
             double sum_dxhat_xhat = 0.0;

@@ -11,7 +11,7 @@ Tensor PairwiseNegL1(const Tensor& a, const Tensor& b) {
   const int64_t m = a.Dim(0);
   const int64_t n = b.Dim(0);
   const int64_t d = a.Dim(1);
-  std::vector<float> out(m * n, 0.0f);
+  FloatBuffer out(m * n);
   const float* pa = a.Data();
   const float* pb = b.Data();
   for (int64_t i = 0; i < m; ++i) {
@@ -28,7 +28,7 @@ Tensor PairwiseNegL1(const Tensor& a, const Tensor& b) {
         const float* pa = a.Data();
         const float* pb = b.Data();
         const float* g = self.grad.data();
-        std::vector<float> ga, gb;
+        FloatBuffer ga, gb;
         if (a.RequiresGrad()) ga.assign(m * d, 0.0f);
         if (b.RequiresGrad()) gb.assign(n * d, 0.0f);
         for (int64_t i = 0; i < m; ++i) {
@@ -62,7 +62,7 @@ Tensor PairwiseComplexNegDist(const Tensor& qre, const Tensor& qim,
   const int64_t n = ore.Dim(0);
   const int64_t d = qre.Dim(1);
   constexpr float kEps = 1e-9f;
-  std::vector<float> out(m * n);
+  FloatBuffer out(m * n);
   const float* pqr = qre.Data();
   const float* pqi = qim.Data();
   const float* por = ore.Data();
@@ -86,7 +86,7 @@ Tensor PairwiseComplexNegDist(const Tensor& qre, const Tensor& qim,
         const float* poi = oim.Data();
         const float* g = self.grad.data();
         constexpr float kEps = 1e-9f;
-        std::vector<float> gqr, gqi, gor, goi;
+        FloatBuffer gqr, gqi, gor, goi;
         if (qre.RequiresGrad()) gqr.assign(m * d, 0.0f);
         if (qim.RequiresGrad()) gqi.assign(m * d, 0.0f);
         if (ore.RequiresGrad()) gor.assign(n * d, 0.0f);
@@ -128,9 +128,9 @@ Tensor CosineHingeLoss(const Tensor& a, const Tensor& b, float min_cos) {
   const float* pa = a.Data();
   const float* pb = b.Data();
   // Cache per-row cosine terms for the backward pass.
-  auto dots = std::make_shared<std::vector<float>>(m);
-  auto na = std::make_shared<std::vector<float>>(m);
-  auto nb = std::make_shared<std::vector<float>>(m);
+  auto dots = std::make_shared<FloatBuffer>(m);
+  auto na = std::make_shared<FloatBuffer>(m);
+  auto nb = std::make_shared<FloatBuffer>(m);
   double loss = 0.0;
   for (int64_t i = 0; i < m; ++i) {
     double dot = 0.0, aa = 0.0, bb = 0.0;
@@ -152,7 +152,7 @@ Tensor CosineHingeLoss(const Tensor& a, const Tensor& b, float min_cos) {
         const float scale = self.grad[0] / static_cast<float>(m);
         const float* pa = a.Data();
         const float* pb = b.Data();
-        std::vector<float> ga, gb;
+        FloatBuffer ga, gb;
         if (a.RequiresGrad()) ga.assign(m * d, 0.0f);
         if (b.RequiresGrad()) gb.assign(m * d, 0.0f);
         for (int64_t i = 0; i < m; ++i) {

@@ -22,7 +22,7 @@ Tensor Softmax(const Tensor& a) {
   RETIA_CHECK_EQ(a.Rank(), 2);
   const int64_t m = a.Dim(0);
   const int64_t n = a.Dim(1);
-  std::vector<float> out(m * n);
+  FloatBuffer out(m * n);
   const float* pa = a.Data();
   par::ParallelFor(m, par::GrainRows(n), [&](int64_t row0, int64_t row1) {
     const simd::KernelTable& t = simd::Kernels();
@@ -40,18 +40,19 @@ Tensor Softmax(const Tensor& a) {
       a.Shape(), std::move(out), {a}, [a, m, n](TensorImpl& self) mutable {
         if (!a.RequiresGrad()) return;
         // dx = y * (dy - sum_j dy_j y_j) per row.
-        std::vector<float> g(m * n);
-        par::ParallelFor(m, par::GrainRows(n), [&](int64_t row0, int64_t row1) {
-          const simd::KernelTable& t = simd::Kernels();
-          for (int64_t i = row0; i < row1; ++i) {
-            const float* y = self.data.data() + i * n;
-            const float* dy = self.grad.data() + i * n;
-            const double dot = t.dot_f64(dy, y, n);
-            for (int64_t j = 0; j < n; ++j)
-              g[i * n + j] = y[j] * (dy[j] - static_cast<float>(dot));
-          }
+        a.impl().AccumulateGradFrom([&](float* g) {
+          par::ParallelFor(
+              m, par::GrainRows(n), [&](int64_t row0, int64_t row1) {
+                const simd::KernelTable& t = simd::Kernels();
+                for (int64_t i = row0; i < row1; ++i) {
+                  const float* y = self.data.data() + i * n;
+                  const float* dy = self.grad.data() + i * n;
+                  const double dot = t.dot_f64(dy, y, n);
+                  for (int64_t j = 0; j < n; ++j)
+                    g[i * n + j] = y[j] * (dy[j] - static_cast<float>(dot));
+                }
+              });
         });
-        a.impl().AccumulateGrad(g.data(), m * n);
       });
 }
 
@@ -60,7 +61,7 @@ Tensor LogSoftmax(const Tensor& a) {
   RETIA_CHECK_EQ(a.Rank(), 2);
   const int64_t m = a.Dim(0);
   const int64_t n = a.Dim(1);
-  std::vector<float> out(m * n);
+  FloatBuffer out(m * n);
   const float* pa = a.Data();
   par::ParallelFor(m, par::GrainRows(n), [&](int64_t row0, int64_t row1) {
     const simd::KernelTable& t = simd::Kernels();
@@ -77,19 +78,20 @@ Tensor LogSoftmax(const Tensor& a) {
       a.Shape(), std::move(out), {a}, [a, m, n](TensorImpl& self) mutable {
         if (!a.RequiresGrad()) return;
         // dx = dy - softmax(x) * sum_j dy_j per row; softmax = exp(out).
-        std::vector<float> g(m * n);
-        par::ParallelFor(m, par::GrainRows(n), [&](int64_t row0, int64_t row1) {
-          for (int64_t i = row0; i < row1; ++i) {
-            const float* y = self.data.data() + i * n;
-            const float* dy = self.grad.data() + i * n;
-            double total = 0.0;
-            for (int64_t j = 0; j < n; ++j) total += dy[j];
-            for (int64_t j = 0; j < n; ++j)
-              g[i * n + j] =
-                  dy[j] - std::exp(y[j]) * static_cast<float>(total);
-          }
+        a.impl().AccumulateGradFrom([&](float* g) {
+          par::ParallelFor(
+              m, par::GrainRows(n), [&](int64_t row0, int64_t row1) {
+                for (int64_t i = row0; i < row1; ++i) {
+                  const float* y = self.data.data() + i * n;
+                  const float* dy = self.grad.data() + i * n;
+                  double total = 0.0;
+                  for (int64_t j = 0; j < n; ++j) total += dy[j];
+                  for (int64_t j = 0; j < n; ++j)
+                    g[i * n + j] =
+                        dy[j] - std::exp(y[j]) * static_cast<float>(total);
+                }
+              });
         });
-        a.impl().AccumulateGrad(g.data(), m * n);
       });
 }
 
@@ -111,14 +113,17 @@ Tensor NllFromProbs(const Tensor& p, const std::vector<int64_t>& targets) {
       {1}, {static_cast<float>(loss)}, {p},
       [p, tgt, m, n](TensorImpl& self) mutable {
         if (!p.RequiresGrad()) return;
-        std::vector<float> g(m * n, 0.0f);
         const float* pp = p.Data();
         const float scale = self.grad[0] / static_cast<float>(m);
-        for (int64_t i = 0; i < m; ++i) {
-          const int64_t t = (*tgt)[i];
-          g[i * n + t] = -scale / (pp[i * n + t] + kEps);
-        }
-        p.impl().AccumulateGrad(g.data(), m * n);
+        // Only the target entries are nonzero; adding +0 elsewhere would
+        // change no bit.
+        p.impl().AddIntoGrad([&](float* g, bool add) {
+          if (!add) std::fill_n(g, m * n, 0.0f);
+          for (int64_t i = 0; i < m; ++i) {
+            const int64_t t = (*tgt)[i];
+            g[i * n + t] += -scale / (pp[i * n + t] + kEps);
+          }
+        });
       });
 }
 
@@ -133,7 +138,7 @@ Tensor CrossEntropyLogits(const Tensor& logits,
   // Cache softmax for the backward pass. Per-row losses land in a buffer
   // and are summed serially in row order below, so the total matches the
   // serial accumulation bit-for-bit.
-  auto probs = std::make_shared<std::vector<float>>(m * n);
+  auto probs = std::make_shared<FloatBuffer>(m * n);
   std::vector<double> row_loss(m);
   par::ParallelFor(m, par::GrainRows(n), [&](int64_t row0, int64_t row1) {
     const simd::KernelTable& t = simd::Kernels();
@@ -156,16 +161,17 @@ Tensor CrossEntropyLogits(const Tensor& logits,
       [logits, tgt, probs, m, n](TensorImpl& self) mutable {
         if (!logits.RequiresGrad()) return;
         RETIA_OBS_TIMED_SCOPE("tensor.softmax_ce_bwd.us");
-        std::vector<float> g(m * n);
         const float scale = self.grad[0] / static_cast<float>(m);
-        par::ParallelFor(m, par::GrainRows(n), [&](int64_t row0, int64_t row1) {
-          const simd::KernelTable& t = simd::Kernels();
-          for (int64_t i = row0; i < row1; ++i) {
-            t.scale(probs->data() + i * n, scale, g.data() + i * n, n);
-            g[i * n + (*tgt)[i]] -= scale;
-          }
+        logits.impl().AccumulateGradFrom([&](float* g) {
+          par::ParallelFor(
+              m, par::GrainRows(n), [&](int64_t row0, int64_t row1) {
+                const simd::KernelTable& t = simd::Kernels();
+                for (int64_t i = row0; i < row1; ++i) {
+                  t.scale(probs->data() + i * n, scale, g + i * n, n);
+                  g[i * n + (*tgt)[i]] -= scale;
+                }
+              });
         });
-        logits.impl().AccumulateGrad(g.data(), m * n);
       });
 }
 

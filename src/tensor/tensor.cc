@@ -16,32 +16,41 @@ void TensorImpl::EnsureGrad() {
   if (grad.empty()) grad.assign(data.size(), 0.0f);
 }
 
+void TensorImpl::ZeroPlusGrad() {
+  // 0.0f + g turns -0 into +0 and keeps every other bit, exactly what a
+  // zero-filled buffer with g added into it holds.
+  simd::Kernels().add_scalar(grad.data(), 0.0f, grad.data(),
+                             static_cast<int64_t>(grad.size()));
+}
+
 void TensorImpl::AccumulateGrad(const float* g, int64_t n) {
   RETIA_CHECK_EQ(static_cast<size_t>(n), data.size());
-  EnsureGrad();
-  simd::Kernels().accumulate(g, grad.data(), n);
+  if (grad.empty()) {
+    grad = FloatBuffer(data.size());
+    simd::Kernels().add_scalar(g, 0.0f, grad.data(), n);
+  } else {
+    simd::Kernels().accumulate(g, grad.data(), n);
+  }
 }
 
 Tensor Tensor::Zeros(std::vector<int64_t> shape, bool requires_grad) {
-  auto impl = std::make_shared<TensorImpl>();
-  impl->shape = std::move(shape);
-  impl->data.assign(impl->NumElements(), 0.0f);
-  impl->requires_grad = requires_grad;
-  return Tensor(std::move(impl));
+  return Full(std::move(shape), 0.0f, requires_grad);
 }
 
 Tensor Tensor::Full(std::vector<int64_t> shape, float value,
                     bool requires_grad) {
-  Tensor t = Zeros(std::move(shape), requires_grad);
-  std::fill(t.impl().data.begin(), t.impl().data.end(), value);
-  return t;
-}
-
-Tensor Tensor::FromVector(std::vector<int64_t> shape, std::vector<float> data,
-                          bool requires_grad) {
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = std::move(shape);
-  impl->data = std::move(data);
+  impl->data.assign(impl->NumElements(), value);
+  impl->requires_grad = requires_grad;
+  return Tensor(std::move(impl));
+}
+
+Tensor Tensor::FromVector(std::vector<int64_t> shape,
+                          const std::vector<float>& data, bool requires_grad) {
+  auto impl = std::make_shared<TensorImpl>();
+  impl->shape = std::move(shape);
+  impl->data.assign(data.begin(), data.end());
   impl->requires_grad = requires_grad;
   RETIA_CHECK_EQ(static_cast<int64_t>(impl->data.size()), impl->NumElements());
   return Tensor(std::move(impl));
@@ -83,12 +92,12 @@ float Tensor::Item() const {
   return impl().data[0];
 }
 
-const std::vector<float>& Tensor::Grad() const {
+const FloatBuffer& Tensor::Grad() const {
   RETIA_CHECK_MSG(!impl().grad.empty(), "tensor has no accumulated gradient");
   return impl().grad;
 }
 
-std::vector<float>& Tensor::MutableGrad() {
+FloatBuffer& Tensor::MutableGrad() {
   impl().EnsureGrad();
   return impl().grad;
 }
@@ -99,8 +108,7 @@ void Tensor::ZeroGrad() {
 
 void Tensor::Backward() {
   TensorImpl* root = &impl();
-  root->EnsureGrad();
-  std::fill(root->grad.begin(), root->grad.end(), 1.0f);
+  root->grad.assign(root->data.size(), 1.0f);
 
   // Iterative post-order DFS to get a topological order of the tape.
   std::vector<TensorImpl*> order;
@@ -152,7 +160,7 @@ NoGradGuard::~NoGradGuard() { --g_no_grad_depth; }
 
 bool GradModeEnabled() { return g_no_grad_depth == 0; }
 
-Tensor MakeOpResult(std::vector<int64_t> shape, std::vector<float> data,
+Tensor MakeOpResult(std::vector<int64_t> shape, FloatBuffer data,
                     std::vector<Tensor> parents,
                     std::function<void(TensorImpl&)> backward_fn) {
   auto impl = std::make_shared<TensorImpl>();

@@ -1,10 +1,13 @@
 #ifndef RETIA_TENSOR_TENSOR_H_
 #define RETIA_TENSOR_TENSOR_H_
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/check.h"
@@ -13,6 +16,39 @@ namespace retia::tensor {
 
 class Tensor;
 
+// Allocator whose value-less construct default-initializes, so a vector of
+// floats sized with it is left unset instead of zero-filled (copies and
+// fills construct through std::construct_at as usual). Under
+// AddressSanitizer every such float is set to a quiet NaN (0x7fc0dead),
+// so a kernel that reads an element before writing it poisons its result
+// and the test that runs it fails.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+#if defined(__SANITIZE_ADDRESS__)
+    if constexpr (std::is_same_v<U, float>) {
+      *p = std::bit_cast<float>(0x7fc0deadu);
+    }
+#endif
+  }
+};
+
+// Tensor storage. FloatBuffer(n) leaves its n floats unset; every op
+// writes each element of its output (and of its backward scratch) once,
+// and the few kernels that accumulate zero their own output first
+// (DESIGN.md §10).
+using FloatBuffer = std::vector<float, DefaultInitAllocator<float>>;
+
 // Reference-counted tensor storage plus the autograd tape hooks.
 //
 // A Tensor produced by an op records its parents and a backward function;
@@ -20,12 +56,14 @@ class Tensor;
 // backward functions in reverse order, accumulating into each node's `grad`.
 struct TensorImpl {
   std::vector<int64_t> shape;
-  std::vector<float> data;
+  FloatBuffer data;
 
-  // Autograd state. `grad` is lazily allocated to data.size() on first
-  // accumulation. `parents` keeps upstream nodes alive for the backward pass.
+  // Autograd state. `grad` is allocated to data.size() by the first
+  // contribution, which writes it as 0.0f + g: a gradient starts at +0 and
+  // only ever adds, so it never holds -0 and adding a +0 term to it changes
+  // no bit. `parents` keeps upstream nodes alive for the backward pass.
   bool requires_grad = false;
-  std::vector<float> grad;
+  FloatBuffer grad;
   std::vector<Tensor> parents;
   std::function<void(TensorImpl&)> backward_fn;
 
@@ -35,9 +73,42 @@ struct TensorImpl {
     return n;
   }
 
-  // Adds `g` (same length as data) into grad, allocating it if needed.
+  // Adds `g` (same length as data) into grad.
   void AccumulateGrad(const float* g, int64_t n);
+
+  // Adds a contribution that `write(dst)` produces in full (every element
+  // of dst overwritten) into grad. The first contribution is written
+  // straight into grad; later ones go through a scratch buffer.
+  template <typename Write>
+  void AccumulateGradFrom(Write&& write) {
+    if (grad.empty()) {
+      grad = FloatBuffer(data.size());
+      write(grad.data());
+      ZeroPlusGrad();
+    } else {
+      FloatBuffer g(data.size());
+      write(g.data());
+      AccumulateGrad(g.data(), static_cast<int64_t>(g.size()));
+    }
+  }
+
+  // Runs `add_into(dst, add)` on grad. `add` is false for the first
+  // contribution, when dst is unset and the kernel must write 0.0f + term
+  // to every element, and true afterwards, when it adds term.
+  template <typename AddInto>
+  void AddIntoGrad(AddInto&& add_into) {
+    const bool add = !grad.empty();
+    if (!add) grad = FloatBuffer(data.size());
+    add_into(grad.data(), add);
+  }
+
+  // Zero-fills grad if it does not exist yet, for backwards that add into a
+  // window of it only.
   void EnsureGrad();
+
+ private:
+  // grad = 0.0f + grad, in place.
+  void ZeroPlusGrad();
 };
 
 // Value-semantics handle to a shared TensorImpl. Copies are shallow (they
@@ -52,7 +123,8 @@ class Tensor {
   static Tensor Zeros(std::vector<int64_t> shape, bool requires_grad = false);
   static Tensor Full(std::vector<int64_t> shape, float value,
                      bool requires_grad = false);
-  static Tensor FromVector(std::vector<int64_t> shape, std::vector<float> data,
+  static Tensor FromVector(std::vector<int64_t> shape,
+                           const std::vector<float>& data,
                            bool requires_grad = false);
   // 1x1 scalar tensor.
   static Tensor Scalar(float value, bool requires_grad = false);
@@ -78,8 +150,9 @@ class Tensor {
   bool RequiresGrad() const { return impl().requires_grad; }
   void SetRequiresGrad(bool value) { impl().requires_grad = value; }
   // Gradient buffer; CHECK-fails if no gradient has been accumulated yet.
-  const std::vector<float>& Grad() const;
-  std::vector<float>& MutableGrad();
+  const FloatBuffer& Grad() const;
+  // Gradient buffer, zero-filled if no gradient has been accumulated yet.
+  FloatBuffer& MutableGrad();
   bool HasGrad() const { return !impl().grad.empty(); }
   void ZeroGrad();
 
@@ -129,7 +202,7 @@ bool GradModeEnabled();
 
 // Internal helper for op implementations: constructs the result tensor and
 // wires the tape edge when recording is enabled and any parent needs grad.
-Tensor MakeOpResult(std::vector<int64_t> shape, std::vector<float> data,
+Tensor MakeOpResult(std::vector<int64_t> shape, FloatBuffer data,
                     std::vector<Tensor> parents,
                     std::function<void(TensorImpl&)> backward_fn);
 

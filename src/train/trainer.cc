@@ -123,14 +123,17 @@ double Trainer::ValidationEntityMrr() {
 std::vector<std::vector<float>> Trainer::SnapshotParams() const {
   std::vector<std::vector<float>> snapshot;
   snapshot.reserve(params_.size());
-  for (const tensor::Tensor& p : params_) snapshot.push_back(p.impl().data);
+  for (const tensor::Tensor& p : params_) {
+    const tensor::FloatBuffer& data = p.impl().data;
+    snapshot.emplace_back(data.begin(), data.end());
+  }
   return snapshot;
 }
 
 void Trainer::RestoreParams(const std::vector<std::vector<float>>& snapshot) {
   RETIA_CHECK_EQ(snapshot.size(), params_.size());
   for (size_t i = 0; i < params_.size(); ++i) {
-    params_[i].impl().data = snapshot[i];
+    params_[i].impl().data.assign(snapshot[i].begin(), snapshot[i].end());
   }
 }
 

@@ -394,8 +394,8 @@ TEST(QuantizedArtifactTest, RoundTripDequantizesWithinPerOpBounds) {
   ASSERT_EQ(s.size(), d.size());
   for (size_t i = 0; i < s.size(); ++i) {
     const auto& shape = s[i].second.impl().shape;
-    const std::vector<float>& orig = s[i].second.impl().data;
-    const std::vector<float>& back = d[i].second.impl().data;
+    const tensor::FloatBuffer& orig = s[i].second.impl().data;
+    const tensor::FloatBuffer& back = d[i].second.impl().data;
     ASSERT_EQ(orig.size(), back.size()) << s[i].first;
     if (ckpt::QuantizesAsInt8(shape)) {
       // int8 rows: |err| <= scale / 2 = row_amax / 254 per element.
@@ -653,8 +653,8 @@ TEST(TrainerResumeTest, ArchitectureMismatchLeavesTrainerUsable) {
   EXPECT_EQ(other_trainer.next_epoch(), 0);
 }
 
-std::vector<std::vector<float>> ParamValues(const nn::Module& module) {
-  std::vector<std::vector<float>> values;
+std::vector<tensor::FloatBuffer> ParamValues(const nn::Module& module) {
+  std::vector<tensor::FloatBuffer> values;
   for (const auto& [name, t] : module.NamedParameters()) {
     values.push_back(t.impl().data);
   }
@@ -663,11 +663,11 @@ std::vector<std::vector<float>> ParamValues(const nn::Module& module) {
 
 // Names of the parameters whose bytes differ from `before`.
 std::vector<std::string> ChangedParams(
-    const nn::Module& module, const std::vector<std::vector<float>>& before) {
+    const nn::Module& module, const std::vector<tensor::FloatBuffer>& before) {
   std::vector<std::string> changed;
   const auto named = module.NamedParameters();
   for (size_t i = 0; i < named.size(); ++i) {
-    const std::vector<float>& now = named[i].second.impl().data;
+    const tensor::FloatBuffer& now = named[i].second.impl().data;
     if (now.size() != before[i].size() ||
         std::memcmp(now.data(), before[i].data(),
                     now.size() * sizeof(float)) != 0) {
@@ -743,7 +743,7 @@ TEST(TrainerResumeTest, FailedDecodesLeaveParametersAndCursorUntouched) {
   // they were before it.
   const auto expect_untouched = [&target](const char* what, ErrorCode code,
                                           const auto& decode) {
-    const std::vector<std::vector<float>> before = ParamValues(target);
+    const std::vector<tensor::FloatBuffer> before = ParamValues(target);
     EXPECT_EQ(decode().code(), code) << what;
     EXPECT_EQ(ChangedParams(target, before), std::vector<std::string>{})
         << what;

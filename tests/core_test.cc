@@ -312,7 +312,7 @@ TEST_P(RelationRgcnReferenceTest, WithinAnalyticBoundOfPerEdgeForm) {
   // The loss is sum(out * C) with a random C. An output inside its bound
   // may take the other RReLU branch in one of the two forms, so its C is
   // zero: every other element has the same slope in both.
-  std::vector<float> out_ref;
+  tensor::FloatBuffer out_ref;
   {
     tensor::NoGradGuard no_grad;
     out_ref = PerEdgeRelationLayer(w, rels, hypers, hg).impl().data;
@@ -335,7 +335,7 @@ TEST_P(RelationRgcnReferenceTest, WithinAnalyticBoundOfPerEdgeForm) {
     }
     Tensor out = forward();
     tensor::Sum(tensor::Mul(out, upstream)).Backward();
-    std::vector<std::vector<float>> result = {out.impl().data};
+    std::vector<tensor::FloatBuffer> result = {out.impl().data};
     for (const Tensor& t : inputs) result.push_back(t.Grad());
     return result;
   };
@@ -641,7 +641,7 @@ TEST(RetiaModelTest, BackwardOutlivesGraphCache) {
     auto loss = model.ComputeLoss(states, ds.FactsAt(6));
     if (drop_cache) cache.reset();
     loss.joint.Backward();
-    std::vector<std::vector<float>> out;
+    std::vector<tensor::FloatBuffer> out;
     for (const Tensor& p : model.Parameters()) out.push_back(p.impl().grad);
     return out;
   };

@@ -31,7 +31,7 @@ inline void CheckGradients(
 
   for (size_t which = 0; which < inputs.size(); ++which) {
     tensor::Tensor& input = inputs[which];
-    const std::vector<float> analytic = input.Grad();
+    const tensor::FloatBuffer analytic = input.Grad();
     const int64_t n = input.NumElements();
     for (int64_t i = 0; i < n; ++i) {
       const float saved = input.Data()[i];

@@ -534,8 +534,8 @@ TEST(TraceTest, UntracedEvolveRecordsNothing) {
 // tolerance.
 
 struct RunResult {
-  std::vector<std::vector<float>> grads;
-  std::vector<std::vector<float>> params;
+  std::vector<tensor::FloatBuffer> grads;
+  std::vector<tensor::FloatBuffer> params;
   float loss = 0.0f;
 };
 

@@ -257,8 +257,8 @@ tkg::SyntheticConfig SmallIcews14Config() {
 }
 
 struct RunResult {
-  std::vector<std::vector<float>> grads;
-  std::vector<std::vector<float>> params;
+  std::vector<tensor::FloatBuffer> grads;
+  std::vector<tensor::FloatBuffer> params;
   float loss = 0.0f;
 };
 
@@ -295,8 +295,8 @@ RunResult RunTrainStep(const tkg::TkgDataset& ds, int threads) {
   return result;
 }
 
-void ExpectBitIdentical(const std::vector<std::vector<float>>& got,
-                        const std::vector<std::vector<float>>& want,
+void ExpectBitIdentical(const std::vector<tensor::FloatBuffer>& got,
+                        const std::vector<tensor::FloatBuffer>& want,
                         const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
   for (size_t i = 0; i < got.size(); ++i) {
@@ -376,14 +376,14 @@ TEST(ThreadInvarianceTest, TrainingModeEvolveRngOrderInvariant) {
     tensor::NoGradGuard guard;
     auto states =
         model.Evolve(cache, cache.HistoryBefore(8, config.history_len));
-    std::vector<std::vector<float>> out;
+    std::vector<tensor::FloatBuffer> out;
     for (const auto& s : states) {
       out.push_back(s.entities.impl().data);
       out.push_back(s.relations.impl().data);
     }
     return out;
   };
-  const std::vector<std::vector<float>> reference = run(1);
+  const std::vector<tensor::FloatBuffer> reference = run(1);
   for (int pool_threads : {2, 4, 8, DefaultThreads()}) {
     ExpectBitIdentical(run(pool_threads), reference,
                        "training-mode states at pool=" +
@@ -426,7 +426,7 @@ TEST(ThreadInvarianceTest, FrozenDecodeBitIdenticalAcrossPoolWidths) {
     for (const auto& st : states) {
       qcands.push_back(quant::QuantizeTensorRows(st.entities));
     }
-    std::vector<std::vector<float>> out;
+    std::vector<tensor::FloatBuffer> out;
     for (const auto& st : states) {
       out.push_back(st.entities.impl().data);
       out.push_back(st.relations.impl().data);
@@ -440,7 +440,7 @@ TEST(ThreadInvarianceTest, FrozenDecodeBitIdenticalAcrossPoolWidths) {
             .data);
     return out;
   };
-  const std::vector<std::vector<float>> reference = run(1);
+  const std::vector<tensor::FloatBuffer> reference = run(1);
   for (int pool_threads : {2, 4, 8, DefaultThreads()}) {
     ExpectBitIdentical(run(pool_threads), reference,
                        "frozen decode at pool=" + std::to_string(pool_threads));
@@ -456,10 +456,10 @@ TEST(ThreadInvarianceTest, FrozenDecodeBitIdenticalAcrossPoolWidths) {
     states = model.Evolve(cache, cache.HistoryBefore(8, config.history_len));
   }
   const size_t objects_at = 2 * states.size();
-  const std::vector<std::vector<float>> serial = {
+  const std::vector<tensor::FloatBuffer> serial = {
       model.ScoreObjects(states, object_queries).impl().data,
       model.ScoreRelations(states, relation_queries).impl().data};
-  const std::vector<std::vector<float>> frozen = {
+  const std::vector<tensor::FloatBuffer> frozen = {
       reference[objects_at], reference[objects_at + 1]};
   ExpectBitIdentical(frozen, serial, "frozen vs grad-recording decode");
 }
@@ -506,11 +506,11 @@ TEST(ThreadInvarianceTest, CenAndTirgnEvalDecodeBitIdentical) {
       const auto states =
           model->Evolve(cache, cache.HistoryBefore(8, model->history_len()));
       EXPECT_EQ(states.size(), 3u);
-      return std::vector<std::vector<float>>{
+      return std::vector<tensor::FloatBuffer>{
           model->ScoreObjects(states, object_queries).impl().data,
           model->ScoreRelations(states, relation_queries).impl().data};
     };
-    const std::vector<std::vector<float>> reference = run(1);
+    const std::vector<tensor::FloatBuffer> reference = run(1);
     for (int threads : {2, 4, 8}) {
       ExpectBitIdentical(run(threads), reference,
                          std::string(name) +
@@ -585,7 +585,7 @@ TEST(ThreadInvarianceTest, DuplicateScatterAddBitIdentical) {
     idx[e] = static_cast<int64_t>((state >> 33) % rows);
   }
   const auto plan = testing::ScatterPlan(idx, rows);
-  std::vector<float> serial(rows * cols, 0.0f);
+  tensor::FloatBuffer serial(rows * cols, 0.0f);
   for (int64_t e = 0; e < k; ++e)
     for (int64_t j = 0; j < cols; ++j)
       serial[idx[e] * cols + j] += src.Data()[e * cols + j];
@@ -648,7 +648,7 @@ TEST(ThreadInvarianceTest, FactlessHistoryStepBitIdentical) {
   };
   struct Run {
     float loss = 0.0f;
-    std::vector<std::vector<float>> states, grads;
+    std::vector<tensor::FloatBuffer> states, grads;
   };
   for (const auto& [name, make] : models) {
     auto run = [&](int threads) {
@@ -706,7 +706,7 @@ TEST(ThreadInvarianceTest, AggregateRowsBitIdentical) {
   const tensor::Tensor upstream =
       testing::TestTensor({rows, blocks * cols}, 35, false);
   struct Result {
-    std::vector<float> out, grad;
+    tensor::FloatBuffer out, grad;
   };
   auto run = [&](int threads) {
     ThreadPool pool(threads);

@@ -329,6 +329,43 @@ TEST(WireTest, ResultBatchCarriesPerEntryStatus) {
   EXPECT_TRUE(round.value()[2].value().candidates.empty());
 }
 
+TEST(WireTest, ResultBatchBytesAreGolden) {
+  // A mixed ok/error kResultBatch body, byte for byte: u16 count, then per
+  // entry a u32 length and the QueryReply record.
+  QueryResult value;
+  value.candidates = {{4, 2.0f}};
+  value.cache_hit = true;
+  value.epoch = 3;
+  const std::vector<Result<QueryResult>> results = {
+      Result<QueryResult>(value),
+      Result<QueryResult>::Error(StatusCode::kUnknownEntity, "bad")};
+  const std::vector<uint8_t> golden = {
+      0x02, 0x00,                                      // two entries
+      0x18, 0x00, 0x00, 0x00,                          // entry 0: 24 bytes
+      0x00,                                            // kOk
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // epoch 3
+      0x01,                                            // cache hit
+      0x01, 0x00,                                      // one candidate
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // id 4
+      0x00, 0x00, 0x00, 0x40,                          // score 2.0f
+      0x06, 0x00, 0x00, 0x00,                          // entry 1: 6 bytes
+      0x02,                                            // kUnknownEntity
+      0x03, 0x00, 'b',  'a',  'd'};                    // detail "bad"
+  EXPECT_EQ(wire::EncodeResultBatch(results), golden);
+
+  const Result<std::vector<Result<QueryResult>>> round =
+      wire::DecodeResultBatch(golden);
+  ASSERT_TRUE(round.ok()) << round.ToString();
+  ASSERT_EQ(round.value().size(), 2u);
+  ASSERT_TRUE(round.value()[0].ok());
+  EXPECT_EQ(round.value()[0].value().candidates, value.candidates);
+  EXPECT_TRUE(round.value()[0].value().cache_hit);
+  EXPECT_EQ(round.value()[0].value().epoch, 3);
+  ASSERT_FALSE(round.value()[1].ok());
+  EXPECT_EQ(round.value()[1].code(), StatusCode::kUnknownEntity);
+  EXPECT_EQ(round.value()[1].detail(), "bad");
+}
+
 TEST(WireTest, MalformedResultBatchEntryDegradesOnlyItself) {
   // Corrupt the SECOND entry's inner reply body (its candidate count) while
   // leaving the entry length prefix intact: the frame is still structurally
@@ -707,6 +744,62 @@ TEST(ReplicaServerTest, MalformedBytesOnSocketAreReportedNotFatal) {
   ASSERT_EQ(alive.size(), 1u);
   ASSERT_TRUE(alive.front().ok()) << alive.front().ToString();
   server.Stop();
+}
+
+TEST(ReplicaServerTest, QueryAfterSwapKeepsTheReadTimeout) {
+  // A peer that acknowledges one swap and then never answers. The swap
+  // round trip runs untimed, and the connection it hands back to the pool
+  // must carry the per-query timeout again: the next query over it fails
+  // as kShardUnavailable once timeout_ms passes, instead of blocking.
+  const std::string path = testing::TempDir() + "/retia_replica_mute.sock";
+  ::unlink(path.c_str());
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(path.size(), sizeof(addr.sun_path));
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  std::thread peer([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    const Result<wire::Frame> swap = wire::ReadFrame(fd);
+    if (swap.ok() && swap.value().type == wire::MsgType::kSwap) {
+      (void)wire::WriteFrame(fd, wire::MsgType::kSwapReply,
+                             wire::EncodeSwapReply(StatusCode::kOk, 1, ""));
+      // Take the query and stay silent until the client hangs up, or for
+      // 5 s if it never does (then the elapsed-time check below fails).
+      (void)wire::ReadFrame(fd);
+      timeval tv{};
+      tv.tv_sec = 5;
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+      char byte = 0;
+      while (::read(fd, &byte, 1) > 0) {
+      }
+    }
+    ::close(fd);
+  });
+
+  RouterConfig config;
+  config.timeout_ms = 200;
+  {
+    SocketChannel channel(path, config);
+    const Result<int64_t> swap = channel.Swap("any-prefix");
+    EXPECT_TRUE(swap.ok()) << swap.ToString();
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<Result<QueryResult>> replies =
+        channel.SubmitBatch({Query::Entity(0, 0, 1, 3)});
+    const auto waited = std::chrono::steady_clock::now() - start;
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(replies[0].code(), StatusCode::kShardUnavailable);
+    EXPECT_LT(waited, std::chrono::milliseconds(2000));
+  }
+  peer.join();
+  ::close(listener);
+  ::unlink(path.c_str());
 }
 
 // Open file descriptors of this process (the iterator's own fd included,

@@ -35,8 +35,9 @@ std::vector<float> RandVec(int64_t n, uint64_t seed) {
   return v;
 }
 
-void ExpectBitEqual(const std::vector<float>& got,
-                    const std::vector<float>& want, const char* what,
+// Any contiguous float container (std::vector or tensor storage).
+template <typename Floats>
+void ExpectBitEqual(const Floats& got, const Floats& want, const char* what,
                     Backend backend) {
   ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(
@@ -169,6 +170,96 @@ TEST(BitExactTest, ElementwiseMatchesScalarBitForBit) {
       const float mgot = t->reduce_max(a.data(), n);
       EXPECT_EQ(std::memcmp(&mref, &mgot, sizeof(float)), 0)
           << "reduce_max on " << BackendName(backend) << " n=" << n;
+    }
+  }
+}
+
+// NaN, ±0, ±Inf, denormals and ordinary values.
+std::vector<float> SpecialValues() {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float den = std::numeric_limits<float>::denorm_min();
+  return {nan,     -nan,   0.0f,  -0.0f, inf,  -inf,  den,  -den,
+          1e-39f,  -1e-39f, std::numeric_limits<float>::min(),
+          1.0f,    -1.0f,  0.5f,  -2.5f, 3e38f, -3e38f};
+}
+
+// Bit equality per element, except that any NaN matches a NaN (the
+// kernels' contract leaves NaN payloads open).
+void ExpectBitEqualOrBothNaN(const std::vector<float>& got,
+                             const std::vector<float>& want, const char* what,
+                             Backend backend) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::isnan(want[i])) {
+      EXPECT_TRUE(std::isnan(got[i]))
+          << what << " [" << i << "] on " << BackendName(backend);
+    } else {
+      EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(float)), 0)
+          << what << " [" << i << "] on " << BackendName(backend) << ": "
+          << got[i] << " vs " << want[i];
+    }
+  }
+}
+
+TEST(BitExactTest, ActivationKernelsMatchScalarOnSpecialValues) {
+  // x[i] and y[i] meet every pair of special values, then a random tail
+  // that no vector width divides.
+  const std::vector<float> special = SpecialValues();
+  std::vector<float> x, y, base;
+  for (size_t i = 0; i < special.size(); ++i) {
+    for (size_t j = 0; j < special.size(); ++j) {
+      x.push_back(special[i]);
+      y.push_back(special[j]);
+      base.push_back(special[(i + j) % special.size()]);
+    }
+  }
+  const auto add_tail = [](std::vector<float>* v, uint64_t seed) {
+    const std::vector<float> r = RandVec(37, seed);
+    v->insert(v->end(), r.begin(), r.end());
+  };
+  add_tail(&x, 1);
+  add_tail(&y, 2);
+  add_tail(&base, 3);
+  const int64_t n = static_cast<int64_t>(x.size());
+  // What a fresh gradient holds before the first write (never read).
+  const std::vector<float> unset(x.size(),
+                                 std::numeric_limits<float>::quiet_NaN());
+  const KernelTable* ref = TableFor(Backend::kScalar);
+  for (Backend backend : SupportedBackends()) {
+    const KernelTable* t = TableFor(backend);
+    std::vector<float> want(x.size()), got(x.size());
+    ref->relu(x.data(), want.data(), n);
+    t->relu(x.data(), got.data(), n);
+    ExpectBitEqualOrBothNaN(got, want, "relu", backend);
+    ref->rrelu_eval(x.data(), 0.2291667f, want.data(), n);
+    t->rrelu_eval(x.data(), 0.2291667f, got.data(), n);
+    ExpectBitEqualOrBothNaN(got, want, "rrelu_eval", backend);
+    for (bool add : {false, true}) {
+      const std::vector<float>& start = add ? base : unset;
+      // `run(table, dx)` runs one backward kernel of `table` into dx.
+      const auto check = [&](const char* what, const auto& run) {
+        want = start;
+        got = start;
+        run(*ref, want.data());
+        run(*t, got.data());
+        ExpectBitEqualOrBothNaN(got, want, what, backend);
+      };
+      check("relu_backward", [&](const KernelTable& k, float* dx) {
+        k.relu_backward(y.data(), x.data(), dx, n, add);
+      });
+      check("sigmoid_backward", [&](const KernelTable& k, float* dx) {
+        k.sigmoid_backward(y.data(), x.data(), dx, n, add);
+      });
+      check("tanh_backward", [&](const KernelTable& k, float* dx) {
+        k.tanh_backward(y.data(), x.data(), dx, n, add);
+      });
+      check("mul_add", [&](const KernelTable& k, float* dx) {
+        k.mul_add(x.data(), y.data(), dx, n, add);
+      });
+      check("scale_add", [&](const KernelTable& k, float* dx) {
+        k.scale_add(x.data(), -1.0f, dx, n, add);
+      });
     }
   }
 }
@@ -758,8 +849,8 @@ TEST(DeterminismTest, Conv1dThreadCountInvariant) {
                                                     /*requires_grad=*/true);
       tensor::Tensor y = tensor::Conv1d(x, w, b, /*pad=*/1);
       tensor::Sum(tensor::Mul(y, y)).Backward();
-      return std::vector<std::vector<float>>{y.impl().data, x.Grad(),
-                                             w.Grad(), b.Grad()};
+      return std::vector<tensor::FloatBuffer>{y.impl().data, x.Grad(),
+                                              w.Grad(), b.Grad()};
     };
     const auto reference = run(1);
     for (int threads : {2, 4, 8}) {

@@ -299,7 +299,7 @@ TEST(StreamGrowTest, CloneOfAblatedModelMatchesSource) {
     // Move the parameters off their initialization, so only a copy (not a
     // re-draw) reproduces them.
     for (auto& [name, param] : source.NamedParameters()) {
-      std::vector<float>& data = param.impl().data;
+      tensor::FloatBuffer& data = param.impl().data;
       for (size_t i = 0; i < data.size(); ++i) data[i] += 0.01f * (i % 7);
     }
     source.SetTraining(false);
@@ -353,8 +353,8 @@ TEST(StreamGrowTest, GrowCopiesOldRowsBitExactAndKeepsFreshTail) {
   for (auto& [name, grown_t] : grown->NamedParameters()) {
     ASSERT_TRUE(old_params.count(name)) << name;
     const tensor::Tensor& old_t = old_params.at(name);
-    const std::vector<float>& old_data = old_t.impl().data;
-    const std::vector<float>& new_data = grown_t.impl().data;
+    const tensor::FloatBuffer& old_data = old_t.impl().data;
+    const tensor::FloatBuffer& new_data = grown_t.impl().data;
     if (name == "entity_init.table") {
       ASSERT_EQ(grown_t.Dim(0), new_n);
       // Old rows carry over bit-exactly; the tail rows are a fresh Xavier

@@ -156,7 +156,7 @@ TEST_P(ParallelSerialEquivalence, MatMulAndSoftmaxMatchSerialExactly) {
   for (int64_t i = 0; i < m; ++i) targets.push_back(i % n);
 
   struct Capture {
-    std::vector<float> logits, soft, loss, ga, gb;
+    FloatBuffer logits, soft, loss, ga, gb;
   };
   auto run = [&](int threads) {
     par::ThreadPool pool(threads);
@@ -176,8 +176,8 @@ TEST_P(ParallelSerialEquivalence, MatMulAndSoftmaxMatchSerialExactly) {
   };
   const Capture serial = run(1);
   const Capture parallel = run(8);
-  auto expect_bytes = [](const std::vector<float>& got,
-                         const std::vector<float>& want, const char* what) {
+  auto expect_bytes = [](const FloatBuffer& got, const FloatBuffer& want,
+                         const char* what) {
     ASSERT_EQ(got.size(), want.size()) << what;
     EXPECT_EQ(
         std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
@@ -213,7 +213,7 @@ TEST_P(BackendEquivalenceSweep, PipelineNearScalarAndThreadInvariant) {
   for (int64_t i = 0; i < m; ++i) targets.push_back(i % n);
 
   struct Capture {
-    std::vector<float> logits, soft, loss, ga, gb;
+    FloatBuffer logits, soft, loss, ga, gb;
   };
   auto run = [&](simd::Backend backend, int threads) {
     simd::ScopedBackend backend_guard(backend);
@@ -233,8 +233,8 @@ TEST_P(BackendEquivalenceSweep, PipelineNearScalarAndThreadInvariant) {
     return c;
   };
   const Capture reference = run(simd::Backend::kScalar, 1);
-  auto expect_near = [&](const std::vector<float>& got,
-                         const std::vector<float>& want, const char* what,
+  auto expect_near = [&](const FloatBuffer& got, const FloatBuffer& want,
+                         const char* what,
                          simd::Backend backend) {
     ASSERT_EQ(got.size(), want.size()) << what;
     for (size_t i = 0; i < want.size(); ++i) {
@@ -243,8 +243,8 @@ TEST_P(BackendEquivalenceSweep, PipelineNearScalarAndThreadInvariant) {
           << " m=" << m << " k=" << k << " n=" << n;
     }
   };
-  auto expect_bytes = [](const std::vector<float>& got,
-                         const std::vector<float>& want, const char* what) {
+  auto expect_bytes = [](const FloatBuffer& got, const FloatBuffer& want,
+                         const char* what) {
     ASSERT_EQ(got.size(), want.size()) << what;
     EXPECT_EQ(
         std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
@@ -295,7 +295,7 @@ TEST_P(ScatterAlgoEquivalence, PrivatizedMatchesOwnerComputesAcrossThreads) {
   const auto plan = ScatterPlan(idx, rows);
 
   // One float add per contribution, in index order.
-  std::vector<float> serial(rows * cols, 0.0f);
+  FloatBuffer serial(rows * cols, 0.0f);
   for (int64_t e = 0; e < k; ++e)
     for (int64_t j = 0; j < cols; ++j)
       serial[idx[e] * cols + j] += src.Data()[e * cols + j];
@@ -307,8 +307,8 @@ TEST_P(ScatterAlgoEquivalence, PrivatizedMatchesOwnerComputesAcrossThreads) {
     // same scatter-add.
     Tensor table = Tensor::Zeros({rows, cols}, /*requires_grad=*/true);
     Sum(Mul(GatherRows(table, idx), src)).Backward();
-    const std::vector<float> aggregated = AggregateRows(src, plan).impl().data;
-    for (const std::vector<float>* got : {&aggregated, &table.Grad()}) {
+    const FloatBuffer aggregated = AggregateRows(src, plan).impl().data;
+    for (const FloatBuffer* got : {&aggregated, &table.Grad()}) {
       ASSERT_EQ(got->size(), serial.size());
       EXPECT_EQ(std::memcmp(got->data(), serial.data(),
                             got->size() * sizeof(float)),

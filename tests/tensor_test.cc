@@ -1,5 +1,9 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -136,6 +140,15 @@ TEST(OpsForwardTest, DropoutEvalIsIdentity) {
   for (int64_t i = 0; i < 9; ++i) EXPECT_EQ(out.Data()[i], a.Data()[i]);
 }
 
+TEST(OpsForwardTest, DropoutPassThroughReturnsItsInput) {
+  // Outside training, or at p = 0, Dropout adds no tape node: the
+  // gradient of its only consumer lands in the input's bit-unchanged.
+  Tensor a = TestTensor({3, 3}, 8);
+  EXPECT_EQ(Dropout(a, 0.5f, /*training=*/false, nullptr).ptr(), a.ptr());
+  util::Rng rng(5);
+  EXPECT_EQ(Dropout(a, 0.0f, /*training=*/true, &rng).ptr(), a.ptr());
+}
+
 TEST(OpsForwardTest, DropoutTrainingZeroesAndRescales) {
   util::Rng rng(5);
   Tensor a = Tensor::Full({1000}, 1.0f);
@@ -224,8 +237,8 @@ TEST(OpsForwardTest, AggregateRowsSumsEntriesIntoSlotsInInputOrder) {
   Tensor out = AggregateRows(table, plan);
   ASSERT_EQ(out.Dim(0), 2);
   ASSERT_EQ(out.Dim(1), 4);
-  const std::vector<float> want = {100, 200, 0,    0,   // slots 0, 1
-                                   -1,  -2,  20.5f, 41};  // slots 2, 3
+  const FloatBuffer want = {100, 200, 0,    0,   // slots 0, 1
+                            -1,  -2,  20.5f, 41};  // slots 2, 3
   EXPECT_EQ(out.impl().data, want);
   // Slot 3's entries keep their input order: 0.5*t0 then 2*t1.
   EXPECT_EQ(plan->slot_src, (std::vector<int64_t>{2, 0, 0, 1}));
@@ -246,10 +259,10 @@ TEST(OpsForwardTest, AggregateRowsOverEmptyPlanIsZerosAndAddsNoGradient) {
   const auto plan = MakeRowAggregation(4, 2, 3, {}, {}, {});
   Tensor out = AggregateRows(table, plan);
   ASSERT_EQ(out.Shape(), (std::vector<int64_t>{4, 4}));
-  EXPECT_EQ(out.impl().data, std::vector<float>(16, 0.0f));
-  std::vector<float>& grad = table.MutableGrad();
+  EXPECT_EQ(out.impl().data, FloatBuffer(16, 0.0f));
+  FloatBuffer& grad = table.MutableGrad();
   std::iota(grad.begin(), grad.end(), 0.5f);
-  const std::vector<float> before = grad;
+  const FloatBuffer before = grad;
   Sum(out).Backward();
   EXPECT_EQ(table.Grad(), before);
 }
@@ -619,6 +632,83 @@ TEST(GradTest, PairwiseComplexNegDist) {
         return Sum(Mul(PairwiseComplexNegDist(qre, qim, ore, oim, 2.0f), w));
       },
       {qre, qim, ore, oim});
+}
+
+TEST(GradTest, FirstContributionOfNegativeZeroLandsAsPositiveZero) {
+  // A gradient is written as 0.0f + g by its first contribution, like a
+  // zero-filled buffer that g was added into, so it never holds -0.
+  const std::vector<float> g = {-0.0f, 0.0f, -1.5f, -0.0f};
+  Tensor direct = Tensor::Zeros({4}, /*requires_grad=*/true);
+  direct.impl().AccumulateGrad(g.data(), 4);
+  const std::vector<float> want = {0.0f, 0.0f, -1.5f, 0.0f};
+  for (int64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(direct.Grad()[i]),
+              std::bit_cast<uint32_t>(want[i]))
+        << i;
+  }
+  // The same through the elementwise backward kernels, whose terms are -0
+  // here: Mul by a -0 weight, Scale by -0 and Relu's zero derivative under
+  // a negative upstream gradient.
+  Tensor a = TestTensor({1, 4}, 94);
+  Tensor b = TestTensor({1, 4}, 95);
+  Tensor c = Tensor::FromVector({1, 4}, {-1.0f, -2.0f, 0.5f, -0.0f}, true);
+  const Tensor w = Tensor::FromVector({1, 4}, {-0.0f, -0.0f, -2.0f, -0.0f});
+  Sum(Add(Add(Mul(a, w), Scale(b, -0.0f)), Mul(Relu(c), w))).Backward();
+  for (const Tensor* t : {&a, &b, &c}) {
+    for (int64_t i = 0; i < 4; ++i) {
+      const float x = t->Grad()[i];
+      if (x == 0.0f) {
+        EXPECT_FALSE(std::signbit(x)) << i;
+      }
+    }
+  }
+  EXPECT_EQ(a.Grad()[2], -2.0f);
+  EXPECT_EQ(c.Grad()[2], -2.0f);
+}
+
+TEST(GradTest, WindowBackwardIntoUntouchedParentMatchesZeroFilledReference) {
+  // SliceCols, SliceRows and ConcatCols add only their own window into the
+  // parent's gradient. A parent that no backward has touched yet must end
+  // with the bits of one whose gradient was zero-filled beforehand.
+  const Tensor w_cols = TestTensor({3, 2}, 96, false);
+  const Tensor w_rows = TestTensor({2, 5}, 97, false);
+  const Tensor w_cat = TestTensor({3, 7}, 98, false);
+  const auto run = [&](bool zero_filled) {
+    Tensor a = TestTensor({3, 5}, 99);
+    Tensor b = TestTensor({3, 2}, 100);
+    if (zero_filled) {
+      a.MutableGrad();
+      b.MutableGrad();
+    }
+    Add(Add(Sum(Mul(SliceCols(a, 1, 2), w_cols)),
+            Sum(Mul(SliceRows(a, 1, 2), w_rows))),
+        Sum(Mul(ConcatCols(a, b), w_cat)))
+        .Backward();
+    return std::vector<FloatBuffer>{a.Grad(), b.Grad()};
+  };
+  const std::vector<FloatBuffer> fresh = run(false);
+  const std::vector<FloatBuffer> reference = run(true);
+  ASSERT_EQ(fresh.size(), reference.size());
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    ASSERT_EQ(fresh[i].size(), reference[i].size());
+    EXPECT_EQ(std::memcmp(fresh[i].data(), reference[i].data(),
+                          fresh[i].size() * sizeof(float)),
+              0)
+        << i;
+  }
+  // A lone window: every element outside it is exactly +0.
+  Tensor c = TestTensor({3, 5}, 101);
+  Sum(Mul(SliceCols(c, 1, 2), w_cols)).Backward();
+  for (int64_t i = 0; i < 3; ++i) {
+    for (int64_t j = 0; j < 5; ++j) {
+      const float x = c.Grad()[i * 5 + j];
+      if (j == 1 || j == 2) {
+        EXPECT_EQ(x, w_cols.Data()[i * 2 + j - 1]);
+      } else {
+        EXPECT_EQ(std::bit_cast<uint32_t>(x), 0u) << i << "," << j;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

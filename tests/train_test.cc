@@ -96,9 +96,9 @@ TEST(TrainerTest, OnlineUpdatesChangeParameters) {
   config.max_epochs = 1;
   Trainer trainer(&model, &cache, config);
   trainer.TrainGeneral();
-  const std::vector<float> before = model.Parameters()[0].impl().data;
+  const tensor::FloatBuffer before = model.Parameters()[0].impl().data;
   trainer.Evaluate(ds.test_times(), /*online=*/true);
-  const std::vector<float>& after = model.Parameters()[0].impl().data;
+  const tensor::FloatBuffer& after = model.Parameters()[0].impl().data;
   EXPECT_NE(before, after);
 }
 
@@ -110,7 +110,7 @@ TEST(TrainerTest, OfflineEvaluationDoesNotChangeParameters) {
   config.max_epochs = 1;
   Trainer trainer(&model, &cache, config);
   trainer.TrainGeneral();
-  const std::vector<float> before = model.Parameters()[0].impl().data;
+  const tensor::FloatBuffer before = model.Parameters()[0].impl().data;
   trainer.Evaluate(ds.test_times(), /*online=*/false);
   EXPECT_EQ(before, model.Parameters()[0].impl().data);
 }

@@ -23,7 +23,13 @@
 //     send a fixed mix of entity and relation queries plus one of each
 //     validation error through Route and through RouteBatch, cold and then
 //     warm; each answer hashes its status code, detail bytes, candidate
-//     ids and score bits, epoch, shard and cache_hit.
+//     ids and score bits, epoch, shard and cache_hit;
+//   - perfbench's stream-window shape, at pool widths 1 and 4 (`stream`):
+//     300 entities, 16 relations, d = 32, history 3 and dropout 0, one
+//     training-mode Evolve, ComputeLoss and Backward (states, loss and
+//     every parameter gradient), then a frozen Evolve and both frozen
+//     decodes. It is the only section that runs training-mode Dropout at
+//     p = 0; the model battery's `train` uses 0.2.
 // Build this file against two trees (e.g. a parent checkout and the
 // current one, each also under RETIA_SIMD=scalar) and diff the output:
 // identical hashes prove the change kept every result bit-exact. Within
@@ -70,7 +76,9 @@ void HashBytes(const void* p, size_t bytes) {
   }
 }
 
-void HashFloats(const std::vector<float>& v) {
+// Any contiguous float container (tensor storage or a std::vector).
+template <typename Floats>
+void HashFloats(const Floats& v) {
   HashBytes(v.data(), v.size() * sizeof(float));
 }
 
@@ -450,6 +458,57 @@ void ServeSections(const retia::tkg::TkgDataset& ds, int threads) {
   std::filesystem::remove_all(dir);
 }
 
+// The stream-window workload's shapes (perfbench/stream_workload.cc).
+retia::tkg::TkgDataset StreamDataset() {
+  retia::tkg::SyntheticConfig c;
+  c.num_entities = 300;
+  c.num_relations = 16;
+  c.num_timestamps = 30;
+  c.facts_per_timestamp = 60;
+  c.num_schemas = 240;
+  c.seed = 1;
+  return retia::tkg::GenerateSynthetic(c);
+}
+
+void StreamSections(const retia::tkg::TkgDataset& ds, int threads) {
+  retia::par::ThreadPool pool(threads);
+  retia::par::ScopedDefaultPool scoped(&pool);
+  WidthSection("stream", threads, [&] {
+    retia::core::RetiaConfig config;
+    config.num_entities = ds.num_entities();
+    config.num_relations = ds.num_relations();
+    config.dim = 32;
+    config.history_len = 3;
+    config.dropout = 0.0f;
+    retia::core::RetiaModel model(config);
+    retia::graph::GraphCache cache(&ds);
+    const int64_t t = ds.max_time();
+
+    model.SetTraining(true);
+    auto states = model.Evolve(cache, cache.HistoryBefore(t, 3));
+    HashStates(states);
+    auto loss = model.ComputeLoss(states, ds.FactsAt(t));
+    loss.joint.Backward();
+    HashFloats(loss.joint.impl().data);
+    for (const Tensor& p : model.Parameters()) HashFloats(p.impl().grad);
+
+    model.SetTraining(false);
+    retia::tensor::NoGradGuard guard;
+    const auto frozen = model.Evolve(cache, cache.HistoryBefore(t + 1, 3));
+    HashStates(frozen);
+    const int64_t n = ds.num_entities();
+    const int64_t m = ds.num_relations();
+    std::vector<std::pair<int64_t, int64_t>> object_queries, relation_queries;
+    for (int64_t i = 0; i < 16; ++i) {
+      object_queries.emplace_back((i * 37) % n, i % (2 * m));
+      relation_queries.emplace_back((i * 13) % n, (i * 29 + 5) % n);
+    }
+    HashFloats(model.ScoreObjectsFrozen(frozen, object_queries).impl().data);
+    HashFloats(
+        model.ScoreRelationsFrozen(frozen, relation_queries).impl().data);
+  });
+}
+
 }  // namespace
 
 int main() {
@@ -618,6 +677,10 @@ int main() {
 
   for (int threads : {1, 4}) ServeSections(ds, threads);
   Section("serve");
+
+  const retia::tkg::TkgDataset stream_ds = StreamDataset();
+  for (int threads : {1, 4}) StreamSections(stream_ds, threads);
+  Section("stream");
 
   std::printf("final        %016llx\n", static_cast<unsigned long long>(g_hash));
   return 0;
