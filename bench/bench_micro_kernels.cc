@@ -487,10 +487,10 @@ BENCHMARK(BM_ScatterAddThreadSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // iteration pays the per-timestep subgraph/hypergraph builds (fanned out
 // on par::ParallelShards) and the program-order recurrent chain, whose
 // kernels shard on the pool (DESIGN.md §12). The name is kept because
-// BENCH_kernels.json, scripts/bench_kernels.sh and scripts/check.sh key
-// on it. This row (plus the scatter-add sweep above) is what the
-// thread-sweep acceptance gate in scripts/bench_kernels.sh reads; the
-// bit-identity cross-check doubles as the determinism contract.
+// BENCH_kernels.json and scripts/bench_kernels.sh key on it. This row
+// (plus the scatter-add sweep above) is what the thread-sweep acceptance
+// gate in scripts/bench_kernels.sh reads; the bit-identity cross-check
+// doubles as the determinism contract.
 void BM_InterOpTimestepSweep(benchmark::State& state) {
   static const retia::tkg::TkgDataset* ds = new retia::tkg::TkgDataset(
       retia::tkg::GenerateSynthetic(retia::tkg::SyntheticConfig::Icews14Like()));

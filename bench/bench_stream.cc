@@ -6,8 +6,8 @@
 // newly ingested fact's effect on the top-k answer of its own (s, r, t)
 // query after exactly one fine-tune window.
 //
-// Emits one JSON object on stdout; scripts/bench_stream.sh pins it as
-// BENCH_stream.json at the repo root.
+// Emits one JSON object on stdout. perfbench's stream-window workload
+// times the same offer → publish → first-query path in 40-s runs.
 //
 // Like bench_serve_throughput this measures the subsystem, not model
 // quality: it streams into an untrained (randomly initialised) model —

@@ -19,8 +19,7 @@
 //       (--kill-after/--kill-pid) mid-load, and a one-line JSON summary
 //       on stdout. --expect-zero-drop / --expect-unavailable turn the
 //       summary's invariants into the exit code, which is what
-//       scripts/check.sh's multi-process smoke and scripts/bench_serve.sh
-//       gate on.
+//       scripts/check.sh's multi-process smoke gates on.
 //
 // Example (two shards, coordinated hot-swap under load):
 //   ./serve_cluster prepare /tmp/cluster
@@ -212,7 +211,6 @@ int Load(const std::string& dir, const std::string& sockets_csv,
   }
 
   const int64_t t = dataset.test_times().front();
-  const int64_t per_client = flags.queries / flags.clients;
   std::mutex mu;
   std::vector<double> latencies_ms;
   int64_t ok = 0, unavailable = 0, other = 0, cache_hits = 0;
@@ -227,6 +225,10 @@ int Load(const std::string& dir, const std::string& sockets_csv,
   std::vector<std::thread> clients;
   for (int64_t c = 0; c < flags.clients; ++c) {
     clients.emplace_back([&, c] {
+      // The first queries % clients clients take one query more, so the
+      // clients send exactly flags.queries between them.
+      const int64_t per_client =
+          flags.queries / flags.clients + (c < flags.queries % flags.clients);
       util::Rng rng(static_cast<uint64_t>(1000 + c));
       for (int64_t i = 0; i < per_client;) {
         // Assemble up to `batch` queries and ship them in one RouteBatch
@@ -306,7 +308,7 @@ int Load(const std::string& dir, const std::string& sockets_csv,
        << ",\"clients\":" << flags.clients << ",\"completed\":" << total
        << ",\"ok\":" << ok << ",\"unavailable\":" << unavailable
        << ",\"other_errors\":" << other << ",\"cache_hits\":" << cache_hits
-       << ",\"dropped\":" << (flags.clients * per_client - total)
+       << ",\"dropped\":" << (flags.queries - total)
        << ",\"swap_epoch\":" << swap_epoch
        << ",\"wire_batch\":" << flags.batch
        << ",\"zipf_alpha\":" << flags.alpha
@@ -414,6 +416,10 @@ int main(int argc, char** argv) {
         std::cerr << "load: unknown flag " << arg << "\n";
         return 2;
       }
+    }
+    if (flags.clients < 1 || flags.batch < 1) {
+      std::cerr << "load: --clients and --batch must be at least 1\n";
+      return 2;
     }
     return Load(dir, argv[3], flags);
   }

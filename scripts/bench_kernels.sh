@@ -5,7 +5,9 @@
 # dumps into BENCH_kernels.json at the repo root:
 #
 #   {
-#     "host": {...},                      # incl. num_cpus_effective (nproc)
+#     "host": {...},                      # incl. num_cpus_effective (nproc),
+#                                         # build_type (this tree's) and
+#                                         # benchmark_library_build_type
 #     "scalar":  { "<bench>": {ns, gflops, gbps, threads}, ... },
 #     "native":  { "<bench>": {..., backend}, ... },
 #     "speedup_native_vs_scalar": { "<bench>": x.xx, ... },
@@ -68,9 +70,13 @@ echo "bench_kernels.sh: native pass"
   --benchmark_out_format=json > /dev/null
 
 EFFECTIVE_CPUS="$(nproc)"
+# The tree's own build type. CMakeLists.txt builds Release when
+# CMAKE_BUILD_TYPE is left empty, and the cache then records it empty.
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' "${BUILD}/CMakeCache.txt")"
+BUILD_TYPE="${BUILD_TYPE:-Release}"
 
 python3 - "${TMP}/scalar.json" "${TMP}/native.json" "${OUT}" \
-    "${EFFECTIVE_CPUS}" "${BIN}" <<'PY'
+    "${EFFECTIVE_CPUS}" "${BIN}" "${BUILD_TYPE}" <<'PY'
 import json
 import os
 import re
@@ -80,6 +86,7 @@ import sys
 scalar_path, native_path, out_path = sys.argv[1:4]
 effective_cpus = int(sys.argv[4])
 bench_bin = sys.argv[5]
+build_type = sys.argv[6]
 
 
 def load(path):
@@ -113,13 +120,16 @@ def load(path):
     host = {
         "num_cpus": ctx.get("num_cpus"),
         "mhz_per_cpu": ctx.get("mhz_per_cpu"),
-        "build_type": ctx.get("library_build_type"),
+        # How the google-benchmark library itself was built: a system
+        # package may be a debug build under a Release build of this tree.
+        "benchmark_library_build_type": ctx.get("library_build_type"),
     }
     return host, rows
 
 
 host, scalar = load(scalar_path)
 _, native = load(native_path)
+host["build_type"] = build_type
 host["num_cpus_effective"] = effective_cpus
 
 speedup = {}

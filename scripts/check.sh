@@ -40,19 +40,6 @@
 #    shared into backward closures that may outlive the GraphCache
 #    (core_test), so all of it runs under ASan to prove the bounds checks
 #    and lifetimes hold.
-# 3b. Bench-gate cross-check: validates the committed BENCH_kernels.json
-#    thread-sweep and quant blocks against their own host record — a
-#    multi-core pin must have the thread-sweep gate enforced with > 1x
-#    4-thread speedups on the inter-op benches; a vector-backend pin must
-#    have the quant decode gate enforced at >= 2x with the snapshot ratio
-#    >= 2x regardless; a single-core / scalar pin must say so instead of
-#    pretending (scripts/bench_kernels.sh writes both blocks). Also
-#    validates BENCH_serve.json structurally: the pinned serving run must
-#    be a clean zero-drop pass over >= 2 replica processes with all
-#    replicas agreeing on the post-hot-swap epoch, carry its host record
-#    (num_cpus_effective), and include a batch block whose batched-vs-
-#    unbatched comparison at batch >= 8 clears the 1.5x speedup floor
-#    (scripts/bench_serve.sh re-pins all of it).
 # 4. Kill-and-resume smokes: (a) trains the synthetic ckpt_smoke dataset
 #    to completion, repeats the run with per-epoch state saves and a
 #    RETIA_FAIL_CRASH_AFTER_RENAME SIGKILL mid-training (rc 137), resumes
@@ -70,8 +57,11 @@
 # 5b. Multi-process serving smoke: the serve_cluster demo runs a router
 #    process against two replica processes over AF_UNIX sockets speaking
 #    the versioned binary wire protocol. A coordinated hot-swap mid-load
-#    must drop zero requests; a SIGKILLed replica must degrade only its
-#    consistent-hash arc to shard_unavailable without hanging the router
+#    must drop zero requests and leave both replicas on epoch 1; on the
+#    same warm replicas, client-side batches of 8 must then reach at least
+#    1.5x the qps of one query per frame, over an unbatched load of at
+#    least 2 s; a SIGKILLed replica must degrade only its consistent-hash
+#    arc to shard_unavailable without hanging the router
 #    (docs/SERVING_TOPOLOGY.md).
 # 6. UBSan smoke over the vector kernels, the graph index arithmetic and
 #    the outside-input suites: builds simd_test, tensor_property_test,
@@ -204,138 +194,6 @@ echo "check.sh: ckpt, stream, par, quant, serve, core, graph, tensor and" \
      "baselines suites clean under AddressSanitizer"
 
 # ---------------------------------------------------------------------------
-# Bench-gate cross-check: the committed thread-sweep gate must be
-# internally consistent with the host it was pinned on.
-python3 - "${ROOT}/BENCH_kernels.json" <<'PY'
-import json
-import sys
-
-path = sys.argv[1]
-with open(path) as f:
-    doc = json.load(f)
-
-host = doc.get("host", {})
-sweep = doc.get("thread_sweep")
-if sweep is None:
-    sys.exit(f"check.sh: {path} has no thread_sweep block — re-pin with "
-             "scripts/bench_kernels.sh")
-if "num_cpus_effective" not in host:
-    sys.exit(f"check.sh: {path} host block lacks num_cpus_effective")
-
-cpus = sweep.get("effective_cpus")
-enforced = sweep.get("gate_enforced")
-speedups = sweep.get("speedups_at_4t", {})
-REQUIRED = ["BM_InterOpTimestepSweep/4", "BM_ScatterAddThreadSweep/4"]
-
-if cpus is None or enforced is None or not sweep.get("reason"):
-    sys.exit("check.sh: thread_sweep block is missing effective_cpus, "
-             "gate_enforced, or reason")
-if cpus >= 4:
-    if not enforced:
-        sys.exit(f"check.sh: pinned on a {cpus}-CPU host but the "
-                 "thread-sweep gate is not enforced — re-pin")
-    missing = [n for n in REQUIRED if n not in speedups]
-    if missing:
-        sys.exit(f"check.sh: enforced gate lacks inter-op rows: {missing}")
-    slow = {n: s for n, s in speedups.items() if s <= 1.0}
-    if slow:
-        sys.exit(f"check.sh: enforced gate pinned with <= 1x 4-thread "
-                 f"speedups: {slow}")
-    print(f"check.sh: thread-sweep gate enforced ({cpus} CPUs, "
-          f"{speedups})")
-else:
-    if enforced:
-        sys.exit(f"check.sh: gate claims enforcement on a {cpus}-CPU "
-                 "host — bench_kernels.sh would never pin that")
-    print(f"check.sh: thread-sweep gate correctly recorded as not "
-          f"enforced ({cpus} effective CPU(s))")
-
-# The quant block's gates are single-threaded, so they are enforced (or
-# honestly recorded as not, on scalar-dispatch hosts) regardless of CPU
-# count — see docs/QUANTIZATION.md.
-quant = doc.get("quant")
-if quant is None:
-    sys.exit(f"check.sh: {path} has no quant block — re-pin with "
-             "scripts/bench_kernels.sh")
-q_enforced = quant.get("gate_enforced")
-if q_enforced is None or not quant.get("reason"):
-    sys.exit("check.sh: quant block is missing gate_enforced or reason")
-ratio = quant.get("snapshot_ratio")
-if ratio is None or ratio < 2.0:
-    sys.exit(f"check.sh: quantized snapshot ratio {ratio} is absent or "
-             "below the 2x memory gate (deterministic — enforced on every "
-             "host)")
-if q_enforced:
-    decode = quant.get("decode_speedup_int8_vs_f32", {}).get("30000")
-    if decode is None or decode < 2.0:
-        sys.exit(f"check.sh: enforced quant gate pinned with int8 decode "
-                 f"speedup {decode} below 2x at N=30000")
-    print(f"check.sh: quant gates enforced (decode {decode}x, snapshot "
-          f"{ratio}x)")
-else:
-    print(f"check.sh: quant decode gate honestly not enforced "
-          f"(scalar dispatch); snapshot ratio {ratio}x still gated")
-PY
-
-# Serving bench gate: the committed BENCH_serve.json must record a run in
-# which every request the load generator issued came back ok through the
-# router + wire protocol — across a mid-run coordinated hot-swap — and
-# every replica ended the run on the same post-swap epoch. Absolute
-# qps/latency are machine-dependent and not gated; the zero-drop and
-# epoch-agreement structure is deterministic (scripts/bench_serve.sh).
-python3 - "${ROOT}/BENCH_serve.json" <<'PY'
-import json
-import sys
-
-path = sys.argv[1]
-with open(path) as f:
-    doc = json.load(f)
-
-for key in ("shards", "completed", "ok", "unavailable", "other_errors",
-            "dropped", "swap_epoch", "qps", "p50_ms", "p99_ms"):
-    if key not in doc:
-        sys.exit(f"check.sh: {path} lacks '{key}' — re-pin with "
-                 "scripts/bench_serve.sh")
-if doc["shards"] < 2:
-    sys.exit(f"check.sh: serving pin ran with {doc['shards']} shard(s) — "
-             "the bench must exercise the multi-replica path")
-if doc["dropped"] != 0 or doc["other_errors"] != 0 or doc["unavailable"] != 0:
-    sys.exit(f"check.sh: serving pin is not a clean zero-drop run: "
-             f"dropped={doc['dropped']} unavailable={doc['unavailable']} "
-             f"other_errors={doc['other_errors']}")
-if doc["ok"] != doc["completed"] or doc["completed"] <= 0:
-    sys.exit(f"check.sh: serving pin ok={doc['ok']} != "
-             f"completed={doc['completed']}")
-if doc["swap_epoch"] != 1:
-    sys.exit(f"check.sh: serving pin swap_epoch={doc['swap_epoch']} — the "
-             "bench performs exactly one coordinated hot-swap, so every "
-             "replica must agree on epoch 1")
-if not (0 < doc["p50_ms"] <= doc["p99_ms"]) or doc["qps"] <= 0:
-    sys.exit(f"check.sh: serving pin latencies are incoherent: "
-             f"p50={doc['p50_ms']} p99={doc['p99_ms']} qps={doc['qps']}")
-host = doc.get("host", {})
-if "num_cpus_effective" not in host:
-    sys.exit(f"check.sh: {path} host block lacks num_cpus_effective — "
-             "re-pin with scripts/bench_serve.sh")
-batch = doc.get("batch")
-if batch is None:
-    sys.exit(f"check.sh: {path} lacks the 'batch' block — re-pin with "
-             "scripts/bench_serve.sh")
-for key in ("batch_size", "qps_unbatched", "qps_batched", "speedup"):
-    if key not in batch:
-        sys.exit(f"check.sh: {path} batch block lacks '{key}'")
-if batch["batch_size"] < 8:
-    sys.exit(f"check.sh: batched pin ran at batch={batch['batch_size']} — "
-             "the comparison must use batch >= 8")
-if batch["speedup"] < 1.5:
-    sys.exit(f"check.sh: batched serve speedup {batch['speedup']:.2f}x is "
-             "below the 1.5x floor — the coalesced wire path regressed")
-print(f"check.sh: serving pin structurally sound ({doc['shards']} shards, "
-      f"{doc['completed']} requests, zero drops across the hot-swap; "
-      f"batch={batch['batch_size']} speedup {batch['speedup']:.2f}x)")
-PY
-
-# ---------------------------------------------------------------------------
 # Kill-and-resume smoke, on the ASan binary so the crash path is
 # sanitized too. `straight` trains 4 epochs without checkpoints and dumps
 # the final parameter bytes; `crashy` repeats the run with per-epoch state
@@ -412,17 +270,36 @@ echo "check.sh: tier-1 suite green under RETIA_SIMD=scalar"
 # tree): a router process drives zipfian load through the binary wire
 # protocol against two real replica processes on AF_UNIX sockets.
 # Round 1: a coordinated hot-swap lands mid-load and every request must
-# still come back ok (zero drops) with all replicas agreeing on the
-# post-swap epoch. Round 2 (fresh replicas): one replica is SIGKILLed
+# still come back ok (zero drops) with every replica on the post-swap
+# epoch 1. Then, against the same warm replicas, one query per frame and
+# batches of 8 per RouteBatch (one QueryBatch frame per shard group) run
+# the same zipfian load: batching must reach at least 1.5x the unbatched
+# qps, and the unbatched load must run at least 2 s so the ratio is not
+# start-up noise. Round 2 (fresh replicas): one replica is SIGKILLed
 # mid-load and only its arc may degrade — to kShardUnavailable, promptly
-# (no hang; the whole round runs under `timeout`), while the surviving
-# shard keeps serving with zero other errors. serve_cluster itself
-# enforces both invariants via --expect-zero-drop / --expect-unavailable.
+# (no hang; every load runs under `timeout`), while the surviving shard
+# keeps serving with zero other errors. serve_cluster itself enforces the
+# drop and degrade invariants via --expect-zero-drop / --expect-unavailable.
 SERVE_DIR="$(mktemp -d "${TMPDIR:-/tmp}/retia_serve_smoke.XXXXXX")"
 SERVE_PIDS=""
 trap 'kill -9 ${SERVE_PIDS} 2>/dev/null || true; \
       rm -rf "${SMOKE_DIR}" "${STREAM_DIR}" "${SERVE_DIR}"' EXIT
 CLUSTER_BIN="${BUILD_SIMD}/examples/serve_cluster"
+SOCKETS="${SERVE_DIR}/r0.sock,${SERVE_DIR}/r1.sock"
+
+# cluster_load <name> <flags...>: one serve_cluster load against both
+# replicas. Its JSON summary goes to <name>.json; a failing load shows
+# that summary and its stderr before check.sh exits.
+cluster_load() {
+  local name="$1"
+  shift
+  if ! timeout 300 "${CLUSTER_BIN}" load "${SERVE_DIR}" "${SOCKETS}" "$@" \
+      >"${SERVE_DIR}/${name}.json" 2>"${SERVE_DIR}/${name}.log"; then
+    cat "${SERVE_DIR}/${name}.json" "${SERVE_DIR}/${name}.log" >&2
+    echo "check.sh: serve_cluster load $* failed" >&2
+    exit 1
+  fi
+}
 
 "${CLUSTER_BIN}" prepare "${SERVE_DIR}" >/dev/null
 
@@ -434,11 +311,39 @@ ROUND1_A=$!
 ROUND1_B=$!
 SERVE_PIDS="${ROUND1_A} ${ROUND1_B}"
 
-timeout 300 "${CLUSTER_BIN}" load "${SERVE_DIR}" \
-  "${SERVE_DIR}/r0.sock,${SERVE_DIR}/r1.sock" \
-  --queries 2000 --clients 4 --swap-after 500 \
-  --expect-zero-drop --shutdown >"${SERVE_DIR}/swap.json" 2>&1
-echo "check.sh: hot-swap under load dropped zero requests across 2 replicas"
+cluster_load swap --queries 2000 --clients 4 --swap-after 500 \
+  --expect-zero-drop
+if ! grep -q '"swap_epoch":1,' "${SERVE_DIR}/swap.json"; then
+  cat "${SERVE_DIR}/swap.json" >&2
+  echo "check.sh: the hot-swap round did not end on epoch 1" >&2
+  exit 1
+fi
+echo "check.sh: hot-swap under load dropped zero requests across 2" \
+     "replicas, both on epoch 1"
+
+# About 4 s unbatched on a 4-vCPU host, so the 2 s floor holds with room.
+cluster_load unbatched --queries 600000 --clients 4 --expect-zero-drop
+cluster_load batched --queries 600000 --clients 4 --batch 8 \
+  --expect-zero-drop --shutdown
+python3 - "${SERVE_DIR}/unbatched.json" "${SERVE_DIR}/batched.json" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    unbatched = json.load(f)
+with open(sys.argv[2]) as f:
+    batched = json.load(f)
+if unbatched["wall_seconds"] < 2.0:
+    sys.exit(f"check.sh: the unbatched load ran {unbatched['wall_seconds']:.2f}"
+             " s, under the 2 s floor: raise its --queries")
+ratio = batched["qps"] / unbatched["qps"]
+summary = (f"batch={batched['wire_batch']} qps {unbatched['qps']:.0f} -> "
+           f"{batched['qps']:.0f} ({ratio:.2f}x, unbatched "
+           f"{unbatched['wall_seconds']:.2f} s)")
+if ratio < 1.5:
+    sys.exit(f"check.sh: {summary} is below the 1.5x batching floor")
+print(f"check.sh: {summary}")
+PY
 
 # Round-1 replicas unlink their socket path as they exit; wait for them
 # so the rebinding round-2 replicas cannot lose a freshly-bound socket.
@@ -452,11 +357,8 @@ SERVE_PIDS="${SERVE_PIDS} $!"
 VICTIM=$!
 SERVE_PIDS="${SERVE_PIDS} ${VICTIM}"
 
-timeout 300 "${CLUSTER_BIN}" load "${SERVE_DIR}" \
-  "${SERVE_DIR}/r0.sock,${SERVE_DIR}/r1.sock" \
-  --queries 2000 --clients 4 --timeout-ms 2000 \
-  --kill-after 300 --kill-pid "${VICTIM}" \
-  --expect-unavailable --shutdown >"${SERVE_DIR}/kill.json" 2>&1
+cluster_load kill --queries 2000 --clients 4 --timeout-ms 2000 \
+  --kill-after 300 --kill-pid "${VICTIM}" --expect-unavailable --shutdown
 echo "check.sh: SIGKILLed replica degraded to shard_unavailable without" \
      "hanging the router; surviving shard kept serving"
 

@@ -709,23 +709,38 @@ struct Gen {
   }
 
   static void Conv1dWeightGradK(const float* g, const float* x, float* gw,
-                                int64_t ci0, int64_t ci1, int64_t batch,
-                                int64_t cin, int64_t length, int64_t cout,
-                                int64_t ksize, int64_t pad) {
+                                float* gbias, int64_t ci0, int64_t ci1,
+                                int64_t batch, int64_t cin, int64_t length,
+                                int64_t cout, int64_t ksize, int64_t pad) {
     const int64_t lout = length + 2 * pad - ksize + 1;
     const int64_t cfull = cout / W * W;
     // acc[(ci - ci0) * ksize + kk][co] accumulates gw[co, ci, kk] with the
     // output channels contiguous, and gt holds one batch item of g
-    // transposed to [l][co], so the sums run W output channels at a time
-    // while each one still adds its (b, l) terms in ascending order.
+    // transposed to [l][co], so these sums and gbias's run W output
+    // channels at a time while each one still adds its (b, l) terms in
+    // ascending order.
     std::vector<float> acc(static_cast<size_t>((ci1 - ci0) * ksize * cout),
                            0.0f);
     std::vector<float> gt(static_cast<size_t>(lout * cout));
+    if (gbias != nullptr) std::fill(gbias, gbias + cout, 0.0f);
     for (int64_t b = 0; b < batch; ++b) {
       const float* gb = g + b * cout * lout;
       for (int64_t co = 0; co < cout; ++co)
         for (int64_t l = 0; l < lout; ++l)
           gt[l * cout + co] = gb[co * lout + l];
+      if (gbias != nullptr) {
+        for (int64_t c = 0; c < cfull; c += W) {
+          Vec v = V::Load(gbias + c);
+          for (int64_t l = 0; l < lout; ++l)
+            v = V::Add(v, V::Load(gt.data() + l * cout + c));
+          V::Store(gbias + c, v);
+        }
+        for (int64_t c = cfull; c < cout; ++c) {
+          float s = gbias[c];
+          for (int64_t l = 0; l < lout; ++l) s += gt[l * cout + c];
+          gbias[c] = s;
+        }
+      }
       for (int64_t ci = ci0; ci < ci1; ++ci) {
         const float* xrow = x + (b * cin + ci) * length;
         for (int64_t kk = 0; kk < ksize; ++kk) {

@@ -258,9 +258,10 @@ void Conv1dInputGradK(const float* g, const float* w, float* gx, int64_t b0,
     }
 }
 
-void Conv1dWeightGradK(const float* g, const float* x, float* gw, int64_t ci0,
-                       int64_t ci1, int64_t batch, int64_t cin, int64_t length,
-                       int64_t cout, int64_t ksize, int64_t pad) {
+void Conv1dWeightGradK(const float* g, const float* x, float* gw, float* gbias,
+                       int64_t ci0, int64_t ci1, int64_t batch, int64_t cin,
+                       int64_t length, int64_t cout, int64_t ksize,
+                       int64_t pad) {
   const int64_t lout = length + 2 * pad - ksize + 1;
   for (int64_t co = 0; co < cout; ++co)
     std::fill(gw + (co * cin + ci0) * ksize, gw + (co * cin + ci1) * ksize,
@@ -277,6 +278,13 @@ void Conv1dWeightGradK(const float* g, const float* x, float* gw, int64_t ci0,
             if (src >= 0 && src < length) wrow[kk] += grow[l] * xrow[src];
           }
       }
+  if (gbias == nullptr) return;
+  std::fill(gbias, gbias + cout, 0.0f);
+  for (int64_t b = 0; b < batch; ++b)
+    for (int64_t co = 0; co < cout; ++co) {
+      const float* grow = g + (b * cout + co) * lout;
+      for (int64_t l = 0; l < lout; ++l) gbias[co] += grow[l];
+    }
 }
 
 // Partial top-k selection: sorted insertion buffer plus a strict

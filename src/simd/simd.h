@@ -147,7 +147,8 @@ struct KernelTable {
   //   input grad   gx[b,ci,s] = 0 + g*w over co ascending, then l
   //                ascending;
   //   weight grad  gw[co,ci,kk] = 0 + g*x over b ascending, then l
-  //                ascending.
+  //                ascending;
+  //   bias grad    gbias[co] = 0 + g over b ascending, then l ascending.
   // The range arguments select disjoint outputs, so any sharding over them
   // gives the same bits.
   //
@@ -161,11 +162,15 @@ struct KernelTable {
                             int64_t b0, int64_t b1, int64_t cin,
                             int64_t length, int64_t cout, int64_t ksize,
                             int64_t pad);
-  // Weight gradient gw[:, ci0..ci1, :] from g and x.
+  // Weight gradient gw[:, ci0..ci1, :] from g and x. When gbias is not
+  // null it also writes the whole bias gradient gbias[0..cout), whatever
+  // the ci range; one shard passes it. The vector backends transpose each
+  // batch item of g for the weight sums anyway, so the bias sums run W
+  // output channels at a time off the same transposed block.
   void (*conv1d_weight_grad)(const float* g, const float* x, float* gw,
-                             int64_t ci0, int64_t ci1, int64_t batch,
-                             int64_t cin, int64_t length, int64_t cout,
-                             int64_t ksize, int64_t pad);
+                             float* gbias, int64_t ci0, int64_t ci1,
+                             int64_t batch, int64_t cin, int64_t length,
+                             int64_t cout, int64_t ksize, int64_t pad);
 
   // ---- Quantized inference (docs/QUANTIZATION.md) -------------------------
   // All four kernels are BIT-EXACT across backends: quantize clamps in f32

@@ -16,6 +16,16 @@ std::unique_ptr<core::RetiaModel> CloneModel(const core::RetiaModel& model) {
   return clone;
 }
 
+serve::EngineSnapshot FrozenSnapshot(const core::RetiaModel& model,
+                                     const tkg::TkgDataset& dataset) {
+  serve::EngineSnapshot snapshot;
+  snapshot.model = CloneModel(model);
+  snapshot.dataset = std::make_unique<tkg::TkgDataset>(dataset);
+  snapshot.graph_cache =
+      std::make_unique<graph::GraphCache>(snapshot.dataset.get());
+  return snapshot;
+}
+
 std::unique_ptr<core::RetiaModel> GrowEntityVocab(
     const core::RetiaModel& model, int64_t new_num_entities) {
   core::RetiaConfig config = model.config();

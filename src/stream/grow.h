@@ -9,6 +9,8 @@
 #include <memory>
 
 #include "core/retia.h"
+#include "serve/engine.h"
+#include "tkg/dataset.h"
 
 namespace retia::stream {
 
@@ -21,6 +23,12 @@ namespace retia::stream {
 // type count. Nothing goes through the checkpoint encoding. The clone's
 // RNG is freshly seeded — irrelevant for serving, which is rng-free.
 std::unique_ptr<core::RetiaModel> CloneModel(const core::RetiaModel& model);
+
+// A frozen serving snapshot of `model` over `dataset`: CloneModel(model),
+// a copy of the dataset, and a GraphCache over that copy, so the snapshot
+// shares nothing with the caller's live model and dataset.
+serve::EngineSnapshot FrozenSnapshot(const core::RetiaModel& model,
+                                     const tkg::TkgDataset& dataset);
 
 // Grows the entity vocabulary to `new_num_entities` (>= the current count)
 // by rebuilding the model with a larger E_0 table: rows [0, old_n) are

@@ -72,10 +72,6 @@ int64_t OnlineTrainer::FineTuneThrough(int64_t through) {
   return applied;
 }
 
-std::unique_ptr<core::RetiaModel> OnlineTrainer::PublishClone() const {
-  return CloneModel(*model_);
-}
-
 ckpt::Result OnlineTrainer::SaveCheckpoint() const {
   ckpt::ByteWriter w;
   w.I64(last_trained_time_);

@@ -67,9 +67,6 @@ class OnlineTrainer {
   // applied.
   int64_t FineTuneThrough(int64_t through);
 
-  // Frozen deep copy of the current model for publication (eval mode).
-  std::unique_ptr<core::RetiaModel> PublishClone() const;
-
   // Restores the checkpoint at config.checkpoint_path: grows the model to
   // the recorded vocabulary first, then resumes the trainer state
   // bit-exactly. The live dataset must already contain the recorded

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "graph/graph_cache.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "serve/snapshot.h"
@@ -21,14 +20,8 @@ StreamPipeline::StreamPipeline(std::unique_ptr<core::RetiaModel> model,
   trainer_ = std::make_unique<OnlineTrainer>(std::move(model), live_.get(),
                                              config_.trainer);
   ingest_ = std::make_unique<StreamIngest>(live_.get(), config_.ingest);
-
-  serve::EngineSnapshot initial;
-  initial.model = trainer_->PublishClone();
-  initial.dataset = std::make_unique<tkg::TkgDataset>(*live_);
-  initial.graph_cache =
-      std::make_unique<graph::GraphCache>(initial.dataset.get());
-  engine_ =
-      std::make_unique<serve::ServeEngine>(std::move(initial), config_.serve);
+  engine_ = std::make_unique<serve::ServeEngine>(
+      FrozenSnapshot(trainer_->model(), *live_), config_.serve);
 }
 
 int64_t StreamPipeline::AdvanceTo(int64_t now) {
@@ -81,11 +74,7 @@ void StreamPipeline::TrainAndPublish(std::vector<SealedBucket> chunk) {
 
 void StreamPipeline::Publish() {
   RETIA_OBS_TIMED_SCOPE("stream.publish.us");
-  serve::EngineSnapshot snapshot;
-  snapshot.model = trainer_->PublishClone();
-  snapshot.dataset = std::make_unique<tkg::TkgDataset>(*live_);
-  snapshot.graph_cache =
-      std::make_unique<graph::GraphCache>(snapshot.dataset.get());
+  serve::EngineSnapshot snapshot = FrozenSnapshot(trainer_->model(), *live_);
   if (!config_.snapshot_prefix.empty()) {
     const ckpt::Result saved = serve::SaveModelSnapshot(
         *snapshot.model, config_.snapshot_prefix, live_->name());

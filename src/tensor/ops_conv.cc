@@ -14,7 +14,8 @@ namespace retia::tensor {
 //                  Conv2d: (cout, cin) filter planes (batch stays the
 //                  outer loop inside a shard, preserving the serial
 //                  accumulation order per filter element),
-//   bias grad    — output channels.
+//   bias grad    — Conv1d: the weight grad's first shard;
+//                  Conv2d: output channels.
 // Every output element therefore sees the serial arithmetic in the serial
 // order: results are bit-identical for every thread count. Conv1d runs the
 // simd kernel table's conv1d family, which keeps that order on every
@@ -30,6 +31,7 @@ Tensor Conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
   const int64_t length = input.Dim(2);
   const int64_t cout = weight.Dim(0);
   RETIA_CHECK_EQ(weight.Dim(1), cin);
+  RETIA_CHECK(cin > 0);  // the backward's bias grad rides a ci shard
   const int64_t ksize = weight.Dim(2);
   const int64_t lout = length + 2 * pad - ksize + 1;
   RETIA_CHECK(lout > 0);
@@ -64,30 +66,27 @@ Tensor Conv1d(const Tensor& input, const Tensor& weight, const Tensor& bias,
                 });
           });
         }
-        if (weight.RequiresGrad()) {
-          weight.impl().AccumulateGradFrom([&](float* gw) {
-            par::ParallelFor(
-                cin, par::GrainRows(batch * cout * lout * ksize),
-                [&](int64_t ci0, int64_t ci1) {
-                  kernels.conv1d_weight_grad(g, input.Data(), gw, ci0, ci1,
-                                             batch, cin, length, cout, ksize,
-                                             pad);
-                });
-          });
-        }
-        if (bias.defined() && bias.RequiresGrad()) {
-          FloatBuffer gb(cout, 0.0f);
+        // The bias grad comes out of the weight-grad kernel's first shard,
+        // which transposes each batch item's gradient block anyway.
+        const bool bias_grad = bias.defined() && bias.RequiresGrad();
+        FloatBuffer gb(bias_grad ? cout : 0);
+        const auto weight_grad = [&](float* gw) {
           par::ParallelFor(
-              cout, par::GrainRows(batch * lout),
-              [&](int64_t co0, int64_t co1) {
-                for (int64_t b = 0; b < batch; ++b)
-                  for (int64_t co = co0; co < co1; ++co) {
-                    const float* grow = g + (b * cout + co) * lout;
-                    for (int64_t l = 0; l < lout; ++l) gb[co] += grow[l];
-                  }
+              cin, par::GrainRows(batch * cout * lout * ksize),
+              [&](int64_t ci0, int64_t ci1) {
+                kernels.conv1d_weight_grad(
+                    g, input.Data(), gw,
+                    bias_grad && ci0 == 0 ? gb.data() : nullptr, ci0, ci1,
+                    batch, cin, length, cout, ksize, pad);
               });
-          bias.impl().AccumulateGrad(gb.data(), cout);
+        };
+        if (weight.RequiresGrad()) {
+          weight.impl().AccumulateGradFrom(weight_grad);
+        } else if (bias_grad) {
+          FloatBuffer unused(cout * cin * ksize);
+          weight_grad(unused.data());
         }
+        if (bias_grad) bias.impl().AccumulateGrad(gb.data(), cout);
       });
 }
 

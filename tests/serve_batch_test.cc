@@ -16,7 +16,6 @@
 
 #include "ckpt/result.h"
 #include "core/retia.h"
-#include "graph/graph_cache.h"
 #include "obs/obs.h"
 #include "serve/engine.h"
 #include "serve/query.h"
@@ -43,6 +42,7 @@ using serve::ServeConfig;
 using serve::ServeEngine;
 using serve::SocketChannel;
 using serve::StatusCode;
+using stream::FrozenSnapshot;
 
 // ---- Fixtures ---------------------------------------------------------------
 
@@ -79,16 +79,6 @@ core::RetiaConfig ModelConfigFor(const tkg::TkgDataset& dataset) {
   config.conv_kernels = 4;
   config.seed = 3;
   return config;
-}
-
-serve::EngineSnapshot SnapshotOf(const core::RetiaModel& model,
-                                 const tkg::TkgDataset& dataset) {
-  serve::EngineSnapshot snapshot;
-  snapshot.model = stream::CloneModel(model);
-  snapshot.dataset = std::make_unique<tkg::TkgDataset>(dataset);
-  snapshot.graph_cache =
-      std::make_unique<graph::GraphCache>(snapshot.dataset.get());
-  return snapshot;
 }
 
 ServeConfig SmallServeConfig() {
@@ -147,8 +137,8 @@ void RunEngineBitIdentity(const tkg::TkgDataset& dataset,
     ServeConfig config = SmallServeConfig();
     config.quantized_decode = quantized_decode;
     config.enable_cache = false;  // force a real decode on both paths
-    ServeEngine batched(SnapshotOf(model, dataset), config);
-    ServeEngine singles(SnapshotOf(model, dataset), config);
+    ServeEngine batched(FrozenSnapshot(model, dataset), config);
+    ServeEngine singles(FrozenSnapshot(model, dataset), config);
 
     const std::vector<Result<QueryResult>> batch =
         batched.SubmitBatch(queries);
@@ -173,8 +163,8 @@ TEST(EngineBatchTest, BatchBitIdenticalToPerQueryInt8AcrossBackends) {
 TEST(EngineBatchTest, MixedValidityBatchDegradesOnlyBadSlots) {
   const tkg::TkgDataset dataset = tkg::GenerateSynthetic(TinyDataConfig());
   core::RetiaModel model(ModelConfigFor(dataset));
-  ServeEngine engine(SnapshotOf(model, dataset), SmallServeConfig());
-  ServeEngine reference(SnapshotOf(model, dataset), SmallServeConfig());
+  ServeEngine engine(FrozenSnapshot(model, dataset), SmallServeConfig());
+  ServeEngine reference(FrozenSnapshot(model, dataset), SmallServeConfig());
   const int64_t t = dataset.test_times().front();
 
   const std::vector<Query> queries = {
@@ -202,7 +192,7 @@ TEST(EngineBatchTest, MixedValidityBatchDegradesOnlyBadSlots) {
 TEST(EngineBatchTest, EmptyBatchIsANoOp) {
   const tkg::TkgDataset dataset = tkg::GenerateSynthetic(TinyDataConfig());
   core::RetiaModel model(ModelConfigFor(dataset));
-  ServeEngine engine(SnapshotOf(model, dataset), SmallServeConfig());
+  ServeEngine engine(FrozenSnapshot(model, dataset), SmallServeConfig());
   EXPECT_TRUE(engine.SubmitBatch({}).empty());
 }
 
@@ -217,7 +207,7 @@ TEST(RouterBatchTest, RouteBatchMatchesPerQueryRouteAndStampsShards) {
     std::vector<std::unique_ptr<ServeEngine>> engines;
     for (int i = 0; i < 3; ++i) {
       engines.push_back(std::make_unique<ServeEngine>(
-          SnapshotOf(model, dataset), SmallServeConfig()));
+          FrozenSnapshot(model, dataset), SmallServeConfig()));
       replicas.push_back(std::make_unique<LocalChannel>(engines.back().get()));
     }
     return std::make_pair(std::move(replicas), std::move(engines));
@@ -287,8 +277,8 @@ TEST(RouterBatchTest, RouteBatchMatchesPerQueryRouteAndStampsShards) {
 TEST(RouterBatchTest, SocketBatchBitIdenticalToPerQuerySubmit) {
   const tkg::TkgDataset dataset = tkg::GenerateSynthetic(TinyDataConfig());
   core::RetiaModel model(ModelConfigFor(dataset));
-  ServeEngine served(SnapshotOf(model, dataset), SmallServeConfig());
-  ServeEngine reference(SnapshotOf(model, dataset), SmallServeConfig());
+  ServeEngine served(FrozenSnapshot(model, dataset), SmallServeConfig());
+  ServeEngine reference(FrozenSnapshot(model, dataset), SmallServeConfig());
   const std::string path = testing::TempDir() + "/retia_batch_e2e.sock";
   ReplicaServer server(&served, nullptr, path);
   ASSERT_TRUE(server.Start().ok());

@@ -59,6 +59,7 @@ using serve::ServeEngine;
 using serve::ShardMap;
 using serve::SocketChannel;
 using serve::StatusCode;
+using stream::FrozenSnapshot;
 namespace wire = serve::wire;
 
 // ---- Shard map --------------------------------------------------------------
@@ -494,16 +495,6 @@ core::RetiaConfig TinyModelConfig(const tkg::TkgDataset& dataset,
   return config;
 }
 
-serve::EngineSnapshot SnapshotOf(const core::RetiaModel& model,
-                                 const tkg::TkgDataset& dataset) {
-  serve::EngineSnapshot snapshot;
-  snapshot.model = stream::CloneModel(model);
-  snapshot.dataset = std::make_unique<tkg::TkgDataset>(dataset);
-  snapshot.graph_cache =
-      std::make_unique<graph::GraphCache>(snapshot.dataset.get());
-  return snapshot;
-}
-
 ServeConfig SmallServeConfig() {
   ServeConfig config;
   config.num_threads = 2;
@@ -520,9 +511,9 @@ TEST(RouterTest, LocalChannelsAnswerBitIdenticalToDirectEngine) {
 
   // Reference engine plus two replica engines, all over the same frozen
   // snapshot: which replica answers must not change the answer.
-  ServeEngine reference(SnapshotOf(model, dataset), SmallServeConfig());
-  ServeEngine replica_a(SnapshotOf(model, dataset), SmallServeConfig());
-  ServeEngine replica_b(SnapshotOf(model, dataset), SmallServeConfig());
+  ServeEngine reference(FrozenSnapshot(model, dataset), SmallServeConfig());
+  ServeEngine replica_a(FrozenSnapshot(model, dataset), SmallServeConfig());
+  ServeEngine replica_b(FrozenSnapshot(model, dataset), SmallServeConfig());
 
   std::vector<std::unique_ptr<ReplicaChannel>> channels;
   channels.push_back(std::make_unique<LocalChannel>(&replica_a));
@@ -574,7 +565,7 @@ TEST(RouterTest, DeadReplicaDegradesOnlyItsArcToShardUnavailable) {
   core::RetiaModel model(TinyModelConfig(dataset));
   const int64_t t = dataset.test_times().front();
 
-  ServeEngine live(SnapshotOf(model, dataset), SmallServeConfig());
+  ServeEngine live(FrozenSnapshot(model, dataset), SmallServeConfig());
   std::vector<std::unique_ptr<ReplicaChannel>> channels;
   channels.push_back(std::make_unique<LocalChannel>(&live));
   channels.push_back(std::make_unique<DeadChannel>());
@@ -610,8 +601,8 @@ TEST(ReplicaServerTest, SocketChannelEndToEndMatchesInProcess) {
   core::RetiaModel model(TinyModelConfig(dataset));
   const int64_t t = dataset.test_times().front();
 
-  ServeEngine reference(SnapshotOf(model, dataset), SmallServeConfig());
-  ServeEngine served(SnapshotOf(model, dataset), SmallServeConfig());
+  ServeEngine reference(FrozenSnapshot(model, dataset), SmallServeConfig());
+  ServeEngine served(FrozenSnapshot(model, dataset), SmallServeConfig());
   const std::string path = testing::TempDir() + "/retia_replica_e2e.sock";
   ReplicaServer server(&served, nullptr, path);
   Result<bool> started = server.Start();
@@ -667,7 +658,7 @@ TEST(ReplicaServerTest, SocketChannelEndToEndMatchesInProcess) {
 TEST(ReplicaServerTest, MalformedBytesOnSocketAreReportedNotFatal) {
   const tkg::TkgDataset dataset = tkg::GenerateSynthetic(TinyDataConfig());
   core::RetiaModel model(TinyModelConfig(dataset));
-  ServeEngine served(SnapshotOf(model, dataset), SmallServeConfig());
+  ServeEngine served(FrozenSnapshot(model, dataset), SmallServeConfig());
   const std::string path = testing::TempDir() + "/retia_replica_fuzz.sock";
   ReplicaServer server(&served, nullptr, path);
   ASSERT_TRUE(server.Start().ok());
@@ -827,7 +818,7 @@ constexpr int64_t kFdSlack = 8;
 TEST(ReplicaServerTest, HungUpConnectionsAreClosedAndReaped) {
   const tkg::TkgDataset dataset = tkg::GenerateSynthetic(TinyDataConfig());
   core::RetiaModel model(TinyModelConfig(dataset));
-  ServeEngine served(SnapshotOf(model, dataset), SmallServeConfig());
+  ServeEngine served(FrozenSnapshot(model, dataset), SmallServeConfig());
   const std::string path = testing::TempDir() + "/retia_replica_reap.sock";
   ReplicaServer server(&served, nullptr, path);
   ASSERT_TRUE(server.Start().ok());
@@ -858,8 +849,8 @@ TEST(ReplicaServerTest, BurstAbovePoolSizeMatchesInProcessAndClosesOverflow) {
   core::RetiaModel model(TinyModelConfig(dataset));
   const int64_t t = dataset.test_times().front();
 
-  ServeEngine reference(SnapshotOf(model, dataset), SmallServeConfig());
-  ServeEngine served(SnapshotOf(model, dataset), SmallServeConfig());
+  ServeEngine reference(FrozenSnapshot(model, dataset), SmallServeConfig());
+  ServeEngine served(FrozenSnapshot(model, dataset), SmallServeConfig());
   const std::string path = testing::TempDir() + "/retia_replica_burst.sock";
   ReplicaServer server(&served, nullptr, path);
   ASSERT_TRUE(server.Start().ok());
@@ -920,8 +911,8 @@ TEST(RouterSwapTest, ConcurrentSwapAllNeverDropsOrTearsResponses) {
   // Reference answers under each snapshot.
   std::vector<std::vector<ScoredCandidate>> ref_a, ref_b;
   {
-    ServeEngine engine_a(SnapshotOf(model_a, dataset), SmallServeConfig());
-    ServeEngine engine_b(SnapshotOf(model_b, dataset), SmallServeConfig());
+    ServeEngine engine_a(FrozenSnapshot(model_a, dataset), SmallServeConfig());
+    ServeEngine engine_b(FrozenSnapshot(model_b, dataset), SmallServeConfig());
     for (int64_t s = 0; s < dataset.num_entities(); ++s) {
       Result<QueryResult> a = engine_a.Submit(Query::Entity(s, 1, t, k));
       Result<QueryResult> b = engine_b.Submit(Query::Entity(s, 1, t, k));
@@ -933,11 +924,11 @@ TEST(RouterSwapTest, ConcurrentSwapAllNeverDropsOrTearsResponses) {
   }
 
   // Two replicas starting on snapshot A; the loader alternates per prefix.
-  ServeEngine replica_a(SnapshotOf(model_a, dataset), SmallServeConfig());
-  ServeEngine replica_b(SnapshotOf(model_a, dataset), SmallServeConfig());
+  ServeEngine replica_a(FrozenSnapshot(model_a, dataset), SmallServeConfig());
+  ServeEngine replica_b(FrozenSnapshot(model_a, dataset), SmallServeConfig());
   serve::SnapshotLoader loader =
       [&](const std::string& prefix) -> Result<serve::EngineSnapshot> {
-    return SnapshotOf(prefix == "b" ? model_b : model_a, dataset);
+    return FrozenSnapshot(prefix == "b" ? model_b : model_a, dataset);
   };
   std::vector<std::unique_ptr<ReplicaChannel>> channels;
   channels.push_back(std::make_unique<LocalChannel>(&replica_a, loader));
@@ -1003,13 +994,13 @@ TEST(RouterSwapTest, SocketReplicaSwapRoundTrip) {
 
   std::vector<ScoredCandidate> ref_b;
   {
-    ServeEngine engine_b(SnapshotOf(model_b, dataset), SmallServeConfig());
+    ServeEngine engine_b(FrozenSnapshot(model_b, dataset), SmallServeConfig());
     Result<QueryResult> b = engine_b.Submit(Query::Entity(2, 1, t, 4));
     ASSERT_TRUE(b.ok());
     ref_b = b.take().candidates;
   }
 
-  ServeEngine served(SnapshotOf(model_a, dataset), SmallServeConfig());
+  ServeEngine served(FrozenSnapshot(model_a, dataset), SmallServeConfig());
   serve::SnapshotLoader loader =
       [&](const std::string& prefix) -> Result<serve::EngineSnapshot> {
     std::unique_ptr<core::RetiaModel> loaded;

@@ -656,7 +656,7 @@ struct Conv1dShape {
 };
 
 struct Conv1dOutputs {
-  std::vector<float> out, gx, gw;
+  std::vector<float> out, gx, gw, gbias;
 };
 
 // tensor::Conv1d's loops before the kernel table took them over, kept as
@@ -717,12 +717,19 @@ Conv1dOutputs ReferenceConv1d(const Conv1dShape& sh, const float* x,
           if (src >= 0 && src < length) wrow[kk] += grow[l] * xrow[src];
         }
     }
+  r.gbias.assign(cout, 0.0f);
+  for (int64_t b = 0; b < batch; ++b)
+    for (int64_t co = 0; co < cout; ++co) {
+      const float* grow = g + (b * cout + co) * lout;
+      for (int64_t l = 0; l < lout; ++l) r.gbias[co] += grow[l];
+    }
   return r;
 }
 
 // The three kernels of one table, each over its whole range split in two
 // at `split` (a fraction in [0, 1]): the halves write disjoint outputs, so
-// every split must give the same bits.
+// every split must give the same bits. The first weight-grad half, empty
+// at split 0, also writes the bias grad.
 Conv1dOutputs TableConv1d(const KernelTable& t, const Conv1dShape& sh,
                           const float* x, const float* w, const float* bias,
                           const float* g, double split) {
@@ -742,10 +749,11 @@ Conv1dOutputs TableConv1d(const KernelTable& t, const Conv1dShape& sh,
   t.conv1d_input_grad(g, w, r.gx.data(), b, sh.batch, sh.cin, sh.length,
                       sh.cout, sh.ksize, sh.pad);
   r.gw.assign(sh.cout * sh.cin * sh.ksize, 0.0f);
-  t.conv1d_weight_grad(g, x, r.gw.data(), 0, c, sh.batch, sh.cin, sh.length,
-                       sh.cout, sh.ksize, sh.pad);
-  t.conv1d_weight_grad(g, x, r.gw.data(), c, sh.cin, sh.batch, sh.cin,
-                       sh.length, sh.cout, sh.ksize, sh.pad);
+  r.gbias.assign(sh.cout, 0.0f);
+  t.conv1d_weight_grad(g, x, r.gw.data(), r.gbias.data(), 0, c, sh.batch,
+                       sh.cin, sh.length, sh.cout, sh.ksize, sh.pad);
+  t.conv1d_weight_grad(g, x, r.gw.data(), nullptr, c, sh.cin, sh.batch,
+                       sh.cin, sh.length, sh.cout, sh.ksize, sh.pad);
   return r;
 }
 
@@ -759,6 +767,7 @@ void ExpectConv1dBitEqual(const Conv1dOutputs& got, const Conv1dOutputs& want,
   ExpectBitEqual(got.out, want.out, "conv1d forward", backend);
   ExpectBitEqual(got.gx, want.gx, "conv1d input grad", backend);
   ExpectBitEqual(got.gw, want.gw, "conv1d weight grad", backend);
+  ExpectBitEqual(got.gbias, want.gbias, "conv1d bias grad", backend);
 }
 
 TEST(BitExactTest, Conv1dMatchesScalarBitForBit) {
@@ -829,35 +838,60 @@ TEST(BitExactTest, Conv1dMatchesScalarBitForBit) {
   }
 }
 
-// tensor::Conv1d forward plus backward, at the decoder's training shape,
-// gives the same bits at every pool width on every backend.
+// tensor::Conv1d forward plus backward, at the decoder's training shape and
+// at 13 channels (not a multiple of 8), gives the same bits at every pool
+// width on every backend, and its bias gradient, with or without a weight
+// gradient, is the serial (b, l) sum of the output gradient, channel by
+// channel.
 TEST(DeterminismTest, Conv1dThreadCountInvariant) {
-  const int64_t batch = 120, cin = 2, length = 32, cout = 16, ksize = 3;
-  const std::vector<float> xv = RandVec(batch * cin * length, 61);
-  const std::vector<float> wv = RandVec(cout * cin * ksize, 62);
-  const std::vector<float> bv = RandVec(cout, 63);
-  for (Backend backend : SupportedBackends()) {
-    ScopedBackend guard(backend);
-    auto run = [&](int threads) {
-      par::ThreadPool pool(threads);
-      par::ScopedDefaultPool pool_guard(&pool);
-      tensor::Tensor x = tensor::Tensor::FromVector({batch, cin, length}, xv,
-                                                    /*requires_grad=*/true);
-      tensor::Tensor w = tensor::Tensor::FromVector({cout, cin, ksize}, wv,
-                                                    /*requires_grad=*/true);
-      tensor::Tensor b = tensor::Tensor::FromVector({cout}, bv,
-                                                    /*requires_grad=*/true);
-      tensor::Tensor y = tensor::Conv1d(x, w, b, /*pad=*/1);
-      tensor::Sum(tensor::Mul(y, y)).Backward();
-      return std::vector<tensor::FloatBuffer>{y.impl().data, x.Grad(),
-                                              w.Grad(), b.Grad()};
-    };
-    const auto reference = run(1);
-    for (int threads : {2, 4, 8}) {
-      const auto got = run(threads);
-      for (size_t i = 0; i < got.size(); ++i) {
-        ExpectBitEqual(got[i], reference[i], "Conv1d across thread counts",
-                       backend);
+  struct Shape {
+    int64_t batch, cin, length, cout, ksize;
+    uint64_t seed;
+  };
+  for (const Shape& sh : {Shape{120, 2, 32, 16, 3, 61},
+                          Shape{180, 2, 32, 13, 3, 64}}) {
+    const std::vector<float> xv =
+        RandVec(sh.batch * sh.cin * sh.length, sh.seed);
+    const std::vector<float> wv =
+        RandVec(sh.cout * sh.cin * sh.ksize, sh.seed + 1);
+    const std::vector<float> bv = RandVec(sh.cout, sh.seed + 2);
+    for (Backend backend : SupportedBackends()) {
+      ScopedBackend guard(backend);
+      // y, x.grad, w.grad (empty without weight_grad), b.grad, then y.grad.
+      auto run = [&](int threads, bool weight_grad = true) {
+        par::ThreadPool pool(threads);
+        par::ScopedDefaultPool pool_guard(&pool);
+        tensor::Tensor x = tensor::Tensor::FromVector(
+            {sh.batch, sh.cin, sh.length}, xv, /*requires_grad=*/true);
+        tensor::Tensor w = tensor::Tensor::FromVector(
+            {sh.cout, sh.cin, sh.ksize}, wv, weight_grad);
+        tensor::Tensor b = tensor::Tensor::FromVector({sh.cout}, bv,
+                                                      /*requires_grad=*/true);
+        tensor::Tensor y = tensor::Conv1d(x, w, b, /*pad=*/1);
+        tensor::Sum(tensor::Mul(y, y)).Backward();
+        return std::vector<tensor::FloatBuffer>{
+            y.impl().data, x.Grad(),
+            weight_grad ? w.Grad() : tensor::FloatBuffer(), b.Grad(),
+            y.Grad()};
+      };
+      const auto reference = run(1);
+      const tensor::FloatBuffer& gy = reference[4];
+      const int64_t lout = sh.length + 2 * /*pad=*/1 - sh.ksize + 1;
+      tensor::FloatBuffer gb(sh.cout, 0.0f);
+      for (int64_t b = 0; b < sh.batch; ++b)
+        for (int64_t co = 0; co < sh.cout; ++co)
+          for (int64_t l = 0; l < lout; ++l)
+            gb[co] += gy[(b * sh.cout + co) * lout + l];
+      ExpectBitEqual(reference[3], gb, "Conv1d bias grad vs serial loop",
+                     backend);
+      ExpectBitEqual(run(4, /*weight_grad=*/false)[3], gb,
+                     "Conv1d bias grad without a weight grad", backend);
+      for (int threads : {2, 4, 8}) {
+        const auto got = run(threads);
+        for (size_t i = 0; i < got.size(); ++i) {
+          ExpectBitEqual(got[i], reference[i], "Conv1d across thread counts",
+                         backend);
+        }
       }
     }
   }

@@ -38,6 +38,7 @@
 namespace retia {
 namespace {
 
+using stream::FrozenSnapshot;
 using stream::IngestStatus;
 using stream::OnlineTrainerConfig;
 using stream::SealedBucket;
@@ -614,16 +615,6 @@ TEST(StreamResumeTest, SigkillBetweenFinetuneAndPublishResumesBitExact) {
 
 // ---- Hot swap under concurrent queries --------------------------------------
 
-serve::EngineSnapshot SnapshotOf(const core::RetiaModel& model,
-                                 const tkg::TkgDataset& dataset) {
-  serve::EngineSnapshot snapshot;
-  snapshot.model = stream::CloneModel(model);
-  snapshot.dataset = std::make_unique<tkg::TkgDataset>(dataset);
-  snapshot.graph_cache =
-      std::make_unique<graph::GraphCache>(snapshot.dataset.get());
-  return snapshot;
-}
-
 TEST(SnapshotSwapTest, ConcurrentQueriesAcrossSwapsAreNeverDroppedOrTorn) {
   std::unique_ptr<tkg::TkgDataset> live = MakeLiveDataset();
   core::RetiaConfig config_a = TinyModelConfig(*live);
@@ -654,8 +645,8 @@ TEST(SnapshotSwapTest, ConcurrentQueriesAcrossSwapsAreNeverDroppedOrTorn) {
   using Ranking = std::vector<serve::ScoredCandidate>;
   std::vector<std::vector<Ranking>> ref_a(times.size()), ref_b(times.size());
   {
-    serve::ServeEngine engine_a(SnapshotOf(model_a, *live), serve_config);
-    serve::ServeEngine engine_b(SnapshotOf(model_b, *live), serve_config);
+    serve::ServeEngine engine_a(FrozenSnapshot(model_a, *live), serve_config);
+    serve::ServeEngine engine_b(FrozenSnapshot(model_b, *live), serve_config);
     for (size_t ti = 0; ti < times.size(); ++ti) {
       for (const auto& [s, r] : queries) {
         ref_a[ti].push_back(TopObjects(engine_a, s, r, times[ti], k));
@@ -665,7 +656,7 @@ TEST(SnapshotSwapTest, ConcurrentQueriesAcrossSwapsAreNeverDroppedOrTorn) {
     ASSERT_NE(ref_a[0].front(), ref_b[0].front());
   }
 
-  serve::ServeEngine engine(SnapshotOf(model_a, *live), serve_config);
+  serve::ServeEngine engine(FrozenSnapshot(model_a, *live), serve_config);
   constexpr int kClients = 4;
   constexpr int kRoundsPerClient = 60;
   std::vector<std::thread> clients;
@@ -690,8 +681,8 @@ TEST(SnapshotSwapTest, ConcurrentQueriesAcrossSwapsAreNeverDroppedOrTorn) {
   // Swap back and forth while the clients hammer the engine.
   constexpr int kSwaps = 10;
   for (int swap = 0; swap < kSwaps; ++swap) {
-    engine.SwapSnapshot(swap % 2 == 0 ? SnapshotOf(model_b, *live)
-                                      : SnapshotOf(model_a, *live));
+    engine.SwapSnapshot(swap % 2 == 0 ? FrozenSnapshot(model_b, *live)
+                                      : FrozenSnapshot(model_a, *live));
   }
   for (std::thread& thread : clients) thread.join();
 
@@ -715,7 +706,7 @@ TEST(SnapshotSwapTest, SwapToGrownVocabularyServesNewEntity) {
   std::unique_ptr<core::RetiaModel> model = MakeModel(*live);
   serve::ServeConfig serve_config;
   serve_config.max_k = 5;
-  serve::ServeEngine engine(SnapshotOf(*model, *live), serve_config);
+  serve::ServeEngine engine(FrozenSnapshot(*model, *live), serve_config);
   const int64_t t = live->max_time();
   ASSERT_EQ(TopObjects(engine, 0, 0, t, 5).size(), 5u);
 
@@ -724,7 +715,7 @@ TEST(SnapshotSwapTest, SwapToGrownVocabularyServesNewEntity) {
   live->AppendBucket(t + 1, {{n, 0, 1, t + 1}});
   std::unique_ptr<core::RetiaModel> grown =
       stream::GrowEntityVocab(*model, n + 1);
-  engine.SwapSnapshot(SnapshotOf(*grown, *live));
+  engine.SwapSnapshot(FrozenSnapshot(*grown, *live));
 
   EXPECT_EQ(TopObjects(engine, n, 0, t + 2, 5).size(), 5u);
   EXPECT_EQ(TopObjects(engine, 0, 0, t + 2, 5).size(), 5u);
