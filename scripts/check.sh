@@ -9,24 +9,29 @@
 #    (grep-based, runs before any compile so it fails fast).
 # 2. TSan smoke: builds the concurrency-sensitive test binaries (par_test,
 #    par_task_graph_test, serve_test, serve_router_test, serve_batch_test,
-#    stream_test, obs_test, obs_disabled_test, quant_test) in Release with -fsanitize=thread into
-#    build-tsan/ and runs the par/serve/obs/stream/quant-labelled ctest
-#    suites under halt_on_error. Zero TSan reports is a hard requirement:
-#    the par::ThreadPool sharding (including concurrent shard failures),
-#    the two coarse fan-outs on it (GraphCache::Prefetch's parallel
-#    snapshot builds and the per-state frozen decodes), the
-#    ServeEngine drain ticks, per-timestamp once-semantics state entries
-#    and snapshot hot-swap epoch pinning, the obs hot paths
-#    (relaxed-atomic metrics, per-thread trace rings), and the GemmNTQuant
-#    thread sweep must be data-race-free, not just bit-identical.
-# 3. ASan ckpt+stream+par+quant+serve+core+graph+tensor+baselines suites:
-#    builds ckpt_test, stream_test, par_test, par_task_graph_test,
+#    stream_test, obs_test, obs_disabled_test, quant_test, graph_test) in
+#    Release with -fsanitize=thread into build-tsan/, runs the
+#    par/serve/obs/stream/quant-labelled ctest suites under halt_on_error,
+#    then graph_test directly (it has no ctest label). Zero TSan reports
+#    is a hard requirement: the par::ThreadPool sharding (including
+#    concurrent shard failures), the two coarse fan-outs on it
+#    (GraphCache::Prefetch's parallel snapshot builds and the per-state
+#    frozen decodes), GraphCache entries handed between caches and
+#    evicted under its mutex, the ServeEngine drain ticks, per-timestamp
+#    once-semantics state entries and snapshot hot-swap epoch pinning, the
+#    obs hot paths (relaxed-atomic metrics, per-thread trace rings), and
+#    the GemmNTQuant thread sweep must be data-race-free, not just
+#    bit-identical.
+# 3. ASan ckpt+stream+par+quant+serve+core+graph+tkg+tensor+baselines
+#    suites: builds ckpt_test, stream_test, par_test, par_task_graph_test,
 #    quant_test, serve_test, serve_router_test, serve_batch_test,
-#    core_test, graph_test, tensor_test, tensor_property_test,
+#    core_test, graph_test, tkg_test, tensor_test, tensor_property_test,
 #    baselines_test, and the ckpt_smoke / stream_demo examples with
 #    -fsanitize=address into build-asan/, runs the ckpt-, stream-, par-,
 #    quant- and serve-labelled ctest suites, then core_test, graph_test,
-#    tensor_test, tensor_property_test and baselines_test. Under ASan every
+#    tkg_test, tensor_test, tensor_property_test and baselines_test.
+#    Dataset copies share their fact buckets and graph caches share built
+#    entries, so tkg_test and graph_test check those lifetimes. Under ASan every
 #    fresh tensor buffer (tensor::FloatBuffer) starts as quiet NaNs, so an
 #    op or kernel that reads an output or gradient element before writing
 #    it poisons a result those suites check. The artifact parser is fed
@@ -153,13 +158,19 @@ cmake -B "${BUILD}" -S "${ROOT}" \
 # and the other suites exercise no cross-thread behaviour.
 cmake --build "${BUILD}" -j "${JOBS}" \
   --target par_test par_task_graph_test serve_test serve_router_test \
-           serve_batch_test stream_test obs_test obs_disabled_test quant_test
+           serve_batch_test stream_test obs_test obs_disabled_test quant_test \
+           graph_test
 
 # halt_on_error: the first race fails the run instead of scrolling past.
 TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:${TSAN_OPTIONS}}" \
   ctest --test-dir "${BUILD}" -L "par|serve|obs|stream|quant" --output-on-failure
+# graph_test carries no ctest label: GraphCache hands entries between
+# caches and evicts them under its mutex while other threads read.
+TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:${TSAN_OPTIONS}}" \
+  "${BUILD}/tests/graph_test"
 
-echo "check.sh: par|serve|obs|stream|quant suites clean under ThreadSanitizer"
+echo "check.sh: par|serve|obs|stream|quant suites and graph_test clean" \
+     "under ThreadSanitizer"
 
 # ---------------------------------------------------------------------------
 # ASan ckpt suite. The corruption-matrix tests deliberately hand the
@@ -167,8 +178,10 @@ echo "check.sh: par|serve|obs|stream|quant suites clean under ThreadSanitizer"
 # suites hand the wire decoders hostile socket bytes; AddressSanitizer
 # turns any missed bounds check into a hard failure instead of a lucky read.
 # core_test and graph_test carry no ctest label, so they run directly: the
-# per-snapshot AggregateRows plans and their shared_ptr lifetimes. So do
-# tensor_test, tensor_property_test and baselines_test, whose ops write
+# per-snapshot AggregateRows plans and graph cache entries, and their
+# shared_ptr lifetimes. So does tkg_test, whose dataset copies share their
+# fact buckets, and so do tensor_test, tensor_property_test and
+# baselines_test, whose ops write
 # into NaN-filled fresh buffers under ASan (tensor/tensor.h): an op that
 # reads before it writes fails them.
 cmake -B "${BUILD_ASAN}" -S "${ROOT}" \
@@ -178,20 +191,20 @@ cmake -B "${BUILD_ASAN}" -S "${ROOT}" \
 cmake --build "${BUILD_ASAN}" -j "${JOBS}" \
   --target ckpt_test stream_test par_test par_task_graph_test quant_test \
            serve_test serve_router_test serve_batch_test core_test \
-           graph_test tensor_test tensor_property_test baselines_test \
-           ckpt_smoke stream_demo
+           graph_test tkg_test tensor_test tensor_property_test \
+           baselines_test ckpt_smoke stream_demo
 
 ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+:${ASAN_OPTIONS}}" \
   ctest --test-dir "${BUILD_ASAN}" -L "ckpt|stream|par|quant|serve" \
     --output-on-failure
-for suite in core_test graph_test tensor_test tensor_property_test \
+for suite in core_test graph_test tkg_test tensor_test tensor_property_test \
              baselines_test; do
   ASAN_OPTIONS="halt_on_error=1${ASAN_OPTIONS:+:${ASAN_OPTIONS}}" \
     "${BUILD_ASAN}/tests/${suite}"
 done
 
-echo "check.sh: ckpt, stream, par, quant, serve, core, graph, tensor and" \
-     "baselines suites clean under AddressSanitizer"
+echo "check.sh: ckpt, stream, par, quant, serve, core, graph, tkg, tensor" \
+     "and baselines suites clean under AddressSanitizer"
 
 # ---------------------------------------------------------------------------
 # Kill-and-resume smoke, on the ASan binary so the crash path is

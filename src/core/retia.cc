@@ -149,8 +149,7 @@ std::vector<RetiaModel::StepState> RetiaModel::Evolve(
   }
   states.reserve(history.size());
 
-  const bool run_ram = config_.use_ram &&
-                       config_.relation_mode == RelationMode::kMpLstmAgg;
+  const bool run_ram = uses_hypergraphs();
 
   // The snapshots (and twin hyperrelation subgraphs, Algorithm 1) of the
   // history depend on the dataset alone, so they build in parallel up

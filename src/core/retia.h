@@ -75,6 +75,13 @@ class RetiaModel : public EvolutionModel {
  public:
   explicit RetiaModel(const RetiaConfig& config);
 
+  // Whether Evolve reads the twin hyperrelation subgraphs (Algorithm 1):
+  // only the full relation pipeline's RAM aggregates over them.
+  bool uses_hypergraphs() const {
+    return config_.use_ram &&
+           config_.relation_mode == RelationMode::kMpLstmAgg;
+  }
+
   // Runs the RAM/EAM/TIM evolution over `history` (ascending timestamps,
   // typically GraphCache::HistoryBefore(t, k)). Returns one state per
   // history step; empty history yields a single state holding the initial

@@ -17,14 +17,20 @@ namespace retia::graph {
 // epoch, so graph construction (including Algorithm 1 and the
 // tensor::AggregateRows plans of Eqs. 1, 4, 7 and 9) is paid once.
 //
-// Threading: subgraph(), hypergraph(), and Prefetch() are safe to call
-// concurrently from any number of threads (Prefetch builds a history's
-// snapshots in parallel, and serving engines evolve different timestamps
-// against one cache). Construction is pure and deterministic, so when two
-// threads race on the same timestamp both build identical objects and the
-// first insert wins; returned references stay valid for the cache's
-// lifetime (entries are never evicted). Lookups take one mutex;
-// construction itself runs outside the lock.
+// Threading: subgraph(), hypergraph(), Prefetch() and Adopt() are safe to
+// call concurrently from any number of threads (Prefetch builds a
+// history's snapshots in parallel, and serving engines evolve different
+// timestamps against one cache). Construction is pure and deterministic,
+// so when two threads race on the same timestamp both build identical
+// objects and the first insert wins. Lookups take one mutex; construction
+// itself runs outside the lock.
+//
+// Lifetime: entries are immutable and shared (std::shared_ptr<const ...>),
+// so a built entry can live in several caches at once: Adopt() takes over
+// another cache's entries and EvictBefore() drops old ones. A returned
+// reference stays valid until its entry is evicted from this cache or the
+// cache is destroyed, whichever comes first; EvictBefore() must not race
+// with a caller still using a reference to an entry it drops.
 //
 // Streaming: the cache reads the dataset's fact-bearing timestamps live
 // (TkgDataset::all_times()), so buckets appended at the frontier become
@@ -55,6 +61,22 @@ class GraphCache {
   // not Prefetch ran.
   void Prefetch(const std::vector<int64_t>& times, bool hypergraphs);
 
+  // Drops every entry at a timestamp before `t`. Thread-safe.
+  void EvictBefore(int64_t t);
+
+  // Shares `other`'s built entries at the timestamps this cache has not
+  // built, checked entry by entry: a subgraph is adopted only when both
+  // caches' datasets hold that timestamp's facts in one shared bucket
+  // (TkgDataset copies share them) and `other` built it for this
+  // dataset's entity and relation counts; a hyperrelation subgraph comes
+  // along with its adopted subgraph. Adopted entries are the objects
+  // `other` holds, so they stay bit-identical to a fresh build and
+  // outlive `other`. Returns the number of subgraphs adopted. Thread-safe.
+  int64_t Adopt(const GraphCache& other);
+
+  // Timestamps with a cached subgraph, ascending. Thread-safe.
+  std::vector<int64_t> cached_times() const;
+
   // The latest `k` fact-bearing timestamps strictly before `t`, ascending.
   // Fewer than `k` are returned near the start of the dataset.
   std::vector<int64_t> HistoryBefore(int64_t t, int64_t k) const;
@@ -62,8 +84,8 @@ class GraphCache {
  private:
   const tkg::TkgDataset* dataset_;
   mutable std::mutex mu_;  // guards the two maps (not the built objects)
-  std::map<int64_t, std::unique_ptr<Subgraph>> subgraphs_;
-  std::map<int64_t, std::unique_ptr<HyperSubgraph>> hypergraphs_;
+  std::map<int64_t, std::shared_ptr<const Subgraph>> subgraphs_;
+  std::map<int64_t, std::shared_ptr<const HyperSubgraph>> hypergraphs_;
 };
 
 }  // namespace retia::graph

@@ -17,12 +17,14 @@ std::unique_ptr<core::RetiaModel> CloneModel(const core::RetiaModel& model) {
 }
 
 serve::EngineSnapshot FrozenSnapshot(const core::RetiaModel& model,
-                                     const tkg::TkgDataset& dataset) {
+                                     const tkg::TkgDataset& dataset,
+                                     const graph::GraphCache* graphs) {
   serve::EngineSnapshot snapshot;
   snapshot.model = CloneModel(model);
   snapshot.dataset = std::make_unique<tkg::TkgDataset>(dataset);
   snapshot.graph_cache =
       std::make_unique<graph::GraphCache>(snapshot.dataset.get());
+  if (graphs != nullptr) snapshot.graph_cache->Adopt(*graphs);
   return snapshot;
 }
 

@@ -1,7 +1,7 @@
 #ifndef RETIA_STREAM_GROW_H_
 #define RETIA_STREAM_GROW_H_
 
-// Model lifecycle helpers for the streaming path: deep-copying a live
+// Model lifecycle helpers for the streaming path: copying a live
 // RetiaModel into a frozen publishable snapshot, and growing its entity
 // vocabulary when the ingest policy admits unseen entities.
 
@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "core/retia.h"
+#include "graph/graph_cache.h"
 #include "serve/engine.h"
 #include "tkg/dataset.h"
 
@@ -25,10 +26,16 @@ namespace retia::stream {
 std::unique_ptr<core::RetiaModel> CloneModel(const core::RetiaModel& model);
 
 // A frozen serving snapshot of `model` over `dataset`: CloneModel(model),
-// a copy of the dataset, and a GraphCache over that copy, so the snapshot
-// shares nothing with the caller's live model and dataset.
+// a copy of the dataset, and a GraphCache over that copy. The snapshot
+// shares no mutable state with the caller's live model and dataset: the
+// dataset copy shares the immutable fact buckets (one pointer per
+// timestamp), and, when `graphs` is given, the new cache adopts its built
+// graphs (GraphCache::Adopt, checked per entry), so a query whose history
+// `graphs` already built builds no graph. Later appends to, or evictions
+// from, the caller's dataset and cache leave the snapshot unchanged.
 serve::EngineSnapshot FrozenSnapshot(const core::RetiaModel& model,
-                                     const tkg::TkgDataset& dataset);
+                                     const tkg::TkgDataset& dataset,
+                                     const graph::GraphCache* graphs = nullptr);
 
 // Grows the entity vocabulary to `new_num_entities` (>= the current count)
 // by rebuilding the model with a larger E_0 table: rows [0, old_n) are

@@ -58,12 +58,21 @@ int64_t OnlineTrainer::FineTuneThrough(int64_t through) {
   RETIA_OBS_TIMED_SCOPE("stream.finetune.us");
   const std::vector<int64_t>& all_times = live_->all_times();
   std::vector<int64_t> todo;
-  for (int64_t t : all_times) {
-    if (t > last_trained_time_ && t <= through) todo.push_back(t);
+  for (auto it = std::upper_bound(all_times.begin(), all_times.end(),
+                                  last_trained_time_);
+       it != all_times.end() && *it <= through; ++it) {
+    todo.push_back(*it);
   }
   const int64_t applied = trainer_->FineTuneOnTimes(todo);
   updates_ += applied;
   last_trained_time_ = std::max(last_trained_time_, through);
+  // Every later step, and a query past `through`, reads the same history:
+  // keep only its graphs, built now, so the cache stays k entries long and
+  // Publish can hand them to the serving snapshot.
+  const std::vector<int64_t> next =
+      cache_->HistoryBefore(through + 1, model_->history_len());
+  if (!next.empty()) cache_->EvictBefore(next.front());
+  cache_->Prefetch(next, model_->uses_hypergraphs());
   if (!config_.checkpoint_path.empty()) {
     const ckpt::Result saved = SaveCheckpoint();
     RETIA_CHECK_MSG(saved.ok(),

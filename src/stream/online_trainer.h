@@ -63,7 +63,11 @@ class OnlineTrainer {
   bool SyncVocab();
 
   // Fine-tunes on every sealed timestep in (last_trained_time, through],
-  // ascending, then checkpoints. Returns the number of gradient steps
+  // ascending, then checkpoints. Ends with graphs() holding exactly the
+  // graphs of the history after `through` (the last k fact-bearing
+  // timestamps up to it): older entries are evicted, so the cache stays
+  // bounded however long the stream runs, and the newest is built, which
+  // the next step would do anyway. Returns the number of gradient steps
   // applied.
   int64_t FineTuneThrough(int64_t through);
 
@@ -74,6 +78,8 @@ class OnlineTrainer {
   [[nodiscard]] ckpt::Result Resume();
 
   const core::RetiaModel& model() const { return *model_; }
+  // The trainer's graphs over the live dataset (see FineTuneThrough).
+  const graph::GraphCache& graphs() const { return *cache_; }
   int64_t last_trained_time() const { return last_trained_time_; }
   // Gradient steps applied across the stream (survives Resume).
   int64_t updates() const { return updates_; }

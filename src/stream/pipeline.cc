@@ -74,7 +74,8 @@ void StreamPipeline::TrainAndPublish(std::vector<SealedBucket> chunk) {
 
 void StreamPipeline::Publish() {
   RETIA_OBS_TIMED_SCOPE("stream.publish.us");
-  serve::EngineSnapshot snapshot = FrozenSnapshot(trainer_->model(), *live_);
+  serve::EngineSnapshot snapshot =
+      FrozenSnapshot(trainer_->model(), *live_, &trainer_->graphs());
   if (!config_.snapshot_prefix.empty()) {
     const ckpt::Result saved = serve::SaveModelSnapshot(
         *snapshot.model, config_.snapshot_prefix, live_->name());

@@ -19,12 +19,15 @@
 // staged, the pipeline (1) grows the model if ingestion grew the entity
 // vocabulary, (2) fine-tunes through the window's newest timestep —
 // checkpointing the full trainer state atomically when
-// config.trainer.checkpoint_path is set — and (3) publishes a frozen deep
-// copy of model + dataset into the serving engine (optionally persisting a
-// serve snapshot at config.snapshot_prefix first). A SIGKILL between (2)
-// and (3) is recovered by Resume(): the checkpoint restores bit-exactly
-// and the republished snapshot equals the one the crash pre-empted
-// (tests/stream_test.cc proves both with a real SIGKILL).
+// config.trainer.checkpoint_path is set — and (3) publishes a frozen copy
+// of the model into the serving engine, over a dataset copy that shares
+// the sealed buckets and a graph cache that adopts the trainer's graphs of
+// the next history (stream::FrozenSnapshot), so neither the copy nor the
+// first query at the new frontier grows with the stream (optionally
+// persisting a serve snapshot at config.snapshot_prefix first). A SIGKILL
+// between (2) and (3) is recovered by Resume(): the checkpoint restores
+// bit-exactly and the republished snapshot equals the one the crash
+// pre-empted (tests/stream_test.cc proves both with a real SIGKILL).
 //
 // Staleness: each accepted fact's arrival clock is kept until the publish
 // that makes it visible to queries; the arrival→publish latency is

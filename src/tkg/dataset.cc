@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -17,6 +18,16 @@ std::vector<int64_t> DistinctTimes(const std::vector<Quadruple>& quads) {
   return {times.begin(), times.end()};
 }
 
+void CheckIds(const Quadruple& q, int64_t num_entities,
+              int64_t num_relations) {
+  RETIA_CHECK_LE(0, q.subject);
+  RETIA_CHECK_LT(q.subject, num_entities);
+  RETIA_CHECK_LE(0, q.object);
+  RETIA_CHECK_LT(q.object, num_entities);
+  RETIA_CHECK_LE(0, q.relation);
+  RETIA_CHECK_LT(q.relation, num_relations);
+}
+
 }  // namespace
 
 TkgDataset::TkgDataset(std::string name, int64_t num_entities,
@@ -27,22 +38,25 @@ TkgDataset::TkgDataset(std::string name, int64_t num_entities,
       num_entities_(num_entities),
       num_relations_(num_relations),
       granularity_(std::move(granularity)),
-      train_(std::move(train)),
-      valid_(std::move(valid)),
-      test_(std::move(test)) {
-  for (const std::vector<Quadruple>* split : {&train_, &valid_, &test_}) {
+      train_(std::make_shared<const std::vector<Quadruple>>(std::move(train))),
+      valid_(std::make_shared<const std::vector<Quadruple>>(std::move(valid))),
+      test_(std::make_shared<const std::vector<Quadruple>>(std::move(test))) {
+  std::map<int64_t, std::vector<Quadruple>> by_time;
+  for (const Bucket& split : {train_, valid_, test_}) {
     for (const Quadruple& q : *split) {
-      RETIA_CHECK_LT(q.subject, num_entities_);
-      RETIA_CHECK_LT(q.object, num_entities_);
-      RETIA_CHECK_LT(q.relation, num_relations_);
+      CheckIds(q, num_entities_, num_relations_);
       RETIA_CHECK_LE(0, q.time);
-      by_time_[q.time].push_back(q);
+      by_time[q.time].push_back(q);
     }
   }
-  train_times_ = DistinctTimes(train_);
-  valid_times_ = DistinctTimes(valid_);
-  test_times_ = DistinctTimes(test_);
-  for (const auto& [t, facts] : by_time_) all_times_.push_back(t);
+  train_times_ = DistinctTimes(*train_);
+  valid_times_ = DistinctTimes(*valid_);
+  test_times_ = DistinctTimes(*test_);
+  for (auto& [t, facts] : by_time) {
+    all_times_.push_back(t);
+    buckets_.push_back(
+        std::make_shared<const std::vector<Quadruple>>(std::move(facts)));
+  }
 }
 
 void TkgDataset::AppendBucket(int64_t t, const std::vector<Quadruple>& facts) {
@@ -51,20 +65,12 @@ void TkgDataset::AppendBucket(int64_t t, const std::vector<Quadruple>& facts) {
                                   << max_time()
                                   << "; buckets seal strictly in time order");
   RETIA_CHECK(!facts.empty());
-  std::vector<Quadruple>& bucket = by_time_[t];
-  for (Quadruple q : facts) {
+  for (const Quadruple& q : facts) {
     RETIA_CHECK_EQ(q.time, t);
-    RETIA_CHECK_LE(0, q.subject);
-    RETIA_CHECK_LT(q.subject, num_entities_);
-    RETIA_CHECK_LE(0, q.object);
-    RETIA_CHECK_LT(q.object, num_entities_);
-    RETIA_CHECK_LE(0, q.relation);
-    RETIA_CHECK_LT(q.relation, num_relations_);
-    bucket.push_back(q);
-    streamed_.push_back(q);
+    CheckIds(q, num_entities_, num_relations_);
   }
-  streamed_times_.push_back(t);
   all_times_.push_back(t);  // t > max_time() keeps the vector sorted
+  buckets_.push_back(std::make_shared<const std::vector<Quadruple>>(facts));
 }
 
 void TkgDataset::GrowVocab(int64_t num_entities, int64_t num_relations) {
@@ -75,9 +81,10 @@ void TkgDataset::GrowVocab(int64_t num_entities, int64_t num_relations) {
 }
 
 const std::vector<Quadruple>& TkgDataset::FactsAt(int64_t t) const {
-  auto it = by_time_.find(t);
-  if (it == by_time_.end()) return empty_;
-  return it->second;
+  static const std::vector<Quadruple> kEmpty;
+  auto it = std::lower_bound(all_times_.begin(), all_times_.end(), t);
+  if (it == all_times_.end() || *it != t) return kEmpty;
+  return *buckets_[static_cast<size_t>(it - all_times_.begin())];
 }
 
 DatasetStats TkgDataset::Stats() const {
@@ -85,9 +92,9 @@ DatasetStats TkgDataset::Stats() const {
   s.name = name_;
   s.num_entities = num_entities_;
   s.num_relations = num_relations_;
-  s.num_train = static_cast<int64_t>(train_.size());
-  s.num_valid = static_cast<int64_t>(valid_.size());
-  s.num_test = static_cast<int64_t>(test_.size());
+  s.num_train = static_cast<int64_t>(train_->size());
+  s.num_valid = static_cast<int64_t>(valid_->size());
+  s.num_test = static_cast<int64_t>(test_->size());
   s.num_timestamps = num_timestamps();
   s.granularity = granularity_;
   return s;

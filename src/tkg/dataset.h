@@ -2,7 +2,7 @@
 #define RETIA_TKG_DATASET_H_
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,6 +37,12 @@ struct DatasetStats {
 // time-ordered (train timestamps < valid timestamps < test timestamps),
 // matching the extrapolation protocol: models may only see strictly earlier
 // subgraphs when forecasting a timestamp.
+//
+// Every split and every timestamp's facts are held as an immutable shared
+// bucket that is never written after it is built, so a copy of a dataset
+// shares all of them: copying costs one pointer per timestamp, not one
+// per fact, and a copy reads the same facts at the same addresses as its
+// source.
 class TkgDataset {
  public:
   TkgDataset(std::string name, int64_t num_entities, int64_t num_relations,
@@ -47,14 +53,15 @@ class TkgDataset {
   int64_t num_entities() const { return num_entities_; }
   int64_t num_relations() const { return num_relations_; }
 
-  const std::vector<Quadruple>& train() const { return train_; }
-  const std::vector<Quadruple>& valid() const { return valid_; }
-  const std::vector<Quadruple>& test() const { return test_; }
+  const std::vector<Quadruple>& train() const { return *train_; }
+  const std::vector<Quadruple>& valid() const { return *valid_; }
+  const std::vector<Quadruple>& test() const { return *test_; }
 
   // All facts at timestamp `t`, across every split (streamed buckets
-  // included). Empty vector when the timestamp has no facts. Used to build
-  // evaluation histories under the raw protocol (all previously *observed*
-  // facts are available as history).
+  // included), in split order. Empty vector when the timestamp has no
+  // facts. Used to build evaluation histories under the raw protocol (all
+  // previously *observed* facts are available as history). The reference
+  // stays valid as long as this dataset or any copy of it.
   const std::vector<Quadruple>& FactsAt(int64_t t) const;
 
   // Sorted list of timestamps that carry at least one fact, per split.
@@ -69,7 +76,8 @@ class TkgDataset {
   // appended exactly once and historical subgraphs never change after the
   // fact (lazily-built GraphCache entries stay valid). Appends are NOT
   // thread-safe; the stream pipeline serializes them against readers by
-  // only publishing immutable snapshot copies to the serving tier.
+  // only publishing copies to the serving tier. An append never touches a
+  // bucket a copy shares.
 
   // Appends one sealed bucket of facts, all at timestamp `t`, which must be
   // strictly greater than every existing timestamp (max_time()). Facts must
@@ -81,10 +89,6 @@ class TkgDataset {
   // that scores against this dataset (see stream::GrowEntityVocab).
   void GrowVocab(int64_t num_entities, int64_t num_relations);
 
-  // Facts appended through AppendBucket, in append order.
-  const std::vector<Quadruple>& streamed() const { return streamed_; }
-  const std::vector<int64_t>& streamed_times() const { return streamed_times_; }
-
   // Sorted fact-bearing timestamps across every split and streamed bucket.
   const std::vector<int64_t>& all_times() const { return all_times_; }
 
@@ -94,26 +98,28 @@ class TkgDataset {
   }
 
   // Number of distinct timestamps across all splits.
-  int64_t num_timestamps() const { return static_cast<int64_t>(by_time_.size()); }
+  int64_t num_timestamps() const {
+    return static_cast<int64_t>(all_times_.size());
+  }
 
   DatasetStats Stats() const;
 
  private:
+  using Bucket = std::shared_ptr<const std::vector<Quadruple>>;
+
   std::string name_;
   int64_t num_entities_;
   int64_t num_relations_;
   std::string granularity_;
-  std::vector<Quadruple> train_;
-  std::vector<Quadruple> valid_;
-  std::vector<Quadruple> test_;
-  std::vector<Quadruple> streamed_;
-  std::map<int64_t, std::vector<Quadruple>> by_time_;
+  Bucket train_;
+  Bucket valid_;
+  Bucket test_;
   std::vector<int64_t> train_times_;
   std::vector<int64_t> valid_times_;
   std::vector<int64_t> test_times_;
-  std::vector<int64_t> streamed_times_;
   std::vector<int64_t> all_times_;
-  std::vector<Quadruple> empty_;
+  // buckets_[i] holds the facts at all_times_[i].
+  std::vector<Bucket> buckets_;
 };
 
 // Reads quadruples from the benchmark TSV format used by the RE-GCN/RETIA

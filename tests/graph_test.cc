@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -410,6 +412,112 @@ TEST(GraphCacheTest, SubgraphsAreCachedByIdentity) {
   const HyperSubgraph& ha = cache.hypergraph(3);
   const HyperSubgraph& hb = cache.hypergraph(3);
   EXPECT_EQ(&ha, &hb);
+}
+
+TEST(GraphCacheTest, EvictBeforeDropsOlderEntries) {
+  tkg::TkgDataset ds = tkg::GenerateSynthetic(tkg::SyntheticConfig::YagoLike());
+  GraphCache cache(&ds);
+  cache.Prefetch({2, 4, 6, 8}, /*hypergraphs=*/true);
+  cache.EvictBefore(5);
+  EXPECT_EQ(cache.cached_times(), (std::vector<int64_t>{6, 8}));
+  // An evicted timestamp rebuilds on demand.
+  EXPECT_EQ(cache.subgraph(2).num_edges(),
+            Subgraph(ds.FactsAt(2), ds.num_entities(), ds.num_relations())
+                .num_edges());
+}
+
+void ExpectSameEdges(const Subgraph& a, const Subgraph& b) {
+  EXPECT_EQ(a.src(), b.src());
+  EXPECT_EQ(a.rel(), b.rel());
+  EXPECT_EQ(a.dst(), b.dst());
+  ASSERT_EQ(a.edge_norm().size(), b.edge_norm().size());
+  EXPECT_EQ(std::memcmp(a.edge_norm().data(), b.edge_norm().data(),
+                        a.edge_norm().size() * sizeof(float)),
+            0);
+}
+
+TEST(GraphCacheTest, AdoptedEntriesOutliveTheCacheThatBuiltThem) {
+  tkg::TkgDataset ds = tkg::GenerateSynthetic(tkg::SyntheticConfig::YagoLike());
+  const tkg::TkgDataset copy(ds);
+  auto builder = std::make_unique<GraphCache>(&ds);
+  builder->Prefetch({3, 4}, /*hypergraphs=*/true);
+  GraphCache adopter(&copy);
+  EXPECT_EQ(adopter.Adopt(*builder), 2);
+  EXPECT_EQ(adopter.cached_times(), (std::vector<int64_t>{3, 4}));
+  const Subgraph* g = &adopter.subgraph(3);
+  const HyperSubgraph* hg = &adopter.hypergraph(3);
+  EXPECT_EQ(g, &builder->subgraph(3));
+  EXPECT_EQ(hg, &builder->hypergraph(3));
+
+  builder->EvictBefore(100);
+  EXPECT_TRUE(builder->cached_times().empty());
+  builder.reset();
+
+  // Still the adopted objects, and still what a fresh build gives.
+  EXPECT_EQ(&adopter.subgraph(3), g);
+  EXPECT_EQ(&adopter.hypergraph(3), hg);
+  const Subgraph fresh(ds.FactsAt(3), ds.num_entities(), ds.num_relations());
+  ExpectSameEdges(*g, fresh);
+  const HyperSubgraph fresh_hg(fresh);
+  EXPECT_EQ(hg->src(), fresh_hg.src());
+  EXPECT_EQ(hg->hyper_rel(), fresh_hg.hyper_rel());
+  EXPECT_EQ(hg->dst(), fresh_hg.dst());
+}
+
+TEST(GraphCacheTest, AdoptRefusesAnotherEntityCount) {
+  tkg::TkgDataset ds = tkg::GenerateSynthetic(tkg::SyntheticConfig::YagoLike());
+  tkg::TkgDataset grown(ds);
+  grown.GrowVocab(ds.num_entities() + 5, ds.num_relations());
+  GraphCache builder(&ds);
+  builder.Prefetch({3, 4}, /*hypergraphs=*/true);
+  GraphCache adopter(&grown);
+  EXPECT_EQ(adopter.Adopt(builder), 0);
+  EXPECT_TRUE(adopter.cached_times().empty());
+  EXPECT_EQ(adopter.subgraph(3).num_entities(), ds.num_entities() + 5);
+}
+
+TEST(GraphCacheTest, AdoptRefusesFactsItDoesNotShare) {
+  // Equal facts in separate buckets are not taken on trust.
+  tkg::TkgDataset ds = tkg::GenerateSynthetic(tkg::SyntheticConfig::YagoLike());
+  const tkg::TkgDataset twin =
+      tkg::GenerateSynthetic(tkg::SyntheticConfig::YagoLike());
+  ASSERT_EQ(twin.FactsAt(3), ds.FactsAt(3));
+  GraphCache builder(&ds);
+  builder.subgraph(3);
+  GraphCache adopter(&twin);
+  EXPECT_EQ(adopter.Adopt(builder), 0);
+  EXPECT_NE(&adopter.subgraph(3), &builder.subgraph(3));
+}
+
+// Adopting from a cache while it evicts, and reading the adopter, from
+// separate threads (run under ThreadSanitizer by scripts/check.sh).
+TEST(GraphCacheTest, ConcurrentAdoptEvictAndLookups) {
+  tkg::TkgDataset ds = tkg::GenerateSynthetic(tkg::SyntheticConfig::YagoLike());
+  const tkg::TkgDataset copy(ds);
+  const std::vector<int64_t> times = {0, 1, 2, 3, 4, 5, 6, 7};
+  GraphCache builder(&ds);
+  builder.Prefetch(times, /*hypergraphs=*/true);
+  GraphCache adopter(&copy);
+  std::vector<int64_t> edges;
+  for (int64_t t : times) edges.push_back(builder.hypergraph(t).num_edges());
+
+  std::thread evict([&] {
+    for (int64_t t : times) {
+      adopter.Adopt(builder);
+      builder.EvictBefore(t + 1);
+    }
+  });
+  std::thread read([&] {
+    for (int round = 0; round < 4; ++round) {
+      for (size_t i = 0; i < times.size(); ++i) {
+        EXPECT_EQ(adopter.hypergraph(times[i]).num_edges(), edges[i]);
+      }
+    }
+  });
+  evict.join();
+  read.join();
+  EXPECT_EQ(adopter.cached_times(), times);
+  EXPECT_TRUE(builder.cached_times().empty());
 }
 
 }  // namespace

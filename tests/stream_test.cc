@@ -613,6 +613,84 @@ TEST(StreamResumeTest, SigkillBetweenFinetuneAndPublishResumesBitExact) {
   }
 }
 
+// ---- Bounded windows ----------------------------------------------------------
+
+// A dataset with the facts of `source` in fresh buckets: the splits plus
+// every later timestamp appended in order, so FactsAt matches `source`
+// fact for fact while sharing none of its buckets.
+tkg::TkgDataset DeepCopy(const tkg::TkgDataset& source,
+                         const tkg::TkgDataset& base) {
+  tkg::TkgDataset copy(source.name(), source.num_entities(),
+                       source.num_relations(), base.train(), base.valid(),
+                       base.test());
+  for (int64_t t : source.all_times()) {
+    if (t > copy.max_time()) copy.AppendBucket(t, source.FactsAt(t));
+  }
+  return copy;
+}
+
+// Candidates and the bits of each score, so +0/-0 or NaN payloads that
+// compare equal as floats still differ here.
+std::vector<std::pair<int64_t, uint32_t>> AnswerBits(
+    serve::ServeEngine& engine, const serve::Query& query) {
+  serve::Result<serve::QueryResult> result = engine.Submit(query);
+  EXPECT_TRUE(result.ok()) << result.ToString();
+  std::vector<std::pair<int64_t, uint32_t>> bits;
+  if (!result.ok()) return bits;
+  for (const serve::ScoredCandidate& c : result.value().candidates) {
+    uint32_t word = 0;
+    std::memcpy(&word, &c.score, sizeof(word));
+    bits.emplace_back(c.id, word);
+  }
+  return bits;
+}
+
+// The trainer keeps only the graphs of the next history, however long the
+// stream runs, and the engine it publishes, which starts from those
+// graphs, answers every frontier query exactly as an engine over a deep
+// copy of the dataset that builds every graph itself.
+TEST(StreamPipelineTest, TrainerCacheStaysBoundedAndHandOffKeepsAnswers) {
+  const std::unique_ptr<tkg::TkgDataset> base = MakeLiveDataset();
+  std::unique_ptr<tkg::TkgDataset> live = MakeLiveDataset();
+  const int64_t n = live->num_entities();
+  const int64_t m = live->num_relations();
+  std::unique_ptr<core::RetiaModel> model = MakeModel(*live);
+  const int64_t k = model->history_len();
+  StreamPipelineConfig config;
+  config.window = 1;
+  config.trainer.steps_per_time = 1;
+  config.trainer.lr = 0.01f;
+  config.serve.max_k = n;
+  StreamPipeline pipeline(std::move(model), std::move(live), config);
+
+  const int64_t first = pipeline.live().max_time() + 1;
+  for (int64_t w = 0; w < 3 * k + 2; ++w) {
+    const int64_t t = first + w;
+    pipeline.OfferBatch(WindowBucket(t, static_cast<uint64_t>(w)));
+    ASSERT_EQ(pipeline.AdvanceTo(t + 1), 1);
+
+    const graph::GraphCache& graphs = pipeline.trainer().graphs();
+    EXPECT_EQ(graphs.cached_times(), graphs.HistoryBefore(t + 1, k))
+        << "window " << w;
+
+    serve::EngineSnapshot fresh;
+    fresh.model = stream::CloneModel(pipeline.trainer().model());
+    fresh.dataset = std::make_unique<tkg::TkgDataset>(
+        DeepCopy(pipeline.live(), *base));
+    fresh.graph_cache =
+        std::make_unique<graph::GraphCache>(fresh.dataset.get());
+    serve::ServeEngine reference(std::move(fresh), config.serve);
+    for (int64_t s = 0; s < n; s += 7) {
+      for (int64_t r = 0; r < 2 * m; r += 3) {
+        const serve::Query query = serve::Query::Entity(s, r, t + 1, n);
+        EXPECT_EQ(AnswerBits(pipeline.engine(), query),
+                  AnswerBits(reference, query))
+            << "window " << w << " s=" << s << " r=" << r;
+      }
+    }
+  }
+}
+
 // ---- Hot swap under concurrent queries --------------------------------------
 
 TEST(SnapshotSwapTest, ConcurrentQueriesAcrossSwapsAreNeverDroppedOrTorn) {

@@ -54,6 +54,45 @@ TEST(TkgDatasetTest, OutOfRangeRelationDies) {
   EXPECT_DEATH(TkgDataset("bad", 3, 1, {{0, 1, 1, 0}}, {}, {}), "expected");
 }
 
+TEST(TkgDatasetTest, NegativeRelationDies) {
+  EXPECT_DEATH(TkgDataset("bad", 3, 2, {{0, -1, 1, 0}}, {}, {}),
+               "0 <= q.relation");
+}
+
+TEST(TkgDatasetTest, CopySharesEveryBucket) {
+  TkgDataset ds("toy", 3, 2, MakeQuads(), {{0, 0, 2, 4}}, {{2, 1, 0, 6}});
+  const TkgDataset copy(ds);
+  EXPECT_EQ(copy.all_times(), ds.all_times());
+  for (int64_t t : ds.all_times()) {
+    EXPECT_EQ(copy.FactsAt(t).data(), ds.FactsAt(t).data()) << "t=" << t;
+  }
+  EXPECT_EQ(copy.train().data(), ds.train().data());
+  EXPECT_EQ(copy.valid().data(), ds.valid().data());
+  EXPECT_EQ(copy.test().data(), ds.test().data());
+}
+
+TEST(TkgDatasetTest, AppendAfterCopyLeavesTheCopyUnchanged) {
+  TkgDataset ds("toy", 3, 2, MakeQuads(), {}, {});
+  const TkgDataset copy(ds);
+  const std::vector<int64_t> times = copy.all_times();
+  std::vector<std::vector<Quadruple>> facts;
+  for (int64_t t : times) facts.push_back(copy.FactsAt(t));
+
+  ds.AppendBucket(5, {{2, 1, 0, 5}});
+  ds.AppendBucket(9, {{1, 0, 2, 9}, {0, 1, 1, 9}});
+  EXPECT_EQ(ds.max_time(), 9);
+  EXPECT_EQ(ds.FactsAt(9).size(), 2u);
+
+  EXPECT_EQ(copy.max_time(), 4);
+  EXPECT_EQ(copy.all_times(), times);
+  EXPECT_TRUE(copy.FactsAt(5).empty());
+  EXPECT_TRUE(copy.FactsAt(9).empty());
+  for (size_t i = 0; i < times.size(); ++i) {
+    EXPECT_EQ(copy.FactsAt(times[i]), facts[i]);
+    EXPECT_EQ(copy.FactsAt(times[i]).data(), ds.FactsAt(times[i]).data());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // TSV round trip.
 
