@@ -13,10 +13,14 @@ GraphCache::GraphCache(const tkg::TkgDataset* dataset) : dataset_(dataset) {
 }
 
 const Subgraph& GraphCache::subgraph(int64_t t) {
+  return *SharedSubgraph(t);
+}
+
+std::shared_ptr<const Subgraph> GraphCache::SharedSubgraph(int64_t t) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = subgraphs_.find(t);
-    if (it != subgraphs_.end()) return *it->second;
+    if (it != subgraphs_.end()) return it->second;
   }
   // Build outside the lock so concurrent timestamps construct in parallel.
   // Construction is pure, so a losing racer built an identical object and
@@ -26,7 +30,7 @@ const Subgraph& GraphCache::subgraph(int64_t t) {
                                                 dataset_->num_relations());
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = subgraphs_.emplace(t, std::move(built));
-  return *it->second;
+  return it->second;
 }
 
 const HyperSubgraph& GraphCache::hypergraph(int64_t t) {
@@ -35,8 +39,10 @@ const HyperSubgraph& GraphCache::hypergraph(int64_t t) {
     auto it = hypergraphs_.find(t);
     if (it != hypergraphs_.end()) return *it->second;
   }
-  const Subgraph& g = subgraph(t);
-  auto built = std::make_shared<const HyperSubgraph>(g);
+  // Hold the subgraph while building: a concurrent EvictBefore may drop
+  // it from the map.
+  const std::shared_ptr<const Subgraph> g = SharedSubgraph(t);
+  auto built = std::make_shared<const HyperSubgraph>(*g);
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = hypergraphs_.emplace(t, std::move(built));
   return *it->second;

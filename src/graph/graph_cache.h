@@ -17,13 +17,15 @@ namespace retia::graph {
 // epoch, so graph construction (including Algorithm 1 and the
 // tensor::AggregateRows plans of Eqs. 1, 4, 7 and 9) is paid once.
 //
-// Threading: subgraph(), hypergraph(), Prefetch() and Adopt() are safe to
-// call concurrently from any number of threads (Prefetch builds a
-// history's snapshots in parallel, and serving engines evolve different
-// timestamps against one cache). Construction is pure and deterministic,
-// so when two threads race on the same timestamp both build identical
-// objects and the first insert wins. Lookups take one mutex; construction
-// itself runs outside the lock.
+// Threading: subgraph(), hypergraph(), Prefetch(), Adopt() and
+// EvictBefore() are safe to call concurrently from any number of threads
+// (Prefetch builds a history's snapshots in parallel, and serving engines
+// evolve different timestamps against one cache). Construction is pure
+// and deterministic, so when two threads race on the same timestamp both
+// build identical objects and the first insert wins. Lookups take one
+// mutex; construction itself runs outside the lock, holding its own
+// reference to the subgraph it reads, so an eviction meanwhile cannot
+// free it.
 //
 // Lifetime: entries are immutable and shared (std::shared_ptr<const ...>),
 // so a built entry can live in several caches at once: Adopt() takes over
@@ -82,6 +84,9 @@ class GraphCache {
   std::vector<int64_t> HistoryBefore(int64_t t, int64_t k) const;
 
  private:
+  // subgraph(t) as the shared entry, so a caller can keep it alive.
+  std::shared_ptr<const Subgraph> SharedSubgraph(int64_t t);
+
   const tkg::TkgDataset* dataset_;
   mutable std::mutex mu_;  // guards the two maps (not the built objects)
   std::map<int64_t, std::shared_ptr<const Subgraph>> subgraphs_;

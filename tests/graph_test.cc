@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -518,6 +519,31 @@ TEST(GraphCacheTest, ConcurrentAdoptEvictAndLookups) {
   read.join();
   EXPECT_EQ(adopter.cached_times(), times);
   EXPECT_TRUE(builder.cached_times().empty());
+}
+
+// Evicting a cache while it builds hypergraphs frees no subgraph that a
+// build is still reading (ASan and TSan run this suite).
+TEST(GraphCacheTest, EvictBeforeDuringBuildsOfTheSameCache) {
+  tkg::TkgDataset ds = tkg::GenerateSynthetic(tkg::SyntheticConfig::YagoLike());
+  const std::vector<int64_t> times = {0, 1, 2, 3, 4, 5, 6, 7};
+  GraphCache reference(&ds);
+  std::vector<int64_t> edges;
+  for (int64_t t : times) edges.push_back(reference.hypergraph(t).num_edges());
+
+  GraphCache cache(&ds);
+  std::atomic<bool> done{false};
+  std::thread evict([&] {
+    while (!done.load()) cache.EvictBefore(times.back() + 1);
+  });
+  for (int round = 0; round < 20; ++round) {
+    // The returned references go unused: the eviction may drop them.
+    for (int64_t t : times) cache.hypergraph(t);
+  }
+  done.store(true);
+  evict.join();
+  for (size_t i = 0; i < times.size(); ++i) {
+    EXPECT_EQ(cache.hypergraph(times[i]).num_edges(), edges[i]);
+  }
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "ckpt/result.h"
 #include "core/retia.h"
 #include "graph/graph_cache.h"
+#include "obs/trace.h"
 #include "serve/engine.h"
 #include "serve/snapshot.h"
 #include "stream/grow.h"
@@ -645,6 +646,25 @@ std::vector<std::pair<int64_t, uint32_t>> AnswerBits(
   return bits;
 }
 
+// Twin hyperrelation subgraphs (Algorithm 1) that `engine` builds while it
+// answers `query`, counted from the trace.
+[[maybe_unused]] int64_t HypergraphBuilds(serve::ServeEngine& engine,
+                                          const serve::Query& query) {
+  obs::Trace::Clear();
+  obs::Trace::Enable();
+  AnswerBits(engine, query);
+  obs::Trace::Disable();
+  const std::string json = obs::Trace::ToJson();
+  obs::Trace::Clear();
+  int64_t builds = 0;
+  const std::string name = "\"graph.hypergraph\"";
+  for (size_t at = json.find(name); at != std::string::npos;
+       at = json.find(name, at + name.size())) {
+    ++builds;
+  }
+  return builds;
+}
+
 // The trainer keeps only the graphs of the next history, however long the
 // stream runs, and the engine it publishes, which starts from those
 // graphs, answers every frontier query exactly as an engine over a deep
@@ -680,6 +700,16 @@ TEST(StreamPipelineTest, TrainerCacheStaysBoundedAndHandOffKeepsAnswers) {
     fresh.graph_cache =
         std::make_unique<graph::GraphCache>(fresh.dataset.get());
     serve::ServeEngine reference(std::move(fresh), config.serve);
+#ifndef RETIA_OBS_DISABLE  // the count reads trace spans
+    // The published engine starts from the trainer's graphs, so its first
+    // query at the frontier builds none; the reference builds the history.
+    const serve::Query first_query = serve::Query::Entity(0, 0, t + 1, n);
+    EXPECT_EQ(HypergraphBuilds(pipeline.engine(), first_query), 0)
+        << "window " << w;
+    EXPECT_EQ(HypergraphBuilds(reference, first_query),
+              static_cast<int64_t>(graphs.HistoryBefore(t + 1, k).size()))
+        << "window " << w;
+#endif
     for (int64_t s = 0; s < n; s += 7) {
       for (int64_t r = 0; r < 2 * m; r += 3) {
         const serve::Query query = serve::Query::Entity(s, r, t + 1, n);
